@@ -1,21 +1,23 @@
 """Parameterized Ry/CX circuits with explicit noise insertion points.
 
 A circuit is a flat list of operations: Ry rotations referencing a parameter
-slot, CX gates, and NOISE markers. Evaluating a circuit applies the product
-noise channel at every marker; with no noise the evaluation runs on a
-statevector and only forms the density matrix at the end.
+slot, CX gates, and NOISE markers. Every evaluation runs through one batched
+kernel, _simulate, over the circuit's ops compiled once into steps. It
+applies the product noise channel at every marker; with no noise it runs on a
+statevector and the density matrix is only formed at the end.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .channels import NoiseSpec, _apply_superop_raw
-from .qstate import DensityMatrix, MAX_QUBITS, _apply_vec, _conjugate_raw
+from .channels import NoiseSpec, _apply_noise
+from .qstate import DensityMatrix, MAX_QUBITS
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,28 @@ class Circuit:
     def noise_mark_count(self) -> int:
         return sum(1 for op in self.ops if isinstance(op, NoiseMark))
 
+    @cached_property
+    def _steps(self) -> tuple[tuple, ...]:
+        """The ops compiled for _simulate, built on first evaluation.
+
+        ("ry", param_index, a, b) rotates the qubit whose bit splits a basis
+        index as (a, 2, b); ("cx", perm) permutes the basis; ("noise",) marks
+        a noise point.
+        """
+        n = self.n_qubits
+        idx = np.arange(2 ** n)
+        steps = []
+        for op in self.ops:
+            if isinstance(op, Ry):
+                a = 2 ** op.qubit
+                steps.append(("ry", op.param_index, a, 2 ** n // (2 * a)))
+            elif isinstance(op, Cx):
+                cbit = (idx >> (n - 1 - op.control)) & 1
+                steps.append(("cx", np.where(cbit == 1, idx ^ (1 << (n - 1 - op.target)), idx)))
+            else:
+                steps.append(("noise",))
+        return tuple(steps)
+
 
 def build_2q_circuit(variant: str) -> Circuit:
     """Two-qubit ansatz: Ry pair, CX(0->1), noise point, final Ry layer.
@@ -154,37 +178,57 @@ def build_valley_demo() -> Circuit:
     return Circuit(1, (Ry(0, 0), NOISE, Ry(1, 0)), 2)
 
 
+def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = None) -> np.ndarray:
+    """Output states for every row of an (m, n_params) parameter array.
+
+    Returns real statevectors of shape (m, 2^n) when noise is None (noise
+    marks are skipped) and real density matrices of shape (m, 2^n, 2^n)
+    otherwise. Ry, CX and all three channels map real states to real states,
+    so float64 arithmetic is exact here.
+    """
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2 or params.shape[1] != circuit.n_params:
+        raise ValueError(f"expected shape (m, {circuit.n_params}), got {params.shape}")
+    m = params.shape[0]
+    dim = 2 ** circuit.n_qubits
+    density = noise is not None
+    cols = dim if density else 1
+    state = np.zeros((m, dim, dim) if density else (m, dim))
+    state.reshape(m, -1)[:, 0] = 1.0
+    cos = np.cos(0.5 * params)[:, :, None, None]
+    sin = np.sin(0.5 * params)[:, :, None, None]
+    for step in circuit._steps:
+        if step[0] == "ry":
+            _, p, a, b = step
+            c, s = cos[:, p], sin[:, p]
+            state = _rotate(state, c, s, a, b * cols)  # rows, or a statevector's only axis
+            if density:
+                state = _rotate(state, c, s, dim * a, b)
+        elif step[0] == "cx":
+            state = state[..., step[1]]
+            if density:
+                state = state[:, step[1]]
+        elif density:
+            state = _apply_noise(state, noise.channel.kind, noise._gammas)
+    return state
+
+
+def _rotate(state: np.ndarray, c: np.ndarray, s: np.ndarray, outer: int, inner: int) -> np.ndarray:
+    """Ry on the axis of length 2 when each row of state is viewed as (outer, 2, inner)."""
+    t = state.reshape(len(c), outer, 2, inner)
+    x0, x1 = t[:, :, 0], t[:, :, 1]
+    out = np.empty_like(t)
+    out[:, :, 0] = c * x0 - s * x1
+    out[:, :, 1] = s * x0 + c * x1
+    return out.reshape(state.shape)
+
+
 def evaluate_pure(circuit: Circuit, params: np.ndarray) -> np.ndarray:
     """Statevector after the circuit (noise marks ignored), length 2^n."""
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.n_params,):
         raise ValueError(f"expected {circuit.n_params} parameters, got shape {params.shape}")
-    psi = np.zeros(2 ** circuit.n_qubits, dtype=complex)
-    psi[0] = 1.0
-    n = circuit.n_qubits
-    for op in circuit.ops:
-        if isinstance(op, Ry):
-            psi = _apply_vec(psi, ry_matrix(params[op.param_index]), (op.qubit,), n)
-        elif isinstance(op, Cx):
-            psi = _apply_vec(psi, CX_MATRIX, (op.control, op.target), n)
-    return psi
-
-
-def _evaluate_raw(circuit: Circuit, params: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    n = circuit.n_qubits
-    dim = 2 ** n
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    sups = noise._superops
-    for op in circuit.ops:
-        if isinstance(op, Ry):
-            rho = _conjugate_raw(rho, ry_matrix(params[op.param_index]), (op.qubit,), n)
-        elif isinstance(op, Cx):
-            rho = _conjugate_raw(rho, CX_MATRIX, (op.control, op.target), n)
-        else:
-            for q, sup in sups:
-                rho = _apply_superop_raw(rho, sup, q, n)
-    return 0.5 * (rho + rho.conj().T)
+    return _simulate(circuit, params[None])[0].astype(complex)
 
 
 def evaluate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = None) -> DensityMatrix:
@@ -208,81 +252,8 @@ def evaluate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = Non
     if noise is None or noise.is_trivial:
         psi = evaluate_pure(circuit, params)
         return DensityMatrix(circuit.n_qubits, np.outer(psi, psi.conj()))
-    return DensityMatrix(circuit.n_qubits, _evaluate_raw(circuit, params, noise))
-
-
-def _cx_permutation(circuit: Circuit, op: Cx) -> np.ndarray:
-    """Basis permutation of a CX: flips the target bit where control is 1."""
-    n = circuit.n_qubits
-    idx = np.arange(2 ** n)
-    cbit = (idx >> (n - 1 - op.control)) & 1
-    perm = np.where(cbit == 1, idx ^ (1 << (n - 1 - op.target)), idx)
-    return perm
-
-
-def _ry_batch(thetas: np.ndarray) -> np.ndarray:
-    """Stack of Ry matrices, shape (m, 2, 2), for a vector of angles."""
-    c, s = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
-    out = np.empty((thetas.size, 2, 2), dtype=complex)
-    out[:, 0, 0] = c
-    out[:, 0, 1] = -s
-    out[:, 1, 0] = s
-    out[:, 1, 1] = c
-    return out
-
-
-def evaluate_pure_batch(circuit: Circuit, params: np.ndarray) -> np.ndarray:
-    """Statevectors for a batch of parameter vectors, shape (m, 2^n)."""
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 2 or params.shape[1] != circuit.n_params:
-        raise ValueError(f"expected shape (m, {circuit.n_params}), got {params.shape}")
-    m = params.shape[0]
-    n = circuit.n_qubits
-    dim = 2 ** n
-    psi = np.zeros((m, dim), dtype=complex)
-    psi[:, 0] = 1.0
-    for op in circuit.ops:
-        if isinstance(op, Ry):
-            mats = _ry_batch(params[:, op.param_index])
-            a = 2 ** op.qubit
-            b = dim // (2 * a)
-            t = psi.reshape(m, a, 2, b)
-            psi = np.einsum("mij,majb->maib", mats, t).reshape(m, dim)
-        elif isinstance(op, Cx):
-            psi = psi[:, _cx_permutation(circuit, op)]
-    return psi
-
-
-def _evaluate_raw_batch(circuit: Circuit, params: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    """Density matrices for a batch of parameter vectors, shape (m, 2^n, 2^n)."""
-    params = np.asarray(params, dtype=float)
-    m = params.shape[0]
-    n = circuit.n_qubits
-    dim = 2 ** n
-    rho = np.zeros((m, dim, dim), dtype=complex)
-    rho[:, 0, 0] = 1.0
-    sups = noise._superops
-    for op in circuit.ops:
-        if isinstance(op, Ry):
-            mats = _ry_batch(params[:, op.param_index])
-            a = 2 ** op.qubit
-            b = dim // (2 * a)
-            t = rho.reshape(m, a, 2, b * dim)
-            t = np.einsum("mij,majb->maib", mats, t)
-            t = t.reshape(m, dim, a, 2, b)
-            rho = np.einsum("mij,mcajb->mcaib", mats.conj(), t).reshape(m, dim, dim)
-        elif isinstance(op, Cx):
-            perm = _cx_permutation(circuit, op)
-            rho = rho[:, perm[:, None], perm[None, :]]
-        else:
-            for q, sup in sups:
-                a = 2 ** q
-                b = dim // (2 * a)
-                s4 = sup.reshape(2, 2, 2, 2)
-                t = rho.reshape(m, a, 2, b, a, 2, b)
-                t = np.einsum("ijkl,makbcld->maibcjd", s4, t)
-                rho = t.reshape(m, dim, dim)
-    return rho
+    rho = _simulate(circuit, params[None], noise)[0]
+    return DensityMatrix(circuit.n_qubits, 0.5 * (rho + rho.T))
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

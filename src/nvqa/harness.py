@@ -2,9 +2,10 @@
 
 Every experiment takes one ExperimentConfig, runs deterministically from its
 seed, and produces a CSV of plain rows plus a JSON sidecar holding the full
-config, its hash, the package version, and wall-clock timings. Reruns with
-an unchanged config are skipped unless forced; the CSV bytes for a given
-config are reproducible.
+config, its hash, the package version, the row count, the wall-clock time
+and the CSV's sha256. Reruns with an unchanged config are skipped unless
+forced or the CSV no longer matches its recorded hash; the CSV bytes for a
+given config are reproducible.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -135,30 +137,42 @@ class ResultRecord:
             "version": __version__,
             "n_rows": len(self.rows),
             "elapsed_seconds": self.elapsed_seconds,
+            "csv_sha256": hashlib.sha256(self.csv_text().encode()).hexdigest(),
         }
 
     def write(self, out_dir: str | Path | None = None) -> tuple[Path, Path]:
-        out = Path(out_dir) if out_dir is not None else Path(self.config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / f"{self.experiment}.csv"
-        json_path = out / f"{self.experiment}.json"
-        csv_path.write_text(self.csv_text())
-        json_path.write_text(json.dumps(self.sidecar(), indent=2, sort_keys=True) + "\n")
+        """Write the CSV, then the sidecar, each through a temp file and a rename."""
+        csv_path, json_path = _output_paths(self.config, out_dir)
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
+        _replace_file(csv_path, self.csv_text())
+        _replace_file(json_path, json.dumps(self.sidecar(), indent=2, sort_keys=True) + "\n")
         return csv_path, json_path
 
 
-def is_complete(config: ExperimentConfig, out_dir: str | Path | None = None) -> bool:
-    """True when this exact config already produced output in out_dir."""
+def _output_paths(config: ExperimentConfig, out_dir: str | Path | None) -> tuple[Path, Path]:
+    """CSV and sidecar paths of an experiment; out_dir defaults to config.output_dir."""
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
-    csv_path = out / f"{config.experiment}.csv"
-    json_path = out / f"{config.experiment}.json"
-    if not csv_path.exists() or not json_path.exists():
-        return False
+    return out / f"{config.experiment}.csv", out / f"{config.experiment}.json"
+
+
+def _replace_file(path: Path, text: str) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(text.encode())
+    os.replace(tmp, path)
+
+
+def is_complete(config: ExperimentConfig, out_dir: str | Path | None = None) -> bool:
+    """True when this exact config already produced output in out_dir and the
+    CSV still has the sha256 recorded in the sidecar."""
+    csv_path, json_path = _output_paths(config, out_dir)
     try:
         side = json.loads(json_path.read_text())
+        csv_bytes = csv_path.read_bytes()
     except (OSError, json.JSONDecodeError):
         return False
-    return side.get("config_hash") == config.config_hash()
+    return (isinstance(side, dict)
+            and side.get("config_hash") == config.config_hash()
+            and side.get("csv_sha256") == hashlib.sha256(csv_bytes).hexdigest())
 
 
 def _uniform_noise(kind: str, gamma: float, n_qubits: int,
@@ -447,9 +461,7 @@ def run_and_write(config: ExperimentConfig, out_dir: str | Path | None = None,
 
     record is None when the run was skipped.
     """
-    out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
-    if not force and is_complete(config, out):
-        return None, (out / f"{config.experiment}.csv", out / f"{config.experiment}.json")
+    if not force and is_complete(config, out_dir):
+        return None, _output_paths(config, out_dir)
     record = run_experiment(config)
-    paths = record.write(out)
-    return record, paths
+    return record, record.write(out_dir)

@@ -8,9 +8,10 @@ beta are the mean and variance over targets rho_T of
     -d/dgamma Tr[rho_T Lambda_gamma(rho_T)]   at gamma = 0.
 
 The derivative is taken by central differences, which needs the channel
-superoperator slightly below gamma = 0; channel_superop provides that
-analytic extension. Global depolarising noise admits the exact closed form
-(1 - (1-gamma)^d) (1 - 2^-N) regardless of the circuit.
+slightly below gamma = 0. The 2x2 block form of the channels
+(channels._apply_noise) is analytic in gamma and provides that extension to
+(-1, 1], in agreement with channel_superop. Global depolarising noise admits
+the exact closed form (1 - (1-gamma)^d) (1 - 2^-N) regardless of the circuit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CHANNEL_KINDS, channel_superop, _apply_superop_raw
+from .channels import _apply_noise
 from .qstate import DensityMatrix
 from .randstates import RngStream, _as_generator, sample_product_state, sample_real_haar_state
 
@@ -66,18 +67,13 @@ def apply_global_depol(rho: DensityMatrix, gamma: float) -> DensityMatrix:
 
 def _product_overlap(rho: DensityMatrix, kind: str, gamma: float) -> float:
     """Tr[rho Lambda_gamma(rho)] with the single-qubit channel on every qubit."""
-    sup = channel_superop(kind, gamma)
-    data = rho.data
-    for q in range(rho.n_qubits):
-        data = _apply_superop_raw(data, sup, q, rho.n_qubits)
+    data = _apply_noise(np.array(rho.data), kind, (gamma,) * rho.n_qubits)
     return float(np.einsum("ij,ji->", rho.data, data).real)
 
 
 def linear_action_overlap_derivative(kind: str, rho_t: DensityMatrix,
                                      eps: float = 1e-5) -> float:
     """Central-difference d/dgamma Tr[rho_T Lambda_gamma(rho_T)] at gamma = 0."""
-    if kind not in CHANNEL_KINDS:
-        raise ValueError(f"unknown channel kind {kind!r}")
     hi = _product_overlap(rho_t, kind, eps)
     lo = _product_overlap(rho_t, kind, -eps)
     return (hi - lo) / (2.0 * eps)

@@ -15,14 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import NoiseSpec
-from .circuits import (
-    Circuit,
-    evaluate,
-    evaluate_pure,
-    evaluate_pure_batch,
-    _evaluate_raw,
-    _evaluate_raw_batch,
-)
+from .circuits import Circuit, _simulate, evaluate
 from .measures import (
     QualityRecord,
     concurrence,
@@ -58,13 +51,15 @@ class CostFn:
 
     @cached_property
     def _obs_matrix(self) -> np.ndarray:
-        if self.hamiltonian is not None:
-            return self.hamiltonian.to_matrix()
-        return self.target.data
+        """Real part of the Hamiltonian or of the target density matrix.
 
-    @cached_property
-    def _noiseless(self) -> bool:
-        return self.noise is None or self.noise.is_trivial
+        Circuit outputs are real symmetric and the imaginary part of a
+        Hermitian matrix is antisymmetric, so it contributes nothing to
+        Tr[O rho]: the real part gives the exact cost.
+        """
+        if self.hamiltonian is not None:
+            return self.hamiltonian.to_matrix().real.copy()
+        return self.target.data.real.copy()
 
     @cached_property
     def _reference_state(self) -> DensityMatrix:
@@ -78,26 +73,21 @@ class CostFn:
         return self.circuit.n_params
 
     def value(self, params: np.ndarray) -> float:
-        params = np.asarray(params, dtype=float)
-        if self._noiseless:
-            psi = evaluate_pure(self.circuit, params)
-            v = np.vdot(psi, self._obs_matrix @ psi).real
-        else:
-            rho = _evaluate_raw(self.circuit, params, self.noise)
-            v = np.einsum("ij,ji->", self._obs_matrix, rho).real
-        if self.hamiltonian is not None:
-            return float(v)
-        return float(1.0 - v)
+        return float(self._costs(np.asarray(params, dtype=float)[None])[0])
 
     def values(self, params: np.ndarray) -> np.ndarray:
         """Costs for a whole (m, n_params) batch in a few vectorized passes."""
-        params = np.asarray(params, dtype=float)
-        if self._noiseless:
-            psi = evaluate_pure_batch(self.circuit, params)
-            v = np.einsum("md,dc,mc->m", psi.conj(), self._obs_matrix, psi).real
+        return self._costs(params)
+
+    def _costs(self, params: np.ndarray) -> np.ndarray:
+        trivial = self.noise is None or self.noise.is_trivial
+        state = _simulate(self.circuit, params, None if trivial else self.noise)
+        obs = self._obs_matrix
+        if state.ndim == 2:
+            v = np.einsum("md,dc,mc->m", state, obs, state)
         else:
-            rho = _evaluate_raw_batch(self.circuit, params, self.noise)
-            v = np.einsum("ij,mji->m", self._obs_matrix, rho).real
+            # obs is symmetric, so Tr[obs rho] is the elementwise product summed
+            v = state.reshape(len(state), -1) @ obs.ravel()
         if self.hamiltonian is not None:
             return v
         return 1.0 - v

@@ -108,12 +108,6 @@ def _conjugate_raw(data: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n
     return t.reshape(data.shape[0], data.shape[0])
 
 
-def _apply_vec(psi: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """U |psi> on a raw statevector of length 2^n."""
-    t = _contract(psi.reshape((2,) * n), op, targets)
-    return t.reshape(-1)
-
-
 def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets: list[int] | tuple[int, ...]) -> DensityMatrix:
     """Conjugate the state by a unitary acting on the listed qubits.
 

@@ -11,6 +11,7 @@ from nvqa.channels import (
     channel_superop,
     make_channel,
     ptm_from_channel,
+    _apply_noise,
 )
 from nvqa.pauli import I2, SX, SY, SZ
 from nvqa.qstate import DensityMatrix, zero_state
@@ -74,6 +75,29 @@ def test_superop_analytic_below_zero(kind):
     assert np.abs(plus + minus - 2.0 * mid).max() < 1e-8
     with pytest.raises(ValueError):
         channel_superop(kind, -1.5)
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_block_update_matches_superop(kind, rng):
+    """The 2x2 block update equals channel_superop on complex mixed states,
+    for a batch of states and through the analytic extension below zero."""
+    for g in (-1e-5, 0.0, 1e-5, 0.3, 1.0):
+        gin = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        states = gin @ gin.conj().transpose(0, 2, 1)
+        states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
+        got = _apply_noise(states.copy(), kind, (g, 0.5 * g))
+        s0 = channel_superop(kind, g).reshape(2, 2, 2, 2)
+        s1 = channel_superop(kind, 0.5 * g).reshape(2, 2, 2, 2)
+        for rho, out in zip(states, got):
+            t = np.einsum("abcd,cxdy->axby", s0, rho.reshape(2, 2, 2, 2))
+            t = np.einsum("abcd,xcyd->xayb", s1, t)
+            assert np.abs(out - t.reshape(4, 4)).max() <= 1e-14
+    with pytest.raises(ValueError):
+        _apply_noise(np.eye(2) / 2.0, kind, (-1.0,))
+    with pytest.raises(ValueError):
+        _apply_noise(np.eye(2) / 2.0, kind, (1.5,))
+    with pytest.raises(ValueError):
+        _apply_noise(np.eye(2) / 2.0, "bitflip", (0.1,))
 
 
 def test_apply_channel_matches_explicit_kron(rng):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from nvqa.channels import NoiseSpec
+from itertools import product
+
+from nvqa.channels import CHANNEL_KINDS, NoiseSpec, make_channel
 from nvqa.circuits import (
     CX_MATRIX,
     Circuit,
@@ -21,38 +23,64 @@ from nvqa.circuits import (
     circuit_to_json,
     evaluate,
     evaluate_pure,
-    evaluate_pure_batch,
     ry_matrix,
-    _evaluate_raw,
-    _evaluate_raw_batch,
+    _simulate,
 )
 from nvqa.qstate import DensityMatrix
 
 
+def dense_gate(n_qubits: int, op, params: np.ndarray) -> np.ndarray:
+    """Full 2^n x 2^n matrix of one Ry or CX op."""
+    dim = 2 ** n_qubits
+    if isinstance(op, Ry):
+        mats = [np.eye(2, dtype=complex)] * n_qubits
+        mats[op.qubit] = ry_matrix(params[op.param_index])
+        full = mats[0]
+        for m in mats[1:]:
+            full = np.kron(full, m)
+        return full
+    full = np.eye(dim, dtype=complex)
+    for basis in range(dim):
+        shift_c = n_qubits - 1 - op.control
+        shift_t = n_qubits - 1 - op.target
+        if (basis >> shift_c) & 1:
+            src = basis ^ (1 << shift_t)
+            full[basis, basis] = 0.0
+            full[basis, src] = 1.0
+    return full
+
+
 def dense_unitary(circuit: Circuit, params: np.ndarray) -> np.ndarray:
     """Multiply out the full matrix, ignoring noise markers."""
-    dim = 2 ** circuit.n_qubits
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(2 ** circuit.n_qubits, dtype=complex)
     for op in circuit.ops:
-        if isinstance(op, Ry):
-            mats = [np.eye(2, dtype=complex)] * circuit.n_qubits
-            mats[op.qubit] = ry_matrix(params[op.param_index])
-            full = mats[0]
-            for m in mats[1:]:
-                full = np.kron(full, m)
-        elif isinstance(op, Cx):
-            full = np.eye(dim, dtype=complex)
-            for basis in range(dim):
-                shift_c = circuit.n_qubits - 1 - op.control
-                shift_t = circuit.n_qubits - 1 - op.target
-                if (basis >> shift_c) & 1:
-                    src = basis ^ (1 << shift_t)
-                    full[basis, basis] = 0.0
-                    full[basis, src] = 1.0
-        else:
-            continue
-        u = full @ u
+        if not isinstance(op, NoiseMark):
+            u = dense_gate(circuit.n_qubits, op, params) @ u
     return u
+
+
+def tensor_kraus_density(circuit: Circuit, params: np.ndarray, spec: NoiseSpec) -> np.ndarray:
+    """Dense gates, and at every noise mark the explicit sum over all tensor
+    products of the per-qubit Kraus operators."""
+    n = circuit.n_qubits
+    dim = 2 ** n
+    per_qubit = [make_channel(spec.channel.kind, spec.channel.gamma * s).kraus
+                 for s in spec.per_qubit_scale]
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    for op in circuit.ops:
+        if isinstance(op, NoiseMark):
+            out = np.zeros_like(rho)
+            for ops in product(*per_qubit):
+                full = ops[0]
+                for e in ops[1:]:
+                    full = np.kron(full, e)
+                out += full @ rho @ full.conj().T
+            rho = out
+        else:
+            u = dense_gate(n, op, params)
+            rho = u @ rho @ u.conj().T
+    return rho
 
 
 def test_ry_matrix_basics():
@@ -147,11 +175,14 @@ def test_evaluate_noiseless_equals_density_path(rng):
     c = build_hea(2)
     params = rng.uniform(0.0, 2.0 * np.pi, c.n_params)
     rho_fast = evaluate(c, params, None)
-    spec = NoiseSpec.uniform("phase", 0.0, 4)
-    rho_triv = evaluate(c, params, spec)
-    raw = _evaluate_raw(c, params, NoiseSpec.uniform("phase", 1e-30, 4))
-    assert np.allclose(rho_fast.data, rho_triv.data, atol=1e-14)
-    assert np.allclose(rho_fast.data, raw, atol=1e-12)
+    gamma_zero = NoiseSpec.uniform("phase", 0.0, 4)
+    scales_zero = NoiseSpec(make_channel("amplitude", 0.3), (0.0,) * 4)
+    assert np.allclose(rho_fast.data, evaluate(c, params, gamma_zero).data, atol=1e-14)
+    assert np.allclose(rho_fast.data, evaluate(c, params, scales_zero).data, atol=1e-14)
+    # the kernel's density path, which evaluate skips for trivial noise
+    for spec in (gamma_zero, scales_zero):
+        raw = _simulate(c, params[None], spec)[0]
+        assert np.allclose(rho_fast.data, raw, atol=1e-12)
 
 
 def test_evaluate_noisy_matches_manual_channel_insertion(rng):
@@ -184,19 +215,53 @@ def test_evaluate_returns_valid_state(rng):
 def test_batch_paths_match_loops(rng):
     c = build_hea(2)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(5, c.n_params))
-    batch = evaluate_pure_batch(c, thetas)
+    batch = _simulate(c, thetas)
     for i in range(5):
         assert np.allclose(batch[i], evaluate_pure(c, thetas[i]), atol=1e-13)
     spec = NoiseSpec.uniform("phase", 0.03, 4)
-    raw = _evaluate_raw_batch(c, thetas, spec)
+    raw = _simulate(c, thetas, spec)
     for i in range(5):
-        assert np.allclose(raw[i], _evaluate_raw(c, thetas[i], spec), atol=1e-13)
+        assert np.allclose(raw[i], evaluate(c, thetas[i], spec).data, atol=1e-13)
 
 
 def test_batch_rejects_bad_shape(rng):
     c = build_hea(1)
     with pytest.raises(ValueError):
-        evaluate_pure_batch(c, np.zeros((3, c.n_params + 1)))
+        _simulate(c, np.zeros((3, c.n_params + 1)))
+    with pytest.raises(ValueError):
+        _simulate(c, np.zeros(c.n_params), NoiseSpec.uniform("phase", 0.1, 4))
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize(
+    "circuit",
+    [build_2q_circuit("a"), build_2q_circuit("c"), build_hea(2), build_valley_demo()],
+    ids=["2q-a", "2q-c", "hea-2", "valley"],
+)
+def test_simulate_pure_rows_match_dense_oracle(circuit, m, rng):
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(m, circuit.n_params))
+    got = _simulate(circuit, thetas)
+    assert got.shape == (m, 2 ** circuit.n_qubits) and got.dtype == np.float64
+    for row, params in zip(got, thetas):
+        assert np.abs(row - dense_unitary(circuit, params)[:, 0]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize(
+    "circuit, scales",
+    [(build_valley_demo(), (0.5,)),
+     (build_2q_circuit("c"), (0.0, 0.5)),
+     (build_hea(1), (1.0, 0.0, 0.5, 0.8))],
+    ids=["n1", "n2", "n4"],
+)
+def test_simulate_density_rows_match_tensor_kraus(circuit, scales, kind, rng):
+    spec = NoiseSpec(make_channel(kind, 0.27), scales)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(3, circuit.n_params))
+    got = _simulate(circuit, thetas, spec)
+    dim = 2 ** circuit.n_qubits
+    assert got.shape == (3, dim, dim) and got.dtype == np.float64
+    for rho, params in zip(got, thetas):
+        assert np.abs(rho - tensor_kraus_density(circuit, params, spec)).max() <= 1e-13
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Experiment configs, runners, output files and the CLI."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -136,6 +137,19 @@ def test_write_resume_and_force(tmp_path):
     assert not is_complete(bumped)
 
 
+def test_truncated_csv_is_rerun(tmp_path):
+    cfg = tiny_config(output_dir=str(tmp_path))
+    _, (csv_path, json_path) = run_and_write(cfg)
+    first_bytes = csv_path.read_bytes()
+    csv_path.write_bytes(first_bytes[: len(first_bytes) // 2])
+    assert not is_complete(cfg)
+    rerun, _ = run_and_write(cfg)
+    assert rerun is not None
+    assert csv_path.read_bytes() == first_bytes
+    assert is_complete(cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [csv_path.name, json_path.name]
+
+
 def test_sidecar_contents(tmp_path):
     cfg = tiny_config(output_dir=str(tmp_path))
     rec, (csv_path, json_path) = run_and_write(cfg)
@@ -144,6 +158,7 @@ def test_sidecar_contents(tmp_path):
     assert side["config_hash"] == cfg.config_hash()
     assert side["n_rows"] == len(rec.rows)
     assert side["elapsed_seconds"] >= 0.0
+    assert side["csv_sha256"] == hashlib.sha256(csv_path.read_bytes()).hexdigest()
 
 
 def test_cli_list(capsys):

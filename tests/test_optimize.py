@@ -82,6 +82,31 @@ def test_values_batch_equals_value_loop(rng):
         assert abs(batch[i] - cf.value(thetas[i])) < 1e-12
 
 
+@pytest.mark.parametrize("noise", [None, NoiseSpec.uniform("amplitude", 0.2, 2)],
+                         ids=["noiseless", "amplitude"])
+def test_real_part_costs_are_exact_for_complex_observables(noise, rng):
+    """Costs keep only Re(H) and Re(target); on the circuit's real states
+    that must equal the full complex expectation and fidelity."""
+    from nvqa.measures import fidelity
+    from nvqa.pauli import PauliSum
+    from nvqa.qstate import expectation, pure_state
+
+    c = build_2q_circuit("c")
+    h = PauliSum(2, ((0.7, "XY"), (-0.4, "YZ"), (1.0, "ZZ")))
+    amps = rng.normal(size=4) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 4))
+    target = pure_state(amps / np.linalg.norm(amps))
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(3, c.n_params))
+    shift = 0.5 * np.pi * np.eye(c.n_params)
+    for cf, ref in ((energy_cost(c, h, noise), lambda rho: expectation(rho, h)),
+                    (infidelity_cost(c, target, noise), lambda rho: 1.0 - fidelity(target, rho))):
+        want = [ref(cf.state(p)) for p in thetas]
+        assert np.allclose(cf.values(thetas), want, rtol=0.0, atol=1e-12)
+        for p, w in zip(thetas, want):
+            assert abs(cf.value(p) - w) <= 1e-12
+            shifted = [0.5 * (ref(cf.state(p + d)) - ref(cf.state(p - d))) for d in shift]
+            assert np.allclose(gradient(cf, p), shifted, rtol=0.0, atol=1e-12)
+
+
 def _h4():
     from nvqa.pauli import vqe_hamiltonian_4q
 
