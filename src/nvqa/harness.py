@@ -31,16 +31,13 @@ from .circuits import (
     evaluate,
 )
 from .degen import generate_degeneracy_maps, degeneracy_split
-from .measures import ground_truth
 from .noisemodel import estimate_alpha_beta
 from .optimize import (
-    CostFn,
     MinimizeOptions,
     OptResult,
     energy_cost,
     infidelity_cost,
     minimize,
-    multistart,
     reoptimize_from,
     sweep_gamma,
 )

@@ -3,7 +3,10 @@
 Gradients use the exact parameter-shift rule, valid because every parameter
 enters through a single Ry rotation and the noise channels do not depend on
 the parameters. The minimizer is a dense inverse-Hessian BFGS with Armijo
-backtracking, deterministic for fixed inputs.
+backtracking, deterministic for fixed inputs. Once a backtracked step is too
+short for the cost to resolve its decrease, the step is judged instead by the
+approximate Wolfe test of Hager and Zhang (SIAM J. Optim. 16, 2005), which
+reads the directional derivative; a step that fails it ends the run unconverged.
 """
 
 from __future__ import annotations
@@ -27,6 +30,14 @@ from .qstate import DensityMatrix
 
 TWO_PI = 2.0 * np.pi
 
+# Roundoff fallback of the line search. A decrease of at most
+# _ROUNDOFF_ULPS * eps * max(1, |f|) is below what two cost evaluations can
+# tell apart; such a step is accepted on the approximate Wolfe test with
+# Hager-Zhang's sigma and delta.
+_ROUNDOFF_ULPS = 16.0
+_WOLFE_SIGMA = 0.9
+_WOLFE_DELTA = 0.1
+
 
 @dataclass(frozen=True)
 class CostFn:
@@ -48,6 +59,8 @@ class CostFn:
             raise ValueError("target qubit count does not match circuit")
         if self.hamiltonian is not None and self.hamiltonian.n_qubits != self.circuit.n_qubits:
             raise ValueError("hamiltonian qubit count does not match circuit")
+        if self.noise is not None and self.noise.n_qubits != self.circuit.n_qubits:
+            raise ValueError("noise spec qubit count does not match circuit")
 
     @cached_property
     def _obs_matrix(self) -> np.ndarray:
@@ -189,9 +202,17 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
     """BFGS with Armijo backtracking from a single start.
 
     Stops when the gradient 2-norm drops to grad_tol, when the cost reaches
-    an optional cost_goal, or after max_iters accepted steps. A line search
-    that exhausts its backtracks returns the best point seen with
-    converged=False. Angles in the result are reduced to [0, 2*pi).
+    an optional cost_goal, or after max_iters accepted steps.
+
+    A step that fails Armijo while its predicted decrease alpha*|slope| is
+    within the cost's roundoff (16 ulps of max(1, |f|)) is judged by the
+    gradient at the trial point: it is accepted if the cost rose by at most
+    that roundoff and 0.9*slope <= g_new.p <= -0.8*slope (approximate Wolfe),
+    and g_new feeds the BFGS update. A step that fails this test, like a
+    search that exhausts its backtracks, ends the run at the best point seen
+    with converged=False. So converged=False means the run stopped on a
+    failed line search, or on max_iters short of grad_tol and cost_goal.
+    Angles in the result are reduced to [0, 2*pi).
     """
     opts = opts or MinimizeOptions()
     x = np.asarray(theta0, dtype=float).copy()
@@ -215,17 +236,29 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
             p = -g
             slope = -float(g @ g)
         alpha = 1.0
+        g_new = None
+        eps_f = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(f))
         for _ in range(opts.max_backtracks):
             x_new = x + alpha * p
             f_new = cf.value(x_new)
             if f_new <= f + opts.armijo_c * alpha * slope:
                 break
+            if -alpha * slope <= eps_f:
+                # the cost cannot resolve this decrease: judge the step by
+                # the slope at the trial point instead of crawling on
+                g_new = gradient(cf, x_new)
+                dslope = float(g_new @ p)
+                if (f_new <= f + eps_f
+                        and _WOLFE_SIGMA * slope <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope):
+                    break
+                return _finish(cf, x, it, False, opts)
             alpha *= opts.shrink
         else:
             return _finish(cf, x, it, False, opts)
         if opts.cost_goal is not None and f_new <= opts.cost_goal:
             return _finish(cf, x_new, it + 1, True, opts)
-        g_new = gradient(cf, x_new)
+        if g_new is None:
+            g_new = gradient(cf, x_new)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
