@@ -41,7 +41,7 @@ from .optimize import (
     reoptimize_from,
     sweep_gamma,
 )
-from .pauli import vqe_hamiltonian_2q, vqe_hamiltonian_4q
+from .pauli import PauliSum, vqe_hamiltonian_2q, vqe_hamiltonian_4q
 from .randstates import RngStream, sample_real_haar_state
 
 
@@ -76,6 +76,14 @@ class ExperimentConfig:
             raise ValueError("layer counts must be >= 1")
         if self.n_targets < 1 or self.n_samples < 2:
             raise ValueError("n_targets must be >= 1 and n_samples >= 2")
+        if self.n_starts_2q < 1 or self.n_starts_4q < 1:
+            raise ValueError("n_starts_2q and n_starts_4q must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not (self.kinds and self.layers and self.variants):
+            raise ValueError("kinds, layers and variants must not be empty")
+        if not self.gamma_grid and self.experiment != "alpha_beta_table":
+            raise ValueError(f"{self.experiment} needs a non-empty gamma_grid")
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
         object.__setattr__(self, "layers", tuple(int(l) for l in self.layers))
@@ -184,17 +192,26 @@ def _stream_seed(config: ExperimentConfig, *path: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _minima_rows(prefix: tuple, minima: list[OptResult]) -> list[tuple]:
-    rows = []
-    for idx, r in enumerate(minima):
-        q = r.quality
-        rows.append(prefix + (idx, r.cost, q.energy, q.fidelity, q.concurrence,
-                              r.grad_norm, int(r.converged)))
-    return rows
-
-
-_MINIMA_COLS = ("minimum_index", "cost", "energy", "fidelity", "concurrence",
+_MINIMA_COLS = ("gamma", "minimum_index", "cost", "energy", "fidelity", "concurrence",
                 "grad_norm", "converged")
+
+
+def _sweep_rows(config: ExperimentConfig, prefix: tuple, circuit: Circuit, h: PauliSum,
+                kind: str, scales: tuple[float, ...] | None, n_starts: int,
+                seed_path: tuple[int, ...]) -> list[tuple]:
+    """Energy minima along config.gamma_grid for one circuit and channel kind,
+    as rows prefix + _MINIMA_COLS."""
+    def cost_at(g):
+        return energy_cost(circuit, h, _uniform_noise(kind, g, circuit.n_qubits, scales))
+    per_gamma = sweep_gamma(cost_at, config.gamma_grid, mode=config.mode,
+                            n_starts=n_starts, seed=_stream_seed(config, *seed_path))
+    rows = []
+    for g, minima in zip(config.gamma_grid, per_gamma):
+        for idx, r in enumerate(minima):
+            q = r.quality
+            rows.append(prefix + (g, idx, r.cost, q.energy, q.fidelity, q.concurrence,
+                                  r.grad_norm, int(r.converged)))
+    return rows
 
 
 def run_vqe2q(config: ExperimentConfig) -> ResultRecord:
@@ -204,16 +221,9 @@ def run_vqe2q(config: ExperimentConfig) -> ResultRecord:
     for vi, variant in enumerate(config.variants):
         circuit = build_2q_circuit(variant)
         for ki, kind in enumerate(config.kinds):
-            def cost_at(g, kind=kind, circuit=circuit):
-                return energy_cost(circuit, h, _uniform_noise(kind, g, 2))
-            per_gamma = sweep_gamma(
-                cost_at, config.gamma_grid, mode=config.mode,
-                n_starts=config.n_starts_2q, seed=_stream_seed(config, vi, ki),
-            )
-            for g, minima in zip(config.gamma_grid, per_gamma):
-                rows.extend(_minima_rows((variant, kind, g), minima))
-    return ResultRecord(config.experiment, config,
-                        ("variant", "kind", "gamma") + _MINIMA_COLS, rows)
+            rows += _sweep_rows(config, (variant, kind), circuit, h, kind, None,
+                                config.n_starts_2q, (vi, ki))
+    return ResultRecord(config.experiment, config, ("variant", "kind") + _MINIMA_COLS, rows)
 
 
 def run_vqe4q(config: ExperimentConfig) -> ResultRecord:
@@ -222,57 +232,46 @@ def run_vqe4q(config: ExperimentConfig) -> ResultRecord:
     circuit = build_4q_vqe()
     rows = []
     for ki, kind in enumerate(config.kinds):
-        def cost_at(g, kind=kind):
-            return energy_cost(circuit, h, _uniform_noise(kind, g, 4))
-        per_gamma = sweep_gamma(
-            cost_at, config.gamma_grid, mode=config.mode,
-            n_starts=config.n_starts_4q, seed=_stream_seed(config, ki),
-        )
-        for g, minima in zip(config.gamma_grid, per_gamma):
-            rows.extend(_minima_rows((kind, g), minima))
-    return ResultRecord(config.experiment, config, ("kind", "gamma") + _MINIMA_COLS, rows)
+        rows += _sweep_rows(config, (kind,), circuit, h, kind, None, config.n_starts_4q, (ki,))
+    return ResultRecord(config.experiment, config, ("kind",) + _MINIMA_COLS, rows)
 
 
 def run_vqe_unequal(config: ExperimentConfig) -> ResultRecord:
     """Two-qubit VQE with noise applied unequally to the two qubits."""
     h = vqe_hamiltonian_2q()
     circuit = build_2q_circuit("c")
-    scale_sets = ((1.0, 0.1), (0.1, 1.0))
     rows = []
-    for si, scales in enumerate(scale_sets):
+    for si, scales in enumerate(((1.0, 0.1), (0.1, 1.0))):
         for ki, kind in enumerate(config.kinds):
-            def cost_at(g, kind=kind, scales=scales):
-                return energy_cost(circuit, h, _uniform_noise(kind, g, 2, scales))
-            per_gamma = sweep_gamma(
-                cost_at, config.gamma_grid, mode=config.mode,
-                n_starts=config.n_starts_2q, seed=_stream_seed(config, si, ki),
-            )
-            for g, minima in zip(config.gamma_grid, per_gamma):
-                rows.extend(_minima_rows((scales[0], scales[1], kind, g), minima))
+            rows += _sweep_rows(config, scales + (kind,), circuit, h, kind, scales,
+                                config.n_starts_2q, (si, ki))
     return ResultRecord(config.experiment, config,
-                        ("scale_q0", "scale_q1", "kind", "gamma") + _MINIMA_COLS, rows)
+                        ("scale_q0", "scale_q1", "kind") + _MINIMA_COLS, rows)
 
 
-def optimize_to_target(circuit: Circuit, target, seed: int,
-                       infidelity_goal: float = 1e-6,
-                       max_starts: int = 30) -> OptResult:
+_INFIDELITY_GOAL = 1e-6
+_MAX_STARTS = 30
+
+
+def optimize_to_target(circuit: Circuit, target, seed: int) -> OptResult:
     """Noiseless fidelity optimization with adaptive restarts.
 
-    Runs random starts until the best infidelity reaches the goal or
-    max_starts is exhausted; returns the best result either way. Each start
-    stops early once it is two orders of magnitude inside the goal, which
-    keeps fully-expressive circuits cheap without touching the result grid.
+    Runs random starts until the best infidelity reaches 1e-6 or 30 starts
+    are spent; returns the best result either way. Each start is a minimize
+    run with max_iters=400 and cost_goal=1e-8: it stops early once it is two
+    orders of magnitude inside the goal, which keeps fully-expressive
+    circuits cheap without touching the result grid.
     """
     cf = infidelity_cost(circuit, target)
-    opts = MinimizeOptions(max_iters=400, cost_goal=infidelity_goal * 1e-2)
+    opts = MinimizeOptions(max_iters=400, cost_goal=_INFIDELITY_GOAL * 1e-2)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     best: OptResult | None = None
-    for _ in range(max_starts):
+    for _ in range(_MAX_STARTS):
         theta0 = rng.uniform(0.0, 2.0 * np.pi, circuit.n_params)
         cand = minimize(cf, theta0, opts)
         if best is None or cand.cost < best.cost:
             best = cand
-        if best.cost <= infidelity_goal:
+        if best.cost <= _INFIDELITY_GOAL:
             break
     return best
 

@@ -38,6 +38,15 @@ _ROUNDOFF_ULPS = 16.0
 _WOLFE_SIGMA = 0.9
 _WOLFE_DELTA = 0.1
 
+# Stopping test and Armijo backtracking of every run.
+_GRAD_TOL = 1e-8
+_ARMIJO_C = 1e-4
+_SHRINK = 0.5
+_MAX_BACKTRACKS = 60
+
+# Two minima are one when their costs and their output states agree this closely.
+_DEDUP_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class CostFn:
@@ -155,11 +164,7 @@ def gradient(cf: CostFn, params: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    grad_tol: float = 1e-8
     max_iters: int = 1000
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    max_backtracks: int = 60
     cost_goal: float | None = None
 
 
@@ -182,18 +187,19 @@ def _canonical(params: np.ndarray) -> np.ndarray:
     return np.mod(params, TWO_PI)
 
 
-def _finish(cf: CostFn, params: np.ndarray, iterations: int, line_search_ok: bool,
-            opts: MinimizeOptions) -> OptResult:
-    params = _canonical(params)
-    cost = cf.value(params)
-    gnorm = float(np.linalg.norm(gradient(cf, params)))
-    hit_goal = opts.cost_goal is not None and cost <= opts.cost_goal
+def _finish(cf: CostFn, x: np.ndarray, f: float, g: np.ndarray, iterations: int,
+            line_search_ok: bool, opts: MinimizeOptions) -> OptResult:
+    """Result of a run that stops at the iterate x, whose cost f and gradient g
+    the loop already holds; params are x reduced to [0, 2*pi)."""
+    params = _canonical(x)
+    gnorm = float(np.linalg.norm(g))
+    hit_goal = opts.cost_goal is not None and f <= opts.cost_goal
     return OptResult(
         params=params,
-        cost=cost,
+        cost=f,
         grad_norm=gnorm,
         iterations=iterations,
-        converged=line_search_ok and (gnorm <= opts.grad_tol or hit_goal),
+        converged=line_search_ok and (gnorm <= _GRAD_TOL or hit_goal),
         quality=cf.quality(params),
     )
 
@@ -201,33 +207,37 @@ def _finish(cf: CostFn, params: np.ndarray, iterations: int, line_search_ok: boo
 def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None) -> OptResult:
     """BFGS with Armijo backtracking from a single start.
 
-    Stops when the gradient 2-norm drops to grad_tol, when the cost reaches
-    an optional cost_goal, or after max_iters accepted steps.
+    opts sets the two knobs a caller may choose, max_iters and an optional
+    cost_goal. The run stops when the gradient 2-norm drops to 1e-8, when
+    the cost reaches cost_goal, or after max_iters accepted steps. Steps
+    backtrack from alpha = 1, halving up to 60 times, until the Armijo test
+    f_new <= f + 1e-4*alpha*slope holds.
 
     A step that fails Armijo while its predicted decrease alpha*|slope| is
     within the cost's roundoff (16 ulps of max(1, |f|)) is judged by the
     gradient at the trial point: it is accepted if the cost rose by at most
     that roundoff and 0.9*slope <= g_new.p <= -0.8*slope (approximate Wolfe),
     and g_new feeds the BFGS update. A step that fails this test, like a
-    search that exhausts its backtracks, ends the run at the best point seen
+    search that exhausts its backtracks, ends the run at the current iterate
     with converged=False. So converged=False means the run stopped on a
-    failed line search, or on max_iters short of grad_tol and cost_goal.
-    Angles in the result are reduced to [0, 2*pi).
+    failed line search, or on max_iters short of the gradient tolerance and
+    cost_goal.
+
+    The result's cost and grad_norm are those of the final iterate, the
+    values the stopping test read; its params are that iterate's angles
+    reduced to [0, 2*pi).
     """
     opts = opts or MinimizeOptions()
     x = np.asarray(theta0, dtype=float).copy()
     if x.shape != (cf.n_params,):
         raise ValueError(f"expected {cf.n_params} parameters, got shape {x.shape}")
     f = cf.value(x)
-    if opts.cost_goal is not None and f <= opts.cost_goal:
-        return _finish(cf, x, 0, True, opts)
     g = gradient(cf, x)
     h = np.eye(x.size)
     first_update = True
     for it in range(opts.max_iters):
-        gnorm = np.linalg.norm(g)
-        if gnorm <= opts.grad_tol:
-            return _finish(cf, x, it, True, opts)
+        if np.linalg.norm(g) <= _GRAD_TOL or (opts.cost_goal is not None and f <= opts.cost_goal):
+            return _finish(cf, x, f, g, it, True, opts)
         p = -h @ g
         slope = float(g @ p)
         if slope >= 0.0:
@@ -238,10 +248,10 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
         alpha = 1.0
         g_new = None
         eps_f = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(f))
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             x_new = x + alpha * p
             f_new = cf.value(x_new)
-            if f_new <= f + opts.armijo_c * alpha * slope:
+            if f_new <= f + _ARMIJO_C * alpha * slope:
                 break
             if -alpha * slope <= eps_f:
                 # the cost cannot resolve this decrease: judge the step by
@@ -251,12 +261,10 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
                 if (f_new <= f + eps_f
                         and _WOLFE_SIGMA * slope <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope):
                     break
-                return _finish(cf, x, it, False, opts)
-            alpha *= opts.shrink
+                return _finish(cf, x, f, g, it, False, opts)
+            alpha *= _SHRINK
         else:
-            return _finish(cf, x, it, False, opts)
-        if opts.cost_goal is not None and f_new <= opts.cost_goal:
-            return _finish(cf, x_new, it + 1, True, opts)
+            return _finish(cf, x, f, g, it, False, opts)
         if g_new is None:
             g_new = gradient(cf, x_new)
         s = x_new - x
@@ -271,7 +279,7 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
             h = h - rho_ * (np.outer(s, hy) + np.outer(hy, s)) \
                 + rho_ * rho_ * (sy + float(y @ hy)) * np.outer(s, s)
         x, f, g = x_new, f_new, g_new
-    return _finish(cf, x, opts.max_iters, True, opts)
+    return _finish(cf, x, f, g, opts.max_iters, True, opts)
 
 
 def _state_overlap(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -281,15 +289,14 @@ def _state_overlap(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(num / den)
 
 
-def _dedup(cf: CostFn, results: list[OptResult], cost_tol: float = 1e-6,
-           overlap_tol: float = 1e-6) -> list[OptResult]:
+def _dedup(cf: CostFn, results: list[OptResult]) -> list[OptResult]:
     ordered = sorted(results, key=lambda r: r.cost)
     reps: list[OptResult] = []
     states: list[DensityMatrix] = []
     for r in ordered:
         rho = cf.state(r.params)
         dup = any(
-            abs(r.cost - rep.cost) <= cost_tol and _state_overlap(rho, st) >= 1.0 - overlap_tol
+            abs(r.cost - rep.cost) <= _DEDUP_TOL and _state_overlap(rho, st) >= 1.0 - _DEDUP_TOL
             for rep, st in zip(reps, states)
         )
         if not dup:
@@ -298,8 +305,7 @@ def _dedup(cf: CostFn, results: list[OptResult], cost_tol: float = 1e-6,
     return reps
 
 
-def multistart(cf: CostFn, n_starts: int, seed: int,
-               opts: MinimizeOptions | None = None) -> list[OptResult]:
+def multistart(cf: CostFn, n_starts: int, seed: int) -> list[OptResult]:
     """Minimize from n_starts uniform random starts in [0, 2*pi)^P.
 
     Results are deduplicated: two minima merge when their costs differ by at
@@ -310,13 +316,12 @@ def multistart(cf: CostFn, n_starts: int, seed: int,
         raise ValueError("n_starts must be >= 1")
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, TWO_PI, size=(n_starts, cf.n_params))
-    results = [minimize(cf, s, opts) for s in starts]
+    results = [minimize(cf, s) for s in starts]
     return _dedup(cf, results)
 
 
 def sweep_gamma(make_cost: Callable[[float], CostFn], gammas, mode: str = "track",
-                n_starts: int = 100, seed: int = 0,
-                opts: MinimizeOptions | None = None) -> list[list[OptResult]]:
+                n_starts: int = 100, seed: int = 0) -> list[list[OptResult]]:
     """Minima of the cost along a gamma grid.
 
     mode "track" multistarts at the first gamma and warm-starts every later
@@ -331,40 +336,30 @@ def sweep_gamma(make_cost: Callable[[float], CostFn], gammas, mode: str = "track
         cf = make_cost(g)
         if mode == "restart" or i == 0:
             child_seed = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0]
-            out.append(multistart(cf, n_starts, int(child_seed), opts))
+            out.append(multistart(cf, n_starts, int(child_seed)))
         else:
-            warm = [minimize(cf, r.params, opts) for r in out[-1]]
+            warm = [minimize(cf, r.params) for r in out[-1]]
             out.append(_dedup(cf, warm))
     return out
 
 
-def reoptimize_from(cf: CostFn, theta_star: np.ndarray,
-                    opts: MinimizeOptions | None = None) -> tuple[OptResult, OptResult]:
+def reoptimize_from(cf: CostFn, theta_star: np.ndarray) -> tuple[OptResult, OptResult]:
     """Evaluate-then-reoptimize a noisy cost from a noiseless optimum.
 
     Returns (non_reopt, reopt). non_reopt freezes theta_star and just
     evaluates the noisy cost there; reopt continues minimizing under noise,
     so reopt.cost <= non_reopt.cost up to line-search roundoff.
     """
-    opts = opts or MinimizeOptions()
     theta_star = _canonical(np.asarray(theta_star, dtype=float))
-    gnorm = float(np.linalg.norm(gradient(cf, theta_star)))
-    non_reopt = OptResult(
-        params=theta_star,
-        cost=cf.value(theta_star),
-        grad_norm=gnorm,
-        iterations=0,
-        converged=gnorm <= opts.grad_tol,
-        quality=cf.quality(theta_star),
-    )
-    reopt = minimize(cf, theta_star, opts)
+    non_reopt = _finish(cf, theta_star, cf.value(theta_star), gradient(cf, theta_star), 0, True,
+                        MinimizeOptions())
+    reopt = minimize(cf, theta_star)
     if reopt.cost > non_reopt.cost:
         reopt = non_reopt
     return non_reopt, reopt
 
 
-def reoptimize_pair(cf: CostFn, n_starts: int = 10, seed: int = 0,
-                    opts: MinimizeOptions | None = None) -> tuple[OptResult, OptResult]:
+def reoptimize_pair(cf: CostFn, n_starts: int = 10, seed: int = 0) -> tuple[OptResult, OptResult]:
     """Noiseless optimum of cf, evaluated and then reoptimized under noise."""
-    base = multistart(cf.noiseless(), n_starts, seed, opts)[0]
-    return reoptimize_from(cf, base.params, opts)
+    base = multistart(cf.noiseless(), n_starts, seed)[0]
+    return reoptimize_from(cf, base.params)

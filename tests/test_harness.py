@@ -48,6 +48,12 @@ def test_config_validation():
         tiny_config(mode="sideways")
     with pytest.raises(TypeError):
         default_config("vqe2q", not_a_field=3)
+    with pytest.raises(ValueError):
+        default_config("vqe4q", n_starts_4q=0)
+    with pytest.raises(ValueError):
+        default_config("target_fidelity", gamma_grid=())
+    # the one experiment that reads no gamma grid needs none
+    assert default_config("alpha_beta_table").gamma_grid == ()
 
 
 def test_config_hash_tracks_every_field():
@@ -216,6 +222,24 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["run", "not_an_experiment"])
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize("experiment, payload, args", [
+    ("degeneracy_hist", {"gamma_grid": []}, []),
+    ("valley_demo", {"kinds": []}, []),
+    ("transition_scan", {"layers": []}, []),
+    ("vqe2q", {"n_starts_2q": 0, "gamma_grid": [0.0]}, []),
+    ("vqe2q", {}, ["--seed", "-1"]),
+    ("vqe2q", {"variants": []}, []),
+], ids=["empty-gamma-grid", "empty-kinds", "empty-layers", "zero-starts", "negative-seed",
+        "empty-variants"])
+def test_cli_rejects_configs_that_cannot_run(experiment, payload, args, tmp_path, capsys):
+    """Configs that used to fail mid-run, or write an empty CSV, are refused
+    before any work starts."""
+    payload = dict(payload, output_dir=str(tmp_path / "res"))
+    assert main(["run", experiment, "--config", _write_cfg(tmp_path, payload)] + args) == 1
+    assert "invalid config" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
 
 
 def test_cli_verify(capsys):

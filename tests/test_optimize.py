@@ -10,6 +10,10 @@ from nvqa.optimize import (
     CostFn,
     MinimizeOptions,
     OptResult,
+    _ARMIJO_C,
+    _GRAD_TOL,
+    _MAX_BACKTRACKS,
+    _SHRINK,
     _finish,
     energy_cost,
     gradient,
@@ -141,6 +145,43 @@ def test_minimize_reaches_known_ground_state():
     assert np.all(res.params >= 0.0) and np.all(res.params < 2.0 * np.pi)
 
 
+@pytest.mark.parametrize("noise, opts", [
+    (None, None),
+    (NoiseSpec.uniform("depolarising", 0.2, 2), None),
+    (None, MinimizeOptions(cost_goal=-2.2)),
+    (None, MinimizeOptions(cost_goal=10.0)),
+], ids=["noiseless", "depolarising", "step-reaches-goal", "start-meets-goal"])
+def test_minimize_finishes_from_the_loops_cost_and_gradient(noise, opts, monkeypatch):
+    """One gradient per accepted step plus one at the start, and no point
+    costed twice: the result reuses the cost and gradient of the final
+    iterate instead of evaluating them again at the reduced angles."""
+    import nvqa.optimize as optimize
+
+    costed, grad_calls = [], 0
+    value, grad = CostFn.value, optimize.gradient
+
+    def counted_value(self, params):
+        costed.append(np.mod(np.asarray(params, dtype=float), 2.0 * np.pi))
+        return value(self, params)
+
+    def counted_gradient(cf, params):
+        nonlocal grad_calls
+        grad_calls += 1
+        return grad(cf, params)
+
+    monkeypatch.setattr(CostFn, "value", counted_value)
+    monkeypatch.setattr(optimize, "gradient", counted_gradient)
+    cf = energy_cost(build_2q_circuit("a"), H2, noise)
+    res = minimize(cf, np.array([0.5, 1.2, 2.5]), opts)
+    assert res.converged
+    assert grad_calls == res.iterations + 1
+    assert len({p.tobytes() for p in costed}) == len(costed)
+    assert np.array_equal(costed[-1], res.params)
+    monkeypatch.undo()
+    assert abs(res.grad_norm - np.linalg.norm(gradient(cf, res.params))) < 1e-12
+    assert abs(res.cost - cf.value(res.params)) < 1e-12
+
+
 def armijo_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions):
     """The Armijo-only BFGS loop that minimize runs until a step fails
     Armijo with a decrease below roundoff (16 ulps of max(1, |f|)).
@@ -152,13 +193,13 @@ def armijo_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions):
     x = np.asarray(theta0, dtype=float).copy()
     f = cf.value(x)
     if opts.cost_goal is not None and f <= opts.cost_goal:
-        return _finish(cf, x, 0, True, opts)
+        return _finish(cf, x, f, gradient(cf, x), 0, True, opts)
     g = gradient(cf, x)
     h = np.eye(x.size)
     first_update = True
     for it in range(opts.max_iters):
-        if np.linalg.norm(g) <= opts.grad_tol:
-            return _finish(cf, x, it, True, opts)
+        if np.linalg.norm(g) <= _GRAD_TOL:
+            return _finish(cf, x, f, g, it, True, opts)
         p = -h @ g
         slope = float(g @ p)
         if slope >= 0.0:
@@ -168,18 +209,18 @@ def armijo_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions):
             slope = -float(g @ g)
         eps_f = 16.0 * np.finfo(float).eps * max(1.0, abs(f))
         alpha = 1.0
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             x_new = x + alpha * p
             f_new = cf.value(x_new)
-            if f_new <= f + opts.armijo_c * alpha * slope:
+            if f_new <= f + _ARMIJO_C * alpha * slope:
                 break
             if -alpha * slope <= eps_f:
                 return None
-            alpha *= opts.shrink
+            alpha *= _SHRINK
         else:
-            return _finish(cf, x, it, False, opts)
+            return _finish(cf, x, f, g, it, False, opts)
         if opts.cost_goal is not None and f_new <= opts.cost_goal:
-            return _finish(cf, x_new, it + 1, True, opts)
+            return _finish(cf, x_new, f_new, gradient(cf, x_new), it + 1, True, opts)
         g_new = gradient(cf, x_new)
         s = x_new - x
         y = g_new - g
@@ -193,7 +234,7 @@ def armijo_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions):
             h = h - rho_ * (np.outer(s, hy) + np.outer(hy, s)) \
                 + rho_ * rho_ * (sy + float(y @ hy)) * np.outer(s, s)
         x, f, g = x_new, f_new, g_new
-    return _finish(cf, x, opts.max_iters, True, opts)
+    return _finish(cf, x, f, g, opts.max_iters, True, opts)
 
 
 @pytest.mark.parametrize("kind", [None, "phase", "amplitude", "depolarising"])
@@ -316,7 +357,9 @@ def test_reoptimize_from_never_loses_to_frozen_params(rng):
     base = multistart(cf.noiseless(), n_starts=6, seed=2)[0]
     non_reopt, reopt = reoptimize_from(cf, base.params)
     assert non_reopt.iterations == 0
-    assert abs(non_reopt.cost - cf.value(base.params)) < 1e-12
+    assert non_reopt.cost == cf.value(base.params)
+    assert non_reopt.grad_norm == float(np.linalg.norm(gradient(cf, base.params)))
+    assert non_reopt.converged == (non_reopt.grad_norm <= 1e-8)
     assert reopt.cost <= non_reopt.cost + 1e-9
 
 
