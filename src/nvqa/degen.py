@@ -18,7 +18,8 @@ with signs in {-1, +1} and shifts in {0, 1}, and the set of all such maps is
 closed under composition: componentwise products of signs and XOR of shifts,
 an elementary abelian 2-group. The full group is enumerated from the
 independent generators, and every returned map is checked numerically on
-random angles at zero noise.
+random angles at zero noise. The check and the noise splits run the map
+images through circuits._simulate in batches of _BLOCK maps.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoiseSpec
-from .circuits import Circuit, Cx, NoiseMark, Ry, evaluate, evaluate_pure
-from .measures import fidelity
+from .circuits import Circuit, Cx, NoiseMark, Ry, _simulate
 from .qstate import DensityMatrix
 
 _VERIFY_TOL = 1e-10
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -191,30 +192,45 @@ def generate_degeneracy_maps(circuit: Circuit, cap: int = 2 ** 16,
     return maps
 
 
+def _images(maps: list[DegeneracyMap], thetas: np.ndarray) -> np.ndarray:
+    """m.apply(t) for every map m and every row t of thetas, as rows in map order."""
+    signs = np.array([m.signs for m in maps])[:, None]
+    shifts = np.array([m.shifts for m in maps])[:, None]
+    return np.mod(signs * thetas + np.pi * shifts, 2.0 * np.pi).reshape(-1, thetas.shape[-1])
+
+
 def _verify_maps(circuit: Circuit, maps: list[DegeneracyMap], n_points: int) -> None:
     if n_points < 1:
         return
     rng = np.random.default_rng(0xD5)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, circuit.n_params))
-    ref = [evaluate_pure(circuit, t) for t in thetas]
-    for m in maps:
-        for t, psi in zip(thetas, ref):
-            phi = evaluate_pure(circuit, m.apply(t))
-            if abs(1.0 - abs(np.vdot(psi, phi)) ** 2) > _VERIFY_TOL:
-                raise RuntimeError(f"degeneracy map failed verification: {m}")
+    ref = _simulate(circuit, thetas)
+    for start in range(0, len(maps), _BLOCK):
+        psi = _simulate(circuit, _images(maps[start:start + _BLOCK], thetas)).reshape(-1, *ref.shape)
+        bad = np.abs(1.0 - np.einsum("mpd,pd->mp", psi, ref) ** 2).max(axis=1) > _VERIFY_TOL
+        if bad.any():
+            raise RuntimeError(f"degeneracy map failed verification: {maps[start + bad.argmax()]}")
 
 
 def degeneracy_split(circuit: Circuit, theta_star: np.ndarray,
                      maps: list[DegeneracyMap], noise: NoiseSpec | None,
                      target: DensityMatrix) -> np.ndarray:
-    """Fidelity to the target at every degenerate image of theta_star.
+    """Fidelity Tr[target rho] at every degenerate image of theta_star.
 
     At zero noise all entries agree; noise that does not commute with the
-    inserted Pauli words (amplitude damping) spreads them apart.
+    inserted Pauli words (amplitude damping) spreads them apart. Circuit
+    outputs are real symmetric, so Re(target) gives the exact trace.
     """
-    theta_star = np.asarray(theta_star, dtype=float)
-    out = np.empty(len(maps), dtype=float)
-    for i, m in enumerate(maps):
-        rho = evaluate(circuit, m.apply(theta_star), noise)
-        out[i] = fidelity(target, rho)
+    if target.purity() < 1.0 - 1e-8:
+        raise ValueError(f"reference state is not pure (purity {target.purity()})")
+    if noise is not None and noise.n_qubits != circuit.n_qubits:
+        raise ValueError(f"noise spec covers {noise.n_qubits} qubits, circuit has {circuit.n_qubits}")
+    theta_star = np.asarray(theta_star, dtype=float)[None]
+    obs = target.data.real
+    out = np.empty(len(maps))
+    for start in range(0, len(maps), _BLOCK):
+        state = _simulate(circuit, _images(maps[start:start + _BLOCK], theta_star), noise)
+        if noise is None:
+            state = state[:, :, None] * state[:, None, :]
+        out[start:start + _BLOCK] = state.reshape(len(state), -1) @ obs.ravel()
     return out

@@ -28,7 +28,7 @@ from .circuits import (
     build_4q_vqe,
     build_hea,
     build_valley_demo,
-    evaluate,
+    _simulate,
 )
 from .degen import generate_degeneracy_maps, degeneracy_split
 from .noisemodel import estimate_alpha_beta
@@ -61,6 +61,13 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
+        for name in ("seed", "n_starts_2q", "n_starts_4q", "n_targets", "n_samples", "layers"):
+            value = getattr(self, name)
+            # bool is refused too: a JSON true is no count, though Python makes it an int
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       for v in (value if name == "layers" else (value,))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, tuple(map(int, value)) if name == "layers" else int(value))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
@@ -86,7 +93,6 @@ class ExperimentConfig:
             raise ValueError(f"{self.experiment} needs a non-empty gamma_grid")
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
-        object.__setattr__(self, "layers", tuple(int(l) for l in self.layers))
         object.__setattr__(self, "variants", tuple(self.variants))
 
     def to_dict(self) -> dict:
@@ -380,18 +386,18 @@ def run_alpha_beta_table(config: ExperimentConfig) -> ResultRecord:
 
 
 def run_valley_demo(config: ExperimentConfig) -> ResultRecord:
-    """Cost surface of the one-qubit two-rotation circuit on a 101^2 grid."""
+    """Cost surface of the one-qubit two-rotation circuit on a 101^2 grid, one batch per gamma."""
     circuit = build_valley_demo()
     kind = config.kinds[0]
     grid = np.linspace(0.0, 2.0 * np.pi, 101)
+    pairs = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
     rows = []
     for g in config.gamma_grid:
         noise = _uniform_noise(kind, g, 1) if g > 0 else None
-        for i, t0 in enumerate(grid):
-            for j, t1 in enumerate(grid):
-                rho = evaluate(circuit, np.array([t0, t1]), noise)
-                cost = rho.data[0, 0].real
-                rows.append((kind, g, i, j, t0, t1, cost))
+        state = _simulate(circuit, pairs, noise)
+        costs = state[:, 0, 0] if noise is not None else state[:, 0] ** 2
+        rows += [(kind, g, k // 101, k % 101, t0, t1, c)
+                 for k, ((t0, t1), c) in enumerate(zip(pairs, costs))]
     return ResultRecord(config.experiment, config,
                         ("kind", "gamma", "i", "j", "theta0", "theta1", "cost"), rows)
 

@@ -1,20 +1,45 @@
 """Parameter degeneracy maps: construction, group structure and noise splits."""
 
+import re
+
 import numpy as np
 import pytest
 
+from nvqa import degen
 from nvqa.channels import NoiseSpec
 from nvqa.circuits import (
     build_2q_circuit,
     build_4q_vqe,
     build_hea,
     build_valley_demo,
+    evaluate,
     evaluate_pure,
 )
-from nvqa.degen import DegeneracyMap, degeneracy_split, generate_degeneracy_maps
-from nvqa.qstate import pure_state
+from nvqa.degen import _BLOCK, DegeneracyMap, degeneracy_split, generate_degeneracy_maps
+from nvqa.measures import fidelity
+from nvqa.qstate import DensityMatrix, pure_state
 
 TWO_PI = 2.0 * np.pi
+
+
+def split_reference(circuit, theta_star, maps, noise, target):
+    """The per-map loop degeneracy_split replaced: one evaluate and one
+    fidelity call per map."""
+    return np.array([fidelity(target, evaluate(circuit, m.apply(theta_star), noise)) for m in maps])
+
+
+def verify_reference(circuit, maps, n_points=3):
+    """The per-map, per-point loop _verify_maps replaced; returns the first
+    map that fails, or None."""
+    rng = np.random.default_rng(0xD5)
+    thetas = rng.uniform(0.0, TWO_PI, size=(n_points, circuit.n_params))
+    ref = [evaluate_pure(circuit, t) for t in thetas]
+    for m in maps:
+        for t, psi in zip(thetas, ref):
+            phi = evaluate_pure(circuit, m.apply(t))
+            if abs(1.0 - abs(np.vdot(psi, phi)) ** 2) > 1e-10:
+                return m
+    return None
 
 
 @pytest.mark.parametrize(
@@ -111,3 +136,81 @@ def test_degeneracy_map_validation():
         DegeneracyMap(signs=(1, -1), shifts=(0, 3))
     with pytest.raises(ValueError):
         DegeneracyMap(signs=(1,), shifts=(0, 1))
+
+
+def _targets(rng):
+    """A real Haar target and one with a random complex phase on every amplitude."""
+    v = rng.standard_normal(16)
+    v /= np.linalg.norm(v)
+    return {"real": pure_state(v), "complex-phase": pure_state(v * np.exp(1j * rng.uniform(0.0, TWO_PI, 16)))}
+
+
+@pytest.mark.parametrize("noise", [
+    None,
+    NoiseSpec.uniform("amplitude", 0.0, 4),
+    NoiseSpec.uniform("phase", 0.05, 4),
+    NoiseSpec.uniform("amplitude", 0.05, 4),
+    NoiseSpec.uniform("depolarising", 0.05, 4),
+], ids=["none", "gamma-0", "phase", "amplitude", "depolarising"])
+def test_split_matches_the_per_map_loop(noise, rng):
+    """Blocked splits equal fidelity(target, evaluate(...)) map by map, over
+    several full blocks and a partial one."""
+    c = build_hea(3)
+    maps = generate_degeneracy_maps(c)[:2 * _BLOCK + 5]
+    theta = rng.uniform(0.0, TWO_PI, c.n_params)
+    for name, target in _targets(rng).items():
+        fids = degeneracy_split(c, theta, maps, noise, target)
+        ref = split_reference(c, theta, maps, noise, target)
+        assert fids.shape == ref.shape
+        assert np.abs(fids - ref).max() <= 1e-14, name
+
+
+@pytest.mark.parametrize("noise", [None, NoiseSpec.uniform("amplitude", 0.05, 4)], ids=["none", "amplitude"])
+def test_split_and_check_at_block_edges(noise, rng):
+    """Map lists of length 1 and _BLOCK + 1 give the result of the whole list."""
+    c = build_hea(3)
+    maps = generate_degeneracy_maps(c)
+    theta = rng.uniform(0.0, TWO_PI, c.n_params)
+    target = _targets(rng)["real"]
+    whole = degeneracy_split(c, theta, maps, noise, target)
+    for n in (1, _BLOCK + 1):
+        part = degeneracy_split(c, theta, maps[:n], noise, target)
+        assert part.shape == (n,)
+        np.testing.assert_allclose(part, whole[:n], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(part, split_reference(c, theta, maps[:n], noise, target),
+                                   rtol=0.0, atol=1e-14)
+        degen._verify_maps(c, maps[:n], 3)
+    assert degeneracy_split(c, theta, [], noise, target).shape == (0,)
+
+
+@pytest.mark.parametrize("offset", [3, _BLOCK - 1])
+def test_check_names_a_corrupted_map_in_the_second_block(offset, monkeypatch):
+    """A map that is no symmetry, placed in the second block, makes
+    generate_degeneracy_maps raise, and the message names that map."""
+    c = build_hea(3)
+    good = generate_degeneracy_maps(c)
+    victim = good[_BLOCK + offset]
+    # flipping one first-layer sign alone is no symmetry of the circuit
+    corrupted = DegeneracyMap((-victim.signs[0],) + victim.signs[1:], victim.shifts)
+    from_bits = degen._from_bits
+    monkeypatch.setattr(degen, "_from_bits",
+                        lambda bits, n: corrupted if from_bits(bits, n) == victim else from_bits(bits, n))
+    listed = sorted([corrupted if m == victim else m for m in good], key=lambda m: (m.shifts, m.signs))
+    assert listed.index(corrupted) == _BLOCK + offset
+    assert verify_reference(c, listed) == corrupted
+    with pytest.raises(RuntimeError, match=re.escape(str(corrupted))):
+        generate_degeneracy_maps(c)
+
+
+def test_split_keeps_the_input_checks(rng):
+    """The purity check of measures.fidelity and the noise-width check of
+    circuits.evaluate survive the batching."""
+    c = build_hea(2)
+    maps = generate_degeneracy_maps(c)
+    theta = rng.uniform(0.0, TWO_PI, c.n_params)
+    mixed = DensityMatrix(4, np.eye(16) / 16.0)
+    with pytest.raises(ValueError, match="not pure"):
+        degeneracy_split(c, theta, maps, None, mixed)
+    target = _targets(rng)["real"]
+    with pytest.raises(ValueError, match="noise spec"):
+        degeneracy_split(c, theta, maps, NoiseSpec.uniform("phase", 0.1, 2), target)

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from nvqa.channels import NoiseSpec
+from nvqa.circuits import build_valley_demo, evaluate
 from nvqa.cli import main
 from nvqa.harness import (
     EXPERIMENTS,
@@ -56,6 +58,24 @@ def test_config_validation():
     assert default_config("alpha_beta_table").gamma_grid == ()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", 2.0), ("seed", True), ("n_starts_2q", 1.5), ("n_starts_4q", 3.0),
+    ("n_targets", 2.5), ("n_samples", 100.5), ("n_samples", False), ("layers", (2.7,)),
+    ("layers", (2, 4.0)), ("layers", (True,)),
+])
+def test_config_refuses_non_integer_counts(field, value):
+    """Counts, the seed and layer counts must be integers: a float is not
+    truncated, and a bool is no count even though Python makes it an int."""
+    with pytest.raises(ValueError, match=field):
+        tiny_config(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = tiny_config(seed=np.int64(3), layers=(np.int32(2),))
+    assert type(cfg.seed) is int and type(cfg.layers[0]) is int
+    assert cfg.config_hash() == tiny_config(seed=3, layers=(2,)).config_hash()
+
+
 def test_config_hash_tracks_every_field():
     base = tiny_config()
     assert base.config_hash() != tiny_config(seed=8).config_hash()
@@ -95,6 +115,26 @@ def test_valley_demo_grid():
     assert rec.rows, "valley demo produced no rows"
     n_per_gamma = sum(1 for r in rec.rows if r[cols.index("gamma")] == 0.0)
     assert n_per_gamma == 101 * 101
+
+
+def valley_reference_row(kind, g, i, j):
+    """One row of the per-point loop the batched valley grid replaced."""
+    grid = np.linspace(0.0, 2.0 * np.pi, 101)
+    noise = NoiseSpec.uniform(kind, g, 1) if g > 0 else None
+    rho = evaluate(build_valley_demo(), np.array([grid[i], grid[j]]), noise)
+    return (kind, g, i, j, grid[i], grid[j], rho.data[0, 0].real)
+
+
+@pytest.mark.parametrize("kind", ["phase", "amplitude", "depolarising"])
+def test_valley_demo_matches_the_per_point_loop(kind):
+    """The batched grid writes the rows of a per-point evaluate loop, bit for
+    bit, in the same (gamma, i, j) order."""
+    rec = run_experiment(tiny_config("valley_demo", kinds=(kind,)))
+    assert len(rec.rows) == 2 * 101 * 101
+    for k in range(0, len(rec.rows), 101 * 7 + 3):
+        g = rec.config.gamma_grid[k // (101 * 101)]
+        i, j = divmod(k % (101 * 101), 101)
+        assert rec.rows[k] == valley_reference_row(kind, g, i, j)
 
 
 def test_target_fidelity_smoke(tmp_path):
@@ -231,8 +271,11 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     ("vqe2q", {"n_starts_2q": 0, "gamma_grid": [0.0]}, []),
     ("vqe2q", {}, ["--seed", "-1"]),
     ("vqe2q", {"variants": []}, []),
+    ("vqe2q", {"seed": 1.5}, []),
+    ("vqe2q", {"n_starts_2q": 1.5, "gamma_grid": [0.0]}, []),
+    ("alpha_beta_table", {"layers": [2.7], "n_samples": 2}, []),
 ], ids=["empty-gamma-grid", "empty-kinds", "empty-layers", "zero-starts", "negative-seed",
-        "empty-variants"])
+        "empty-variants", "float-seed", "float-starts", "float-layers"])
 def test_cli_rejects_configs_that_cannot_run(experiment, payload, args, tmp_path, capsys):
     """Configs that used to fail mid-run, or write an empty CSV, are refused
     before any work starts."""

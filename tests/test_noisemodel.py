@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from nvqa.channels import NoiseSpec
+from nvqa.channels import NoiseSpec, _apply_noise
 from nvqa.circuits import build_hea, evaluate, evaluate_pure
 from nvqa.noisemodel import (
+    _BLOCK,
     ModelParams,
     alpha_scaling_check,
     apply_global_depol,
@@ -16,7 +17,7 @@ from nvqa.noisemodel import (
     slope_through_origin,
 )
 from nvqa.qstate import pure_state, zero_state
-from nvqa.randstates import RngStream, sample_real_haar_state
+from nvqa.randstates import RngStream, sample_product_state, sample_real_haar_state
 
 # exact first-moment coefficients for real Haar states on 4 qubits,
 # from E[<A>^2] = 2 Tr[A^2] / (D (D + 2)) with D = 16
@@ -25,6 +26,28 @@ ALPHA_TRUE = {
     "amplitude": 17.0 / 9.0,
     "depolarising": 25.0 / 9.0,
 }
+
+
+def overlap_derivative_reference(kind, rho, eps=1e-5):
+    """The one-state central difference that the stacked derivative replaced."""
+    def overlap(gamma):
+        data = _apply_noise(np.array(rho.data), kind, (gamma,) * rho.n_qubits)
+        return float(np.einsum("ij,ji->", rho.data, data).real)
+    hi = overlap(eps)
+    lo = overlap(-eps)
+    return (hi - lo) / (2.0 * eps)
+
+
+def alpha_beta_reference(kind, n_qubits, n_samples, gen, sampler=sample_real_haar_state):
+    """The per-sample loop estimate_alpha_beta replaced."""
+    derivs = np.empty(n_samples)
+    for i in range(n_samples):
+        derivs[i] = -overlap_derivative_reference(kind, sampler(n_qubits, gen))
+    alpha = float(derivs.mean())
+    beta = float(derivs.var(ddof=1))
+    m4 = float(((derivs - alpha) ** 4).mean())
+    return ModelParams(kind, n_qubits, alpha, beta, float(np.sqrt(beta / n_samples)),
+                       float(np.sqrt(max(m4 - beta ** 2, 0.0) / n_samples)), n_samples)
 
 
 def test_global_depol_closed_form_matches_simulation(rng):
@@ -131,3 +154,23 @@ def test_model_tracks_a_real_circuit_at_low_noise(rng):
     pred = ALPHA_TRUE["phase"] * g * 8
     # a circuit state is not Haar-typical, so only the scale has to agree
     assert 0.2 * pred < drop < 2.0 * pred
+
+
+@pytest.mark.parametrize("kind", sorted(ALPHA_TRUE))
+def test_estimate_alpha_beta_matches_the_per_sample_loop(kind):
+    """Stacked derivatives give bit-identical alpha and beta, for both
+    samplers and a sample count that leaves a partial last stack."""
+    n = 2 * _BLOCK + 7
+    assert estimate_alpha_beta(kind, 4, n, RngStream(5, 3)) == alpha_beta_reference(
+        kind, 4, n, RngStream(5, 3).generator())
+    assert estimate_alpha_beta(kind, 3, n, RngStream(6, 1), sampler=sample_product_state) == \
+        alpha_beta_reference(kind, 3, n, RngStream(6, 1).generator(), sample_product_state)
+
+
+@pytest.mark.parametrize("kind", sorted(ALPHA_TRUE))
+def test_overlap_derivative_matches_the_one_state_reference(kind, rng):
+    for n in (1, 2, 4):
+        rho = sample_real_haar_state(n, rng)
+        for eps in (1e-5, 1e-3):
+            assert linear_action_overlap_derivative(kind, rho, eps=eps) == \
+                overlap_derivative_reference(kind, rho, eps)
