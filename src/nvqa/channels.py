@@ -103,8 +103,9 @@ def _apply_noise(data: np.ndarray, kind: str, gammas) -> np.ndarray:
     - depolarising: A, D <- (1-g/2) A + (g/2) D, (g/2) A + (1-g/2) D; B, C *= 1-g
 
     The coefficients are analytic in g and agree with channel_superop on
-    (-1, 1]. data may be real or complex; it must be writable and
-    C-contiguous, is updated in place and is returned.
+    (-1, 1]. data may be real or complex, in any memory layout: the reshape
+    only splits the last two axes, so it is always a view. data must be
+    writable; it is updated in place and returned.
     """
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}, expected one of {CHANNEL_KINDS}")

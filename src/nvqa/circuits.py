@@ -3,8 +3,8 @@
 A circuit is a flat list of operations: Ry rotations referencing a parameter
 slot, CX gates, and NOISE markers. Every evaluation runs through one batched
 kernel, _simulate, over the circuit's ops compiled once into steps. It
-applies the product noise channel at every marker; with no noise it runs on a
-statevector and the density matrix is only formed at the end.
+applies the product noise channel at every marker, or runs on statevectors
+when there is none; _expectations alone reduces its rows to Tr[O rho].
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import numpy as np
 
 from .channels import NoiseSpec, _apply_noise
 from .qstate import DensityMatrix, MAX_QUBITS
+
+_CHUNK_FLOATS = 2 ** 13  # output-state floats per _simulate call in _expectations
 
 
 @dataclass(frozen=True)
@@ -189,6 +191,8 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != circuit.n_params:
         raise ValueError(f"expected shape (m, {circuit.n_params}), got {params.shape}")
+    if noise is not None and noise.n_qubits != circuit.n_qubits:
+        raise ValueError(f"noise spec covers {noise.n_qubits} qubits, circuit has {circuit.n_qubits}")
     m = params.shape[0]
     dim = 2 ** circuit.n_qubits
     density = noise is not None
@@ -223,6 +227,30 @@ def _rotate(state: np.ndarray, c: np.ndarray, s: np.ndarray, outer: int, inner: 
     return out.reshape(state.shape)
 
 
+def _expectations(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None,
+                  obs: np.ndarray) -> np.ndarray:
+    """Tr[Re(obs) rho] for the output state rho of every row of an (m, n_params) array.
+
+    Circuit outputs are real symmetric and Im(obs) is antisymmetric, so Re(obs)
+    gives the exact trace. None or a zero-strength spec runs the statevector
+    path. Rows run in memory-bounded chunks and each is reduced in a fixed
+    order, so a row's value is the same bits in any batch.
+    """
+    params = np.asarray(params, dtype=float)
+    pure = noise is None or noise.is_trivial
+    rows = max(1, _CHUNK_FLOATS // 2 ** (circuit.n_qubits * (1 if pure else 2)))
+    out = np.empty(len(params))
+    for start in range(0, len(params), rows):
+        state = _simulate(circuit, params[start:start + rows], None if pure else noise)
+        if pure:
+            out[start:start + rows] = np.einsum("md,dc,mc->m", state, np.real(obs), state)
+        else:
+            # Tr[O rho] = sum(O * rho) for symmetric O; the C-ordered copy fixes each row's order
+            flat = np.ascontiguousarray(state).reshape(len(state), -1)
+            out[start:start + rows] = np.einsum("mk,k->m", flat, np.real(obs).ravel())
+    return out
+
+
 def evaluate_pure(circuit: Circuit, params: np.ndarray) -> np.ndarray:
     """Statevector after the circuit (noise marks ignored), length 2^n."""
     params = np.asarray(params, dtype=float)
@@ -245,10 +273,6 @@ def evaluate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = Non
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.n_params,):
         raise ValueError(f"expected {circuit.n_params} parameters, got shape {params.shape}")
-    if noise is not None and noise.n_qubits != circuit.n_qubits:
-        raise ValueError(
-            f"noise spec covers {noise.n_qubits} qubits, circuit has {circuit.n_qubits}"
-        )
     if noise is None or noise.is_trivial:
         psi = evaluate_pure(circuit, params)
         return DensityMatrix(circuit.n_qubits, np.outer(psi, psi.conj()))

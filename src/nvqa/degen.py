@@ -18,8 +18,8 @@ with signs in {-1, +1} and shifts in {0, 1}, and the set of all such maps is
 closed under composition: componentwise products of signs and XOR of shifts,
 an elementary abelian 2-group. The full group is enumerated from the
 independent generators, and every returned map is checked numerically on
-random angles at zero noise. The check and the noise splits run the map
-images through circuits._simulate in batches of _BLOCK maps.
+random angles at zero noise. The check and the noise splits reduce the map
+images through circuits._expectations.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoiseSpec
-from .circuits import Circuit, Cx, NoiseMark, Ry, _simulate
+from .circuits import Circuit, Cx, NoiseMark, Ry, _expectations, _simulate
 from .qstate import DensityMatrix
 
 _VERIFY_TOL = 1e-10
-_BLOCK = 32
+_VERIFY_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -152,14 +152,13 @@ def _gf2_basis(rows: list[np.ndarray]) -> list[np.ndarray]:
     return basis
 
 
-def generate_degeneracy_maps(circuit: Circuit, cap: int = 2 ** 16,
-                             verify_points: int = 3) -> list[DegeneracyMap]:
+def generate_degeneracy_maps(circuit: Circuit, cap: int = 2 ** 16) -> list[DegeneracyMap]:
     """All degeneracy maps of a circuit, identity included.
 
     The group is the GF(2) span of the per-gate generators. When its size
     exceeds cap, only the subgroup spanned by the first generators is
     enumerated and a warning is issued. Each map is verified on
-    verify_points random angle vectors at zero noise.
+    _VERIFY_POINTS random angle vectors at zero noise.
     """
     ops = [op for op in circuit.ops if not isinstance(op, NoiseMark)]
     gens = []
@@ -188,28 +187,27 @@ def generate_degeneracy_maps(circuit: Circuit, cap: int = 2 ** 16,
                 bits ^= basis[i]
         maps.append(_from_bits(bits, circuit.n_params))
     maps.sort(key=lambda m: (m.shifts, m.signs))
-    _verify_maps(circuit, maps, verify_points)
+    _verify_maps(circuit, maps)
     return maps
 
 
-def _images(maps: list[DegeneracyMap], thetas: np.ndarray) -> np.ndarray:
-    """m.apply(t) for every map m and every row t of thetas, as rows in map order."""
-    signs = np.array([m.signs for m in maps])[:, None]
-    shifts = np.array([m.shifts for m in maps])[:, None]
-    return np.mod(signs * thetas + np.pi * shifts, 2.0 * np.pi).reshape(-1, thetas.shape[-1])
+def _images(maps: list[DegeneracyMap], theta: np.ndarray) -> np.ndarray:
+    """m.apply(theta) for every map m, as rows in map order, built in place."""
+    out = np.multiply(np.array([m.signs for m in maps], dtype=np.int8).reshape(-1, len(theta)), theta)
+    np.add(out, np.pi, out=out, where=np.array([m.shifts for m in maps], dtype=bool).reshape(out.shape))
+    return np.mod(out, 2.0 * np.pi, out=out)
 
 
-def _verify_maps(circuit: Circuit, maps: list[DegeneracyMap], n_points: int) -> None:
-    if n_points < 1:
-        return
+def _verify_maps(circuit: Circuit, maps: list[DegeneracyMap]) -> None:
+    """Raise naming the first map that changes the noiseless state at a check point."""
     rng = np.random.default_rng(0xD5)
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, circuit.n_params))
-    ref = _simulate(circuit, thetas)
-    for start in range(0, len(maps), _BLOCK):
-        psi = _simulate(circuit, _images(maps[start:start + _BLOCK], thetas)).reshape(-1, *ref.shape)
-        bad = np.abs(1.0 - np.einsum("mpd,pd->mp", psi, ref) ** 2).max(axis=1) > _VERIFY_TOL
-        if bad.any():
-            raise RuntimeError(f"degeneracy map failed verification: {maps[start + bad.argmax()]}")
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(_VERIFY_POINTS, circuit.n_params))
+    # |<psi|phi>|^2 as Tr[|psi><psi| phi phi^T] over the images of each point
+    fids = [_expectations(circuit, _images(maps, t), None, np.outer(psi, psi))
+            for t, psi in zip(thetas, _simulate(circuit, thetas))]
+    bad = (np.abs(1.0 - np.array(fids)) > _VERIFY_TOL).any(axis=0)
+    if bad.any():
+        raise RuntimeError(f"degeneracy map failed verification: {maps[bad.argmax()]}")
 
 
 def degeneracy_split(circuit: Circuit, theta_star: np.ndarray,
@@ -218,19 +216,8 @@ def degeneracy_split(circuit: Circuit, theta_star: np.ndarray,
     """Fidelity Tr[target rho] at every degenerate image of theta_star.
 
     At zero noise all entries agree; noise that does not commute with the
-    inserted Pauli words (amplitude damping) spreads them apart. Circuit
-    outputs are real symmetric, so Re(target) gives the exact trace.
+    inserted Pauli words (amplitude damping) spreads them apart.
     """
     if target.purity() < 1.0 - 1e-8:
         raise ValueError(f"reference state is not pure (purity {target.purity()})")
-    if noise is not None and noise.n_qubits != circuit.n_qubits:
-        raise ValueError(f"noise spec covers {noise.n_qubits} qubits, circuit has {circuit.n_qubits}")
-    theta_star = np.asarray(theta_star, dtype=float)[None]
-    obs = target.data.real
-    out = np.empty(len(maps))
-    for start in range(0, len(maps), _BLOCK):
-        state = _simulate(circuit, _images(maps[start:start + _BLOCK], theta_star), noise)
-        if noise is None:
-            state = state[:, :, None] * state[:, None, :]
-        out[start:start + _BLOCK] = state.reshape(len(state), -1) @ obs.ravel()
-    return out
+    return _expectations(circuit, _images(maps, np.asarray(theta_star, dtype=float)), noise, target.data)

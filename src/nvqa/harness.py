@@ -28,7 +28,7 @@ from .circuits import (
     build_4q_vqe,
     build_hea,
     build_valley_demo,
-    _simulate,
+    _expectations,
 )
 from .degen import generate_degeneracy_maps, degeneracy_split
 from .noisemodel import estimate_alpha_beta
@@ -77,8 +77,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown channel kind {k!r}")
         if self.mode not in ("track", "restart"):
             raise ValueError(f"mode must be 'track' or 'restart', got {self.mode!r}")
-        if any(not 0.0 <= g <= 1.0 for g in self.gamma_grid):
-            raise ValueError("gamma grid entries must lie in [0, 1]")
+        # a JSON true is no strength, though Python compares it as 1
+        if any(isinstance(g, (bool, np.bool_)) or not 0.0 <= g <= 1.0 for g in self.gamma_grid):
+            raise ValueError(f"gamma grid entries must be numbers in [0, 1], got {self.gamma_grid!r}")
         if any(l < 1 for l in self.layers):
             raise ValueError("layer counts must be >= 1")
         if self.n_targets < 1 or self.n_samples < 2:
@@ -89,6 +90,8 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         if not (self.kinds and self.layers and self.variants):
             raise ValueError("kinds, layers and variants must not be empty")
+        for v in self.variants:
+            build_2q_circuit(v)  # raises on an unknown variant
         if not self.gamma_grid and self.experiment != "alpha_beta_table":
             raise ValueError(f"{self.experiment} needs a non-empty gamma_grid")
         object.__setattr__(self, "kinds", tuple(self.kinds))
@@ -393,9 +396,7 @@ def run_valley_demo(config: ExperimentConfig) -> ResultRecord:
     pairs = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
     rows = []
     for g in config.gamma_grid:
-        noise = _uniform_noise(kind, g, 1) if g > 0 else None
-        state = _simulate(circuit, pairs, noise)
-        costs = state[:, 0, 0] if noise is not None else state[:, 0] ** 2
+        costs = _expectations(circuit, pairs, _uniform_noise(kind, g, 1), np.diag([1.0, 0.0]))
         rows += [(kind, g, k // 101, k % 101, t0, t1, c)
                  for k, ((t0, t1), c) in enumerate(zip(pairs, costs))]
     return ResultRecord(config.experiment, config,

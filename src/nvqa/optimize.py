@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import NoiseSpec
-from .circuits import Circuit, _simulate, evaluate
+from .circuits import Circuit, _expectations, evaluate
 from .measures import (
     QualityRecord,
     concurrence,
@@ -73,12 +73,8 @@ class CostFn:
 
     @cached_property
     def _obs_matrix(self) -> np.ndarray:
-        """Real part of the Hamiltonian or of the target density matrix.
-
-        Circuit outputs are real symmetric and the imaginary part of a
-        Hermitian matrix is antisymmetric, so it contributes nothing to
-        Tr[O rho]: the real part gives the exact cost.
-        """
+        """Real part of the Hamiltonian or of the target density matrix, which
+        gives the exact value on circuit outputs (see circuits._expectations)."""
         if self.hamiltonian is not None:
             return self.hamiltonian.to_matrix().real.copy()
         return self.target.data.real.copy()
@@ -102,17 +98,8 @@ class CostFn:
         return self._costs(params)
 
     def _costs(self, params: np.ndarray) -> np.ndarray:
-        trivial = self.noise is None or self.noise.is_trivial
-        state = _simulate(self.circuit, params, None if trivial else self.noise)
-        obs = self._obs_matrix
-        if state.ndim == 2:
-            v = np.einsum("md,dc,mc->m", state, obs, state)
-        else:
-            # obs is symmetric, so Tr[obs rho] is the elementwise product summed
-            v = state.reshape(len(state), -1) @ obs.ravel()
-        if self.hamiltonian is not None:
-            return v
-        return 1.0 - v
+        v = _expectations(self.circuit, params, self.noise, self._obs_matrix)
+        return v if self.hamiltonian is not None else 1.0 - v
 
     def state(self, params: np.ndarray) -> DensityMatrix:
         return evaluate(self.circuit, np.asarray(params, dtype=float), self.noise)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from nvqa import degen
+from nvqa import circuits, degen
 from nvqa.channels import NoiseSpec
 from nvqa.circuits import (
     build_2q_circuit,
@@ -15,11 +15,13 @@ from nvqa.circuits import (
     evaluate,
     evaluate_pure,
 )
-from nvqa.degen import _BLOCK, DegeneracyMap, degeneracy_split, generate_degeneracy_maps
+from nvqa.degen import DegeneracyMap, degeneracy_split, generate_degeneracy_maps
 from nvqa.measures import fidelity
 from nvqa.qstate import DensityMatrix, pure_state
 
 TWO_PI = 2.0 * np.pi
+# 4-qubit density rows per _simulate call in circuits._expectations
+_BLOCK = circuits._CHUNK_FLOATS // 256
 
 
 def split_reference(circuit, theta_star, maps, noise, target):
@@ -165,6 +167,24 @@ def test_split_matches_the_per_map_loop(noise, rng):
         assert np.abs(fids - ref).max() <= 1e-14, name
 
 
+@pytest.mark.parametrize("noise", [
+    None,
+    NoiseSpec.uniform("phase", 0.05, 4),
+    NoiseSpec.uniform("amplitude", 0.05, 4),
+    NoiseSpec.uniform("depolarising", 0.05, 4),
+], ids=["none", "phase", "amplitude", "depolarising"])
+def test_split_does_not_depend_on_where_the_list_starts(noise, rng):
+    """degeneracy_split over maps[k:] equals the whole list's values from k
+    on, bit for bit, for offsets inside a chunk and at a chunk edge."""
+    c = build_hea(3)
+    maps = generate_degeneracy_maps(c)
+    theta = rng.uniform(0.0, TWO_PI, c.n_params)
+    target = _targets(rng)["complex-phase"]
+    whole = degeneracy_split(c, theta, maps, noise, target)
+    for k in (1, 5, 17, _BLOCK - 1, _BLOCK + 1):
+        np.testing.assert_array_equal(degeneracy_split(c, theta, maps[k:], noise, target), whole[k:])
+
+
 @pytest.mark.parametrize("noise", [None, NoiseSpec.uniform("amplitude", 0.05, 4)], ids=["none", "amplitude"])
 def test_split_and_check_at_block_edges(noise, rng):
     """Map lists of length 1 and _BLOCK + 1 give the result of the whole list."""
@@ -176,10 +196,10 @@ def test_split_and_check_at_block_edges(noise, rng):
     for n in (1, _BLOCK + 1):
         part = degeneracy_split(c, theta, maps[:n], noise, target)
         assert part.shape == (n,)
-        np.testing.assert_allclose(part, whole[:n], rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(part, whole[:n])
         np.testing.assert_allclose(part, split_reference(c, theta, maps[:n], noise, target),
                                    rtol=0.0, atol=1e-14)
-        degen._verify_maps(c, maps[:n], 3)
+        degen._verify_maps(c, maps[:n])
     assert degeneracy_split(c, theta, [], noise, target).shape == (0,)
 
 
@@ -187,6 +207,8 @@ def test_split_and_check_at_block_edges(noise, rng):
 def test_check_names_a_corrupted_map_in_the_second_block(offset, monkeypatch):
     """A map that is no symmetry, placed in the second block, makes
     generate_degeneracy_maps raise, and the message names that map."""
+    # the check runs 4-qubit statevector rows: make a chunk _BLOCK of them
+    monkeypatch.setattr(circuits, "_CHUNK_FLOATS", 16 * _BLOCK)
     c = build_hea(3)
     good = generate_degeneracy_maps(c)
     victim = good[_BLOCK + offset]

@@ -274,8 +274,11 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     ("vqe2q", {"seed": 1.5}, []),
     ("vqe2q", {"n_starts_2q": 1.5, "gamma_grid": [0.0]}, []),
     ("alpha_beta_table", {"layers": [2.7], "n_samples": 2}, []),
+    ("vqe2q", {"variants": ["d"], "gamma_grid": [0.0], "n_starts_2q": 1}, []),
+    ("vqe2q", {"gamma_grid": [True], "variants": ["a"], "n_starts_2q": 1}, []),
 ], ids=["empty-gamma-grid", "empty-kinds", "empty-layers", "zero-starts", "negative-seed",
-        "empty-variants", "float-seed", "float-starts", "float-layers"])
+        "empty-variants", "float-seed", "float-starts", "float-layers", "unknown-variant",
+        "bool-gamma"])
 def test_cli_rejects_configs_that_cannot_run(experiment, payload, args, tmp_path, capsys):
     """Configs that used to fail mid-run, or write an empty CSV, are refused
     before any work starts."""

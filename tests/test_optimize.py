@@ -89,6 +89,27 @@ def test_values_batch_equals_value_loop(rng):
         assert abs(batch[i] - cf.value(thetas[i])) < 1e-12
 
 
+@pytest.mark.parametrize("noise", [None, ("amplitude", 0.0), ("phase", 0.05), ("amplitude", 0.05),
+                                   ("depolarising", 0.05)],
+                         ids=["none", "gamma-0", "phase", "amplitude", "depolarising"])
+@pytest.mark.parametrize("circuit", [build_2q_circuit(v) for v in "abc"] + [build_hea(l) for l in (2, 4, 6)],
+                         ids=["2q-a", "2q-b", "2q-c", "hea-2", "hea-4", "hea-6"])
+def test_values_rows_equal_value_bit_for_bit(circuit, noise, rng):
+    """A row's cost does not depend on its batch: cf.values over the first m
+    rows equals cf.value row by row, bit for bit, up to batches that span
+    several kernel chunks."""
+    from nvqa.qstate import pure_state
+
+    n = circuit.n_qubits
+    v = rng.standard_normal(2 ** n)
+    spec = None if noise is None else NoiseSpec.uniform(noise[0], noise[1], n)
+    cf = infidelity_cost(circuit, pure_state(v / np.linalg.norm(v)), spec)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(961, circuit.n_params))
+    single = np.array([cf.value(p) for p in thetas])
+    for m in (1, 2, 7, 32, 961):
+        np.testing.assert_array_equal(cf.values(thetas[:m]), single[:m])
+
+
 @pytest.mark.parametrize("noise", [None, NoiseSpec.uniform("amplitude", 0.2, 2)],
                          ids=["noiseless", "amplitude"])
 def test_real_part_costs_are_exact_for_complex_observables(noise, rng):
