@@ -191,8 +191,7 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != circuit.n_params:
         raise ValueError(f"expected shape (m, {circuit.n_params}), got {params.shape}")
-    if noise is not None and noise.n_qubits != circuit.n_qubits:
-        raise ValueError(f"noise spec covers {noise.n_qubits} qubits, circuit has {circuit.n_qubits}")
+    _check_width(circuit, noise)
     m = params.shape[0]
     dim = 2 ** circuit.n_qubits
     density = noise is not None
@@ -217,6 +216,12 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
     return state
 
 
+def _check_width(circuit: Circuit, noise: NoiseSpec | None) -> None:
+    """Refuse a spec of the wrong width, trivial or not."""
+    if noise is not None and noise.n_qubits != circuit.n_qubits:
+        raise ValueError(f"noise spec covers {noise.n_qubits} qubits, circuit has {circuit.n_qubits}")
+
+
 def _rotate(state: np.ndarray, c: np.ndarray, s: np.ndarray, outer: int, inner: int) -> np.ndarray:
     """Ry on the axis of length 2 when each row of state is viewed as (outer, 2, inner)."""
     t = state.reshape(len(c), outer, 2, inner)
@@ -237,6 +242,7 @@ def _expectations(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None,
     order, so a row's value is the same bits in any batch.
     """
     params = np.asarray(params, dtype=float)
+    _check_width(circuit, noise)
     pure = noise is None or noise.is_trivial
     rows = max(1, _CHUNK_FLOATS // 2 ** (circuit.n_qubits * (1 if pure else 2)))
     out = np.empty(len(params))
@@ -273,6 +279,7 @@ def evaluate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = Non
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.n_params,):
         raise ValueError(f"expected {circuit.n_params} parameters, got shape {params.shape}")
+    _check_width(circuit, noise)
     if noise is None or noise.is_trivial:
         psi = evaluate_pure(circuit, params)
         return DensityMatrix(circuit.n_qubits, np.outer(psi, psi.conj()))

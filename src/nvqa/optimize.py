@@ -7,6 +7,9 @@ backtracking, deterministic for fixed inputs. Once a backtracked step is too
 short for the cost to resolve its decrease, the step is judged instead by the
 approximate Wolfe test of Hager and Zhang (SIAM J. Optim. 16, 2005), which
 reads the directional derivative; a step that fails it ends the run unconverged.
+
+Independent starts advance in lockstep, sharing one cost batch per round;
+each result is bit for bit that of the same run made alone.
 """
 
 from __future__ import annotations
@@ -137,16 +140,24 @@ def infidelity_cost(circuit: Circuit, target: DensityMatrix, noise: NoiseSpec | 
     return CostFn(circuit=circuit, noise=noise, target=target)
 
 
-def gradient(cf: CostFn, params: np.ndarray) -> np.ndarray:
-    """Exact parameter-shift gradient: [C(t + pi/2) - C(t - pi/2)] / 2."""
-    params = np.asarray(params, dtype=float)
+def _shift_rows(params: np.ndarray) -> np.ndarray:
+    """The 2P parameter-shift rows of params: +pi/2, then -pi/2, on each angle."""
     p = params.size
     batch = np.broadcast_to(params, (2 * p, p)).copy()
     idx = np.arange(p)
     batch[idx, idx] += 0.5 * np.pi
     batch[p + idx, idx] -= 0.5 * np.pi
-    vals = cf.values(batch)
+    return batch
+
+
+def _shift_gradient(vals: np.ndarray) -> np.ndarray:
+    p = vals.size // 2
     return 0.5 * (vals[:p] - vals[p:])
+
+
+def gradient(cf: CostFn, params: np.ndarray) -> np.ndarray:
+    """Exact parameter-shift gradient: [C(t + pi/2) - C(t - pi/2)] / 2."""
+    return _shift_gradient(cf.values(_shift_rows(np.asarray(params, dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -191,6 +202,89 @@ def _finish(cf: CostFn, x: np.ndarray, f: float, g: np.ndarray, iterations: int,
     )
 
 
+def _bfgs(x: np.ndarray, opts: MinimizeOptions):
+    """One BFGS run from x, as a generator: it yields each batch of parameter
+    rows it needs costed, is sent back their costs, and returns the final
+    (x, f, g, iterations, line_search_ok) for _finish."""
+    vals = yield np.vstack([x, _shift_rows(x)])
+    f, g = float(vals[0]), _shift_gradient(vals[1:])
+    h = np.eye(x.size)
+    first_update = True
+    for it in range(opts.max_iters):
+        if np.linalg.norm(g) <= _GRAD_TOL or (opts.cost_goal is not None and f <= opts.cost_goal):
+            return x, f, g, it, True
+        p = -h @ g
+        slope = float(g @ p)
+        if slope >= 0.0:
+            h = np.eye(x.size)
+            first_update = True
+            p = -g
+            slope = -float(g @ g)
+        alpha = 1.0
+        g_new = None
+        eps_f = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(f))
+        for _ in range(_MAX_BACKTRACKS):
+            x_new = x + alpha * p
+            f_new = float((yield x_new[None])[0])
+            if f_new <= f + _ARMIJO_C * alpha * slope:
+                break
+            if -alpha * slope <= eps_f:
+                # the cost cannot resolve this decrease: judge the step by
+                # the slope at the trial point instead of crawling on
+                g_new = _shift_gradient((yield _shift_rows(x_new)))
+                dslope = float(g_new @ p)
+                if (f_new <= f + eps_f
+                        and _WOLFE_SIGMA * slope <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope):
+                    break
+                return x, f, g, it, False
+            alpha *= _SHRINK
+        else:
+            return x, f, g, it, False
+        if g_new is None:
+            g_new = _shift_gradient((yield _shift_rows(x_new)))
+        s = x_new - x
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
+            if first_update:
+                h = (sy / float(y @ y)) * np.eye(x.size)
+                first_update = False
+            hy = h @ y
+            rho_ = 1.0 / sy
+            h = h - rho_ * (np.outer(s, hy) + np.outer(hy, s)) \
+                + rho_ * rho_ * (sy + float(y @ hy)) * np.outer(s, s)
+        x, f, g = x_new, f_new, g_new
+    return x, f, g, opts.max_iters, True
+
+
+def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None = None) -> list[OptResult]:
+    """One independent BFGS run from each row of an (S, n_params) array, in lockstep.
+
+    Every round makes one cf.values call over the pending rows of all runs
+    still going: a run's start point and its 2P shift rows, one trial point
+    at the run's own step length, or 2P gradient rows. A row's cost does not
+    depend on its batch, so each result is bit for bit that of a serial run.
+    """
+    opts = opts or MinimizeOptions()
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != cf.n_params:
+        raise ValueError(f"expected shape (S, {cf.n_params}), got {starts.shape}")
+    runs = [_bfgs(x, opts) for x in starts]
+    pending = {i: run.send(None) for i, run in enumerate(runs)}
+    results: list[OptResult | None] = [None] * len(runs)
+    while pending:
+        vals = cf.values(np.concatenate(list(pending.values())))
+        at = 0
+        for i, rows in list(pending.items()):
+            try:
+                pending[i] = runs[i].send(vals[at:at + len(rows)])
+            except StopIteration as stop:
+                del pending[i]
+                results[i] = _finish(cf, *stop.value, opts)
+            at += len(rows)
+    return results
+
+
 def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None) -> OptResult:
     """BFGS with Armijo backtracking from a single start.
 
@@ -212,61 +306,9 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
 
     The result's cost and grad_norm are those of the final iterate, the
     values the stopping test read; its params are that iterate's angles
-    reduced to [0, 2*pi).
+    reduced to [0, 2*pi). This is the one-start case of _minimize_rows.
     """
-    opts = opts or MinimizeOptions()
-    x = np.asarray(theta0, dtype=float).copy()
-    if x.shape != (cf.n_params,):
-        raise ValueError(f"expected {cf.n_params} parameters, got shape {x.shape}")
-    f = cf.value(x)
-    g = gradient(cf, x)
-    h = np.eye(x.size)
-    first_update = True
-    for it in range(opts.max_iters):
-        if np.linalg.norm(g) <= _GRAD_TOL or (opts.cost_goal is not None and f <= opts.cost_goal):
-            return _finish(cf, x, f, g, it, True, opts)
-        p = -h @ g
-        slope = float(g @ p)
-        if slope >= 0.0:
-            h = np.eye(x.size)
-            first_update = True
-            p = -g
-            slope = -float(g @ g)
-        alpha = 1.0
-        g_new = None
-        eps_f = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(f))
-        for _ in range(_MAX_BACKTRACKS):
-            x_new = x + alpha * p
-            f_new = cf.value(x_new)
-            if f_new <= f + _ARMIJO_C * alpha * slope:
-                break
-            if -alpha * slope <= eps_f:
-                # the cost cannot resolve this decrease: judge the step by
-                # the slope at the trial point instead of crawling on
-                g_new = gradient(cf, x_new)
-                dslope = float(g_new @ p)
-                if (f_new <= f + eps_f
-                        and _WOLFE_SIGMA * slope <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope):
-                    break
-                return _finish(cf, x, f, g, it, False, opts)
-            alpha *= _SHRINK
-        else:
-            return _finish(cf, x, f, g, it, False, opts)
-        if g_new is None:
-            g_new = gradient(cf, x_new)
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
-            if first_update:
-                h = (sy / float(y @ y)) * np.eye(x.size)
-                first_update = False
-            hy = h @ y
-            rho_ = 1.0 / sy
-            h = h - rho_ * (np.outer(s, hy) + np.outer(hy, s)) \
-                + rho_ * rho_ * (sy + float(y @ hy)) * np.outer(s, s)
-        x, f, g = x_new, f_new, g_new
-    return _finish(cf, x, f, g, opts.max_iters, True, opts)
+    return _minimize_rows(cf, np.asarray(theta0, dtype=float)[None], opts)[0]
 
 
 def _state_overlap(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -295,16 +337,16 @@ def _dedup(cf: CostFn, results: list[OptResult]) -> list[OptResult]:
 def multistart(cf: CostFn, n_starts: int, seed: int) -> list[OptResult]:
     """Minimize from n_starts uniform random starts in [0, 2*pi)^P.
 
-    Results are deduplicated: two minima merge when their costs differ by at
-    most 1e-6 and their output states overlap within 1e-6. The survivors are
-    returned sorted by cost.
+    The starts run in lockstep, each with the result of a serial minimize
+    run. Results are deduplicated: two minima merge when their costs differ
+    by at most 1e-6 and their output states overlap within 1e-6. The
+    survivors are returned sorted by cost.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, TWO_PI, size=(n_starts, cf.n_params))
-    results = [minimize(cf, s) for s in starts]
-    return _dedup(cf, results)
+    return _dedup(cf, _minimize_rows(cf, starts))
 
 
 def sweep_gamma(make_cost: Callable[[float], CostFn], gammas, mode: str = "track",
@@ -314,6 +356,8 @@ def sweep_gamma(make_cost: Callable[[float], CostFn], gammas, mode: str = "track
     mode "track" multistarts at the first gamma and warm-starts every later
     point from the previous point's minima, exposing how branches continue
     or disappear. mode "restart" runs an independent multistart per gamma.
+    The warm starts of one point run in lockstep, each with the result of a
+    serial minimize run from that start.
     """
     gammas = [float(g) for g in gammas]
     if mode not in ("track", "restart"):
@@ -325,7 +369,7 @@ def sweep_gamma(make_cost: Callable[[float], CostFn], gammas, mode: str = "track
             child_seed = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0]
             out.append(multistart(cf, n_starts, int(child_seed)))
         else:
-            warm = [minimize(cf, r.params) for r in out[-1]]
+            warm = _minimize_rows(cf, np.array([r.params for r in out[-1]]))
             out.append(_dedup(cf, warm))
     return out
 

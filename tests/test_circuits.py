@@ -185,6 +185,15 @@ def test_evaluate_noiseless_equals_density_path(rng):
         assert np.allclose(rho_fast.data, raw, atol=1e-12)
 
 
+@pytest.mark.parametrize("spec", [NoiseSpec.uniform("phase", 0.0, 2), NoiseSpec.uniform("phase", 0.1, 2),
+                                  NoiseSpec(make_channel("amplitude", 0.3), (0.0,) * 5)],
+                         ids=["gamma-0", "gamma-0.1", "scales-0"])
+def test_evaluate_refuses_a_noise_spec_of_the_wrong_width(spec):
+    """A trivial spec takes the statevector path, after the same width check."""
+    with pytest.raises(ValueError, match="noise spec covers"):
+        evaluate(build_hea(2), np.zeros(8), spec)
+
+
 def test_evaluate_noisy_matches_manual_channel_insertion(rng):
     from nvqa.channels import apply_product_channel
 

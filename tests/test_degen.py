@@ -236,3 +236,13 @@ def test_split_keeps_the_input_checks(rng):
     target = _targets(rng)["real"]
     with pytest.raises(ValueError, match="noise spec"):
         degeneracy_split(c, theta, maps, NoiseSpec.uniform("phase", 0.1, 2), target)
+
+
+def test_split_refuses_a_zero_strength_spec_of_the_wrong_width(rng):
+    """A spec of strength zero runs the statevector path, but its width is
+    still checked."""
+    c = build_hea(2)
+    theta = rng.uniform(0.0, TWO_PI, c.n_params)
+    with pytest.raises(ValueError, match="noise spec covers 2 qubits"):
+        degeneracy_split(c, theta, generate_degeneracy_maps(c), NoiseSpec.uniform("phase", 0.0, 2),
+                         _targets(rng)["real"])

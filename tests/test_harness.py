@@ -292,3 +292,45 @@ def test_cli_verify(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
+
+
+def serial_restarts(circuit, target, seed: int):
+    """optimize_to_target's serial restart loop, one start at a time: the
+    best result up to the first start that reaches the goal, and the number
+    of starts it ran."""
+    from test_optimize import serial_reference
+
+    from nvqa.optimize import MinimizeOptions, infidelity_cost
+
+    cf = infidelity_cost(circuit, target)
+    opts = MinimizeOptions(max_iters=400, cost_goal=1e-8)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    best = None
+    for n in range(1, 31):
+        cand = serial_reference(cf, rng.uniform(0.0, 2.0 * np.pi, circuit.n_params), opts)
+        if best is None or cand.cost < best.cost:
+            best = cand
+        if best.cost <= 1e-6:
+            break
+    return best, n
+
+
+@pytest.mark.parametrize("layers, index, seed, n_starts", [(2, 0, 2000, 30), (4, 9, 1009, 6)],
+                         ids=["floored-L2", "L4-six-starts"])
+def test_optimize_to_target_equals_the_serial_restart_loop(layers, index, seed, n_starts):
+    """Chunked lockstep starts return the serial loop's result: on a floored
+    target that spends all 30 starts, and on one whose goal is reached by the
+    sixth start, inside the third chunk."""
+    from nvqa.circuits import build_hea
+    from nvqa.harness import optimize_to_target
+    from nvqa.randstates import RngStream, sample_real_haar_state
+
+    gen = RngStream(11, 0).generator()
+    target = [sample_real_haar_state(4, gen) for _ in range(index + 1)][index]
+    circuit = build_hea(layers)
+    want, ran = serial_restarts(circuit, target, seed)
+    assert ran == n_starts
+    got = optimize_to_target(circuit, target, seed)
+    assert np.array_equal(got.params, want.params)
+    assert (got.cost, got.grad_norm, got.iterations, got.converged) == \
+        (want.cost, want.grad_norm, want.iterations, want.converged)

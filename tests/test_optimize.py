@@ -13,8 +13,12 @@ from nvqa.optimize import (
     _ARMIJO_C,
     _GRAD_TOL,
     _MAX_BACKTRACKS,
+    _ROUNDOFF_ULPS,
     _SHRINK,
+    _WOLFE_DELTA,
+    _WOLFE_SIGMA,
     _finish,
+    _minimize_rows,
     energy_cost,
     gradient,
     infidelity_cost,
@@ -166,6 +170,33 @@ def test_minimize_reaches_known_ground_state():
     assert np.all(res.params >= 0.0) and np.all(res.params < 2.0 * np.pi)
 
 
+class ValuesLog:
+    """Every CostFn.values call of a one-start run. Each call is one request of
+    the BFGS loop: 1 row (a trial point), 2P rows (a gradient) or 2P + 1 rows
+    (the start point and its gradient)."""
+
+    def __init__(self, monkeypatch, n_params: int):
+        self.calls: list[np.ndarray] = []
+        self.p = n_params
+        values = CostFn.values
+
+        def logged(cf, params):
+            self.calls.append(np.array(params, dtype=float))
+            return values(cf, params)
+
+        monkeypatch.setattr(CostFn, "values", logged)
+
+    def sizes(self) -> set[int]:
+        return {len(c) for c in self.calls}
+
+    def gradients(self) -> int:
+        return sum(len(c) >= 2 * self.p for c in self.calls)
+
+    def points(self) -> list[np.ndarray]:
+        """Every single point costed, reduced to [0, 2*pi)."""
+        return [np.mod(c[0], 2.0 * np.pi) for c in self.calls if len(c) != 2 * self.p]
+
+
 @pytest.mark.parametrize("noise, opts", [
     (None, None),
     (NoiseSpec.uniform("depolarising", 0.2, 2), None),
@@ -176,31 +207,163 @@ def test_minimize_finishes_from_the_loops_cost_and_gradient(noise, opts, monkeyp
     """One gradient per accepted step plus one at the start, and no point
     costed twice: the result reuses the cost and gradient of the final
     iterate instead of evaluating them again at the reduced angles."""
-    import nvqa.optimize as optimize
-
-    costed, grad_calls = [], 0
-    value, grad = CostFn.value, optimize.gradient
-
-    def counted_value(self, params):
-        costed.append(np.mod(np.asarray(params, dtype=float), 2.0 * np.pi))
-        return value(self, params)
-
-    def counted_gradient(cf, params):
-        nonlocal grad_calls
-        grad_calls += 1
-        return grad(cf, params)
-
-    monkeypatch.setattr(CostFn, "value", counted_value)
-    monkeypatch.setattr(optimize, "gradient", counted_gradient)
     cf = energy_cost(build_2q_circuit("a"), H2, noise)
+    log = ValuesLog(monkeypatch, cf.n_params)
     res = minimize(cf, np.array([0.5, 1.2, 2.5]), opts)
     assert res.converged
-    assert grad_calls == res.iterations + 1
+    assert log.sizes() <= {1, 2 * cf.n_params, 2 * cf.n_params + 1}
+    assert log.gradients() == res.iterations + 1
+    costed = log.points()
     assert len({p.tobytes() for p in costed}) == len(costed)
     assert np.array_equal(costed[-1], res.params)
     monkeypatch.undo()
     assert abs(res.grad_norm - np.linalg.norm(gradient(cf, res.params))) < 1e-12
     assert abs(res.cost - cf.value(res.params)) < 1e-12
+
+
+def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None):
+    """The one-start BFGS loop that minimize ran before starts advanced in
+    lockstep, costing one point or one gradient per call. Every row of
+    _minimize_rows must match it bit for bit."""
+    opts = opts or MinimizeOptions()
+    x = np.asarray(theta0, dtype=float).copy()
+    f = cf.value(x)
+    g = gradient(cf, x)
+    h = np.eye(x.size)
+    first_update = True
+    for it in range(opts.max_iters):
+        if np.linalg.norm(g) <= _GRAD_TOL or (opts.cost_goal is not None and f <= opts.cost_goal):
+            return _finish(cf, x, f, g, it, True, opts)
+        p = -h @ g
+        slope = float(g @ p)
+        if slope >= 0.0:
+            h = np.eye(x.size)
+            first_update = True
+            p = -g
+            slope = -float(g @ g)
+        alpha = 1.0
+        g_new = None
+        eps_f = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(f))
+        for _ in range(_MAX_BACKTRACKS):
+            x_new = x + alpha * p
+            f_new = cf.value(x_new)
+            if f_new <= f + _ARMIJO_C * alpha * slope:
+                break
+            if -alpha * slope <= eps_f:
+                g_new = gradient(cf, x_new)
+                dslope = float(g_new @ p)
+                if (f_new <= f + eps_f
+                        and _WOLFE_SIGMA * slope <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope):
+                    break
+                return _finish(cf, x, f, g, it, False, opts)
+            alpha *= _SHRINK
+        else:
+            return _finish(cf, x, f, g, it, False, opts)
+        if g_new is None:
+            g_new = gradient(cf, x_new)
+        s = x_new - x
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
+            if first_update:
+                h = (sy / float(y @ y)) * np.eye(x.size)
+                first_update = False
+            hy = h @ y
+            rho_ = 1.0 / sy
+            h = h - rho_ * (np.outer(s, hy) + np.outer(hy, s)) \
+                + rho_ * rho_ * (sy + float(y @ hy)) * np.outer(s, s)
+        x, f, g = x_new, f_new, g_new
+    return _finish(cf, x, f, g, opts.max_iters, True, opts)
+
+
+def assert_same_run(got: OptResult, want: OptResult):
+    assert np.array_equal(got.params, want.params)
+    assert got.cost == want.cost
+    assert got.grad_norm == want.grad_norm
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+
+
+def assert_rows_match_serial(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None = None):
+    got = _minimize_rows(cf, starts, opts)
+    assert len(got) == len(starts)
+    for res, theta0 in zip(got, starts):
+        assert_same_run(res, serial_reference(cf, theta0, opts))
+    return got
+
+
+@pytest.mark.parametrize("n_starts", [1, 3, 30])
+@pytest.mark.parametrize("kind", [None, "phase", "amplitude", "depolarising"])
+def test_minimize_rows_match_serial_runs(kind, n_starts):
+    """Lockstep rows stop at different iterations and each equals the serial
+    run from its start, bit for bit."""
+    for variant in "ac":
+        c = build_2q_circuit(variant)
+        spec = None if kind is None else NoiseSpec.uniform(kind, 0.2, 2)
+        starts = np.random.default_rng(n_starts).uniform(0.0, 2.0 * np.pi, (n_starts, c.n_params))
+        got = assert_rows_match_serial(energy_cost(c, H2, spec), starts)
+        if n_starts == 30:
+            assert len({r.iterations for r in got}) > 1
+
+
+@pytest.mark.parametrize("kind", [None, "amplitude"])
+def test_minimize_rows_match_serial_runs_on_four_qubits(kind, rng):
+    c = build_hea(2)
+    spec = None if kind is None else NoiseSpec.uniform(kind, 0.05, 4)
+    cf = infidelity_cost(c, sample_real_haar_state(4, rng), spec)
+    got = assert_rows_match_serial(cf, rng.uniform(0.0, 2.0 * np.pi, (3, c.n_params)))
+    assert len({r.iterations for r in got}) > 1
+
+
+@pytest.mark.parametrize("variant, noise, seed, shape, floored", [
+    ("c", None, 2129014521, (8, 4), [0, 2, 7]),
+    ("a", NoiseSpec.uniform("amplitude", 0.3, 2), 2349081187, (8, 3), []),
+], ids=["c-noiseless", "a-amplitude"])
+def test_minimize_rows_keep_the_roundoff_fallback(variant, noise, seed, shape, floored):
+    """The draws of the two roundoff-floor starts, run in lockstep: rows that
+    take the roundoff fallback match their serial runs like the others. Since
+    noisy costs moved at roundoff, the amplitude draw no longer meets the
+    floor; its rows are checked all the same."""
+    cf = energy_cost(build_2q_circuit(variant), H2, noise)
+    starts = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, shape)
+    assert [i for i, x in enumerate(starts)
+            if armijo_reference(cf, x, MinimizeOptions()) is None] == floored
+    assert all(r.converged for r in assert_rows_match_serial(cf, starts))
+
+
+def test_minimize_rows_match_serial_runs_whose_line_search_fails():
+    """Starts 1e-8 from a minimum along its steepest curvature: the first step
+    overshoots by less than the cost's roundoff, so the fallback judges it by
+    the slope, and for some starts rejects it, ending the run unconverged."""
+    cf = energy_cost(build_2q_circuit("a"), H2)
+    m = minimize(cf, np.full(3, 0.7)).params
+    hess = np.array([gradient(cf, m + d) - gradient(cf, m - d) for d in 0.5 * np.pi * np.eye(3)]) / 2
+    lam, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
+    starts = m + np.outer(np.linspace(1.5, 6.5, 11) * 1e-8 / lam[-1], vecs[:, -1])
+    got = assert_rows_match_serial(cf, starts)
+    assert any(not r.converged and r.iterations == 0 and r.grad_norm > 1e-8 for r in got)
+    assert any(r.converged for r in got)
+
+
+def test_minimize_rows_match_serial_runs_at_the_cap_and_the_goal():
+    """A start that already meets cost_goal, rows stopped by max_iters and
+    rows that reach the goal mid-run, all in one lockstep call."""
+    cf = energy_cost(build_2q_circuit("c"), H2)
+    at_goal = minimize(cf, np.array([0.5, 1.2, 2.5, 0.3])).params
+    starts = np.vstack([np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, (12, 4)), at_goal])
+    opts = MinimizeOptions(max_iters=6, cost_goal=-2.2)
+    got = assert_rows_match_serial(cf, starts, opts)
+    assert got[-1].iterations == 0 and got[-1].converged
+    assert any(r.iterations == 6 and not r.converged for r in got)
+    assert any(0 < r.iterations < 6 and r.converged for r in got)
+
+
+def test_minimize_rows_refuse_a_wrong_shape():
+    cf = energy_cost(build_2q_circuit("a"), H2)
+    assert _minimize_rows(cf, np.zeros((0, 3))) == []
+    for bad in (np.zeros(3), np.zeros((2, 4))):
+        with pytest.raises(ValueError):
+            _minimize_rows(cf, bad)
 
 
 def armijo_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions):
@@ -291,21 +454,15 @@ def test_minimize_does_not_stall_on_the_roundoff_floor(variant, noise, seed, sha
     """Starts whose final steps lie below the cost's roundoff. Plain Armijo
     backtracking crawled through all 1,000 iterations on them (25,675 and
     27,656 cost evaluations) and stopped unconverged at grad norm 2e-8."""
-    calls = 0
-    value = CostFn.value
-
-    def counted(self, params):
-        nonlocal calls
-        calls += 1
-        return value(self, params)
-
-    monkeypatch.setattr(CostFn, "value", counted)
     cf = energy_cost(build_2q_circuit(variant), H2, noise)
+    log = ValuesLog(monkeypatch, cf.n_params)
     theta0 = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, shape)[row]
     res = minimize(cf, theta0)
     assert res.converged
     assert res.grad_norm <= 1e-8
-    assert calls < 200
+    assert log.sizes() <= {1, 2 * cf.n_params, 2 * cf.n_params + 1}
+    assert log.gradients() == res.iterations + 1
+    assert len(log.points()) < 200
 
 
 def test_minimize_result_is_frozen():
@@ -370,6 +527,53 @@ def test_sweep_gamma_track_and_restart():
         assert costs == sorted(costs)
     with pytest.raises(ValueError):
         sweep_gamma(make_cost, gammas, mode="jump")
+
+
+def record_dedup_inputs(monkeypatch) -> list[list[OptResult]]:
+    """Patch optimize._dedup to keep every result list it is given."""
+    import nvqa.optimize as optimize
+
+    seen, dedup = [], optimize._dedup
+
+    def recorded(cf, results):
+        seen.append(list(results))
+        return dedup(cf, results)
+
+    monkeypatch.setattr(optimize, "_dedup", recorded)
+    return seen
+
+
+def test_multistart_equals_serial_runs(monkeypatch):
+    cf = energy_cost(build_2q_circuit("a"), H2, NoiseSpec.uniform("amplitude", 0.3, 2))
+    seen = record_dedup_inputs(monkeypatch)
+    res = multistart(cf, n_starts=20, seed=5)
+    starts = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, (20, cf.n_params))
+    [runs] = seen
+    assert len(runs) == len(starts)
+    for got, theta0 in zip(runs, starts):
+        assert_same_run(got, serial_reference(cf, theta0))
+    assert len(res) == 2
+
+
+def test_sweep_gamma_track_equals_serial_runs(monkeypatch):
+    """The first point's multistart and every later point's warm starts
+    equal serial runs from the same starts."""
+    def make_cost(g: float):
+        return energy_cost(build_2q_circuit("a"), H2, NoiseSpec.uniform("amplitude", g, 2))
+
+    gammas = (0.3, 0.35, 0.4)
+    seen = record_dedup_inputs(monkeypatch)
+    sweeps = sweep_gamma(make_cost, gammas, mode="track", n_starts=16, seed=2)
+    seed0 = int(np.random.SeedSequence(2, spawn_key=(0,)).generate_state(1)[0])
+    starts = np.random.default_rng(seed0).uniform(0.0, 2.0 * np.pi, (16, 3))
+    assert len(seen) == len(gammas)
+    for i, (g, runs) in enumerate(zip(gammas, seen)):
+        if i > 0:
+            starts = [r.params for r in sweeps[i - 1]]
+        assert len(runs) == len(starts)
+        for got, theta0 in zip(runs, starts):
+            assert_same_run(got, serial_reference(make_cost(g), theta0))
+    assert all(len(s) == 2 for s in sweeps)
 
 
 def test_reoptimize_from_never_loses_to_frozen_params(rng):
