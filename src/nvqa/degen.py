@@ -2,24 +2,29 @@
 
 For each Ry gate the candidate move "shift this angle by pi" inserts a Y on
 that gate's qubit (Ry(t + pi) = Ry(t) (-i Y)). The Y is pushed backwards
-through the circuit: CX gates conjugate Pauli words, and at every Ry on the
-same qubit the word is rewritten with one of
+through the circuit as a Pauli word in binary symplectic form, phases
+dropped: one x bit and one z bit per qubit, X = (1, 0), Z = (0, 1),
+Y = (1, 1). A CX(c -> t) conjugates it as x[t] ^= x[c], z[c] ^= z[t]. At
+every Ry(t) on the word's qubits, with parameter p, one rewrite applies:
 
-    Y Ry(t) = i Ry(t + pi)          (absorb, word drops to identity)
-    X Ry(t) = Ry(pi - t) Z          (convert, sign flip plus pi shift)
-    Z Ry(t) = Ry(-t) Z              (pass, sign flip)
+    letter  rewrite                        sign bit of p  shift bit of p  new letter
+    Y       Y Ry(t) = i Ry(t + pi)         ^= 0           ^= 1            I
+    X       X Ry(t) = Ry(pi - t) Z         ^= 1           ^= 1            Z
+    Z       Z Ry(t) = Ry(-t) Z             ^= 1           ^= 0            Z
 
-A candidate survives when the leftover word contains only I and Z letters,
-which act trivially on |0...0>. Each survivor yields an angle map
+that is: sign bit ^= x ^ z, shift bit ^= x, then z ^= x and x = 0.
 
-    theta -> signs * theta + pi * shifts
+A candidate survives when no x bit is left: the leftover word has only I
+and Z letters, which act trivially on |0...0>. Each survivor is a bit
+vector (sign bits, shift bits) and the angle map
 
-with signs in {-1, +1} and shifts in {0, 1}, and the set of all such maps is
-closed under composition: componentwise products of signs and XOR of shifts,
-an elementary abelian 2-group. The full group is enumerated from the
-independent generators, and every returned map is checked numerically on
-random angles at zero noise. The check and the noise splits reduce the map
-images through circuits._expectations.
+    theta -> signs * theta + pi * shifts,   signs = (-1)^(sign bits),
+
+and the set of all such maps is closed under composition: XOR of the bit
+vectors, an elementary abelian 2-group. The full group is enumerated as
+the GF(2) span of the independent generators, and every returned map is
+checked numerically on random angles at zero noise. The check and the
+noise splits reduce the map images through circuits._expectations.
 """
 
 from __future__ import annotations
@@ -71,69 +76,26 @@ class DegeneracyMap:
         return DegeneracyMap(signs, shifts)
 
 
-def _pauli_mult(a: str, b: str) -> str:
-    """Product of two Pauli letters up to a phase."""
-    if a == "I":
-        return b
-    if b == "I":
-        return a
-    if a == b:
-        return "I"
-    return ({"X", "Y", "Z"} - {a, b}).pop()
-
-
-def _cx_conjugate(word: dict[int, str], control: int, target: int) -> dict[int, str]:
-    """Conjugate a Pauli word (qubit -> letter) by a CX, phases dropped."""
-    a = word.get(control, "I")
-    b = word.get(target, "I")
-    new_c = _pauli_mult(a, "Z" if b in ("Y", "Z") else "I")
-    new_t = _pauli_mult("X" if a in ("X", "Y") else "I", b)
-    out = dict(word)
-    for q, letter in ((control, new_c), (target, new_t)):
-        if letter == "I":
-            out.pop(q, None)
-        else:
-            out[q] = letter
-    return out
-
-
-def _candidate_generator(ops: list, k: int, n_params: int) -> DegeneracyMap | None:
-    """Push a pi shift of gate k backwards; None when the word does not close."""
+def _candidate_generator(ops: list, k: int, n_qubits: int, n_params: int) -> np.ndarray | None:
+    """Push a pi shift of gate k backwards; its (sign bits, shift bits), or None
+    when the word does not close."""
     gate = ops[k]
-    signs = [1] * n_params
-    shifts = [0] * n_params
-    shifts[gate.param_index] = 1
-    word: dict[int, str] = {gate.qubit: "Y"}
+    x = [0] * n_qubits
+    z = [0] * n_qubits
+    x[gate.qubit] = z[gate.qubit] = 1
+    bits = np.zeros((2, n_params), dtype=np.uint8)
+    bits[1, gate.param_index] = 1
     for op in reversed(ops[:k]):
         if isinstance(op, Cx):
-            word = _cx_conjugate(word, op.control, op.target)
-            continue
-        letter = word.get(op.qubit, "I")
-        if letter == "I":
-            continue
-        p = op.param_index
-        if letter == "Y":
-            shifts[p] ^= 1
-            del word[op.qubit]
-        elif letter == "X":
-            signs[p] = -signs[p]
-            shifts[p] ^= 1
-            word[op.qubit] = "Z"
+            x[op.target] ^= x[op.control]
+            z[op.control] ^= z[op.target]
         else:
-            signs[p] = -signs[p]
-    if any(letter not in ("I", "Z") for letter in word.values()):
-        return None
-    return DegeneracyMap(tuple(signs), tuple(shifts))
-
-
-def _to_bits(m: DegeneracyMap) -> np.ndarray:
-    return np.array([int(s == -1) for s in m.signs] + list(m.shifts), dtype=np.uint8)
-
-
-def _from_bits(bits: np.ndarray, n_params: int) -> DegeneracyMap:
-    signs = tuple(1 - 2 * int(b) for b in bits[:n_params])
-    shifts = tuple(int(b) for b in bits[n_params:])
-    return DegeneracyMap(signs, shifts)
+            q, p = op.qubit, op.param_index
+            bits[0, p] ^= x[q] ^ z[q]
+            bits[1, p] ^= x[q]
+            z[q] ^= x[q]
+            x[q] = 0
+    return None if any(x) else bits.ravel()
 
 
 def _gf2_basis(rows: list[np.ndarray]) -> list[np.ndarray]:
@@ -161,13 +123,10 @@ def generate_degeneracy_maps(circuit: Circuit, cap: int = 2 ** 16) -> list[Degen
     _VERIFY_POINTS random angle vectors at zero noise.
     """
     ops = [op for op in circuit.ops if not isinstance(op, NoiseMark)]
-    gens = []
-    for k, op in enumerate(ops):
-        if isinstance(op, Ry):
-            cand = _candidate_generator(ops, k, circuit.n_params)
-            if cand is not None:
-                gens.append(cand)
-    basis = _gf2_basis([_to_bits(g) for g in gens])
+    n = circuit.n_params
+    gens = [_candidate_generator(ops, k, circuit.n_qubits, n)
+            for k, op in enumerate(ops) if isinstance(op, Ry)]
+    basis = _gf2_basis([g for g in gens if g is not None])
     rank = len(basis)
     if 2 ** rank > cap:
         keep = int(np.floor(np.log2(cap)))
@@ -178,15 +137,14 @@ def generate_degeneracy_maps(circuit: Circuit, cap: int = 2 ** 16) -> list[Degen
         )
         basis = basis[:keep]
         rank = keep
-    width = 2 * circuit.n_params
-    maps = []
-    for mask in range(2 ** rank):
-        bits = np.zeros(width, dtype=np.uint8)
-        for i in range(rank):
-            if mask >> i & 1:
-                bits ^= basis[i]
-        maps.append(_from_bits(bits, circuit.n_params))
-    maps.sort(key=lambda m: (m.shifts, m.signs))
+    # row `mask` is the XOR of the basis rows its bits select: uint8 sums wrap
+    # mod 256, which keeps their parity
+    masks = (np.arange(2 ** rank)[:, None] >> np.arange(rank) & 1).astype(np.uint8)
+    span = masks @ np.array(basis, dtype=np.uint8).reshape(rank, 2 * n) & 1
+    # lexsort's last key is primary: by shifts, then by signs, -1 (sign bit 1) first
+    span = span[np.lexsort(np.hstack([span[:, n:], span[:, :n] ^ 1])[:, ::-1].T)]
+    signs = 1 - 2 * span[:, :n].astype(np.int8)
+    maps = [DegeneracyMap(tuple(s.tolist()), tuple(b.tolist())) for s, b in zip(signs, span[:, n:])]
     _verify_maps(circuit, maps)
     return maps
 

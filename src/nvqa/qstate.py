@@ -141,11 +141,6 @@ def partial_trace(rho: DensityMatrix, keep: list[int] | tuple[int, ...]) -> Dens
         raise ValueError("must keep at least one qubit")
     if len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
         raise ValueError(f"invalid keep list for {n} qubits: {keep}")
-    if len(keep) == n:
-        perm = keep + tuple(n + q for q in keep)
-        t = rho.data.reshape((2,) * (2 * n)).transpose(perm)
-        d = 2 ** len(keep)
-        return DensityMatrix(len(keep), t.reshape(d, d))
     traced = tuple(q for q in range(n) if q not in keep)
     t = rho.data.reshape((2,) * (2 * n))
     perm = keep + tuple(n + q for q in keep) + traced + tuple(n + q for q in traced)

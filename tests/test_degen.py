@@ -44,6 +44,85 @@ def verify_reference(circuit, maps, n_points=3):
     return None
 
 
+def letter_reference(circuit, cap=2 ** 16):
+    """The map construction generate_degeneracy_maps replaced: Pauli words
+    pushed as qubit -> letter dicts, generators converted to bit vectors for
+    the GF(2) reduction, and every group element converted back one mask at a
+    time. Returns the maps unchecked, in the same order."""
+
+    def mult(a, b):
+        if a == "I":
+            return b
+        if b == "I":
+            return a
+        if a == b:
+            return "I"
+        return ({"X", "Y", "Z"} - {a, b}).pop()
+
+    def cx_conjugate(word, control, target):
+        a = word.get(control, "I")
+        b = word.get(target, "I")
+        new_c = mult(a, "Z" if b in ("Y", "Z") else "I")
+        new_t = mult("X" if a in ("X", "Y") else "I", b)
+        out = dict(word)
+        for q, letter in ((control, new_c), (target, new_t)):
+            if letter == "I":
+                out.pop(q, None)
+            else:
+                out[q] = letter
+        return out
+
+    def generator(ops, k, n_params):
+        gate = ops[k]
+        signs = [1] * n_params
+        shifts = [0] * n_params
+        shifts[gate.param_index] = 1
+        word = {gate.qubit: "Y"}
+        for op in reversed(ops[:k]):
+            if isinstance(op, circuits.Cx):
+                word = cx_conjugate(word, op.control, op.target)
+                continue
+            letter = word.get(op.qubit, "I")
+            if letter == "I":
+                continue
+            p = op.param_index
+            if letter == "Y":
+                shifts[p] ^= 1
+                del word[op.qubit]
+            elif letter == "X":
+                signs[p] = -signs[p]
+                shifts[p] ^= 1
+                word[op.qubit] = "Z"
+            else:
+                signs[p] = -signs[p]
+        if any(letter not in ("I", "Z") for letter in word.values()):
+            return None
+        return DegeneracyMap(tuple(signs), tuple(shifts))
+
+    def to_bits(m):
+        return np.array([int(s == -1) for s in m.signs] + list(m.shifts), dtype=np.uint8)
+
+    def from_bits(bits, n_params):
+        return DegeneracyMap(tuple(1 - 2 * int(b) for b in bits[:n_params]),
+                             tuple(int(b) for b in bits[n_params:]))
+
+    ops = [op for op in circuit.ops if not isinstance(op, circuits.NoiseMark)]
+    gens = [generator(ops, k, circuit.n_params) for k, op in enumerate(ops) if isinstance(op, circuits.Ry)]
+    basis = degen._gf2_basis([to_bits(g) for g in gens if g is not None])
+    rank = len(basis)
+    if 2 ** rank > cap:
+        rank = int(np.floor(np.log2(cap)))
+    maps = []
+    for mask in range(2 ** rank):
+        bits = np.zeros(2 * circuit.n_params, dtype=np.uint8)
+        for i in range(rank):
+            if mask >> i & 1:
+                bits ^= basis[i]
+        maps.append(from_bits(bits, circuit.n_params))
+    maps.sort(key=lambda m: (m.shifts, m.signs))
+    return maps
+
+
 @pytest.mark.parametrize(
     "circuit, count",
     [
@@ -96,6 +175,31 @@ def test_apply_wraps_angles(rng):
     for m in maps:
         out = m.apply(theta)
         assert np.all(out >= 0.0) and np.all(out < TWO_PI)
+
+
+_ORACLE_CASES = {
+    "valley": (build_valley_demo(), {}),
+    **{f"2q-{v}": (build_2q_circuit(v), {}) for v in "abc"},
+    **{f"hea-{L}": (build_hea(L), {}) for L in (1, 2, 3, 4)},
+    "4q-vqe": (build_4q_vqe(), {}),
+    "hea-4-cap-16": (build_hea(4), {"cap": 16}),
+    "hea-5-cap-256": (build_hea(5), {"cap": 256}),
+}
+
+
+@pytest.mark.parametrize("name", _ORACLE_CASES)
+def test_maps_match_the_letter_reference(name):
+    """The bit-form construction returns the letter-dict construction's maps,
+    in its order, with plain int entries."""
+    circuit, kwargs = _ORACLE_CASES[name]
+    if "cap" in kwargs:
+        with pytest.warns(RuntimeWarning, match="exceeds cap"):
+            maps = generate_degeneracy_maps(circuit, **kwargs)
+    else:
+        maps = generate_degeneracy_maps(circuit)
+    want = letter_reference(circuit, **kwargs)
+    assert [(m.signs, m.shifts) for m in maps] == [(m.signs, m.shifts) for m in want]
+    assert all(type(v) is int for m in maps for v in m.signs + m.shifts)
 
 
 def test_cap_truncates_with_warning():
@@ -214,9 +318,9 @@ def test_check_names_a_corrupted_map_in_the_second_block(offset, monkeypatch):
     victim = good[_BLOCK + offset]
     # flipping one first-layer sign alone is no symmetry of the circuit
     corrupted = DegeneracyMap((-victim.signs[0],) + victim.signs[1:], victim.shifts)
-    from_bits = degen._from_bits
-    monkeypatch.setattr(degen, "_from_bits",
-                        lambda bits, n: corrupted if from_bits(bits, n) == victim else from_bits(bits, n))
+    monkeypatch.setattr(degen, "DegeneracyMap",
+                        lambda signs, shifts: corrupted if DegeneracyMap(signs, shifts) == victim
+                        else DegeneracyMap(signs, shifts))
     listed = sorted([corrupted if m == victim else m for m in good], key=lambda m: (m.shifts, m.signs))
     assert listed.index(corrupted) == _BLOCK + offset
     assert verify_reference(c, listed) == corrupted

@@ -317,13 +317,12 @@ def test_minimize_rows_match_serial_runs_on_four_qubits(kind, rng):
 
 @pytest.mark.parametrize("variant, noise, seed, shape, floored", [
     ("c", None, 2129014521, (8, 4), [0, 2, 7]),
-    ("a", NoiseSpec.uniform("amplitude", 0.3, 2), 2349081187, (8, 3), []),
-], ids=["c-noiseless", "a-amplitude"])
+    ("a", NoiseSpec.uniform("amplitude", 0.3, 2), 2, (8, 3), [3, 7]),
+    ("a", NoiseSpec.uniform("depolarising", 0.3, 2), 2, (8, 3), [1]),
+], ids=["c-noiseless", "a-amplitude", "a-depolarising"])
 def test_minimize_rows_keep_the_roundoff_fallback(variant, noise, seed, shape, floored):
-    """The draws of the two roundoff-floor starts, run in lockstep: rows that
-    take the roundoff fallback match their serial runs like the others. Since
-    noisy costs moved at roundoff, the amplitude draw no longer meets the
-    floor; its rows are checked all the same."""
+    """The draws of the roundoff-floor starts, run in lockstep: rows that
+    take the roundoff fallback match their serial runs like the others."""
     cf = energy_cost(build_2q_circuit(variant), H2, noise)
     starts = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, shape)
     assert [i for i, x in enumerate(starts)
@@ -447,13 +446,17 @@ def test_minimize_matches_armijo_reference_off_the_roundoff_floor(kind):
 
 @pytest.mark.parametrize("variant, noise, seed, shape, row", [
     ("c", None, 2129014521, (8, 4), 7),
-    ("a", NoiseSpec.uniform("amplitude", 0.3, 2), 2349081187, (8, 3), 4),
-], ids=["c-noiseless", "a-amplitude"])
+    ("a", NoiseSpec.uniform("amplitude", 0.3, 2), 2, (8, 3), 3),
+    ("a", NoiseSpec.uniform("depolarising", 0.3, 2), 2, (8, 3), 1),
+], ids=["c-noiseless", "a-amplitude", "a-depolarising"])
 def test_minimize_does_not_stall_on_the_roundoff_floor(variant, noise, seed, shape, row,
                                                        monkeypatch):
-    """Starts whose final steps lie below the cost's roundoff. Plain Armijo
-    backtracking crawled through all 1,000 iterations on them (25,675 and
-    27,656 cost evaluations) and stopped unconverged at grad norm 2e-8."""
+    """Starts that meet a failed Armijo step below the cost's roundoff. Plain
+    Armijo backtracking, which shrinks such a step until it passes, crawled
+    through all 1,000 iterations on the noiseless and depolarising starts
+    (33,682 and 34,695 costed points, a gradient counted as 2P) and stopped
+    unconverged at grad norm 2e-8 and 1e-8; on the amplitude start it
+    recovered after 16 iterations."""
     cf = energy_cost(build_2q_circuit(variant), H2, noise)
     log = ValuesLog(monkeypatch, cf.n_params)
     theta0 = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, shape)[row]
