@@ -149,10 +149,16 @@ def generate_degeneracy_maps(circuit: Circuit, cap: int = 2 ** 16) -> list[Degen
     return maps
 
 
-def _images(maps: list[DegeneracyMap], theta: np.ndarray) -> np.ndarray:
-    """m.apply(theta) for every map m, as rows in map order, built in place."""
-    out = np.multiply(np.array([m.signs for m in maps], dtype=np.int8).reshape(-1, len(theta)), theta)
-    np.add(out, np.pi, out=out, where=np.array([m.shifts for m in maps], dtype=bool).reshape(out.shape))
+def _map_arrays(maps: list[DegeneracyMap], n_params: int) -> tuple[np.ndarray, np.ndarray]:
+    """The maps' signs (int8) and shifts (bool) as (len(maps), n_params) arrays."""
+    signs = np.array([m.signs for m in maps], dtype=np.int8).reshape(-1, n_params)
+    return signs, np.array([m.shifts for m in maps], dtype=bool).reshape(signs.shape)
+
+
+def _images(signs: np.ndarray, shifts: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The images of theta under the maps of _map_arrays, as rows in map order, built in place."""
+    out = np.multiply(signs, theta)
+    np.add(out, np.pi, out=out, where=shifts)
     return np.mod(out, 2.0 * np.pi, out=out)
 
 
@@ -160,8 +166,9 @@ def _verify_maps(circuit: Circuit, maps: list[DegeneracyMap]) -> None:
     """Raise naming the first map that changes the noiseless state at a check point."""
     rng = np.random.default_rng(0xD5)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(_VERIFY_POINTS, circuit.n_params))
+    arrays = _map_arrays(maps, circuit.n_params)
     # |<psi|phi>|^2 as Tr[|psi><psi| phi phi^T] over the images of each point
-    fids = [_expectations(circuit, _images(maps, t), None, np.outer(psi, psi))
+    fids = [_expectations(circuit, _images(*arrays, t), None, np.outer(psi, psi))
             for t, psi in zip(thetas, _simulate(circuit, thetas))]
     bad = (np.abs(1.0 - np.array(fids)) > _VERIFY_TOL).any(axis=0)
     if bad.any():
@@ -178,4 +185,5 @@ def degeneracy_split(circuit: Circuit, theta_star: np.ndarray,
     """
     if target.purity() < 1.0 - 1e-8:
         raise ValueError(f"reference state is not pure (purity {target.purity()})")
-    return _expectations(circuit, _images(maps, np.asarray(theta_star, dtype=float)), noise, target.data)
+    images = _images(*_map_arrays(maps, circuit.n_params), np.asarray(theta_star, dtype=float))
+    return _expectations(circuit, images, noise, target.data)

@@ -5,9 +5,10 @@ import pytest
 
 from itertools import product
 
-from nvqa.channels import CHANNEL_KINDS, NoiseSpec, make_channel
+from nvqa.channels import CHANNEL_KINDS, NoiseSpec, _apply_noise, make_channel
 from nvqa.circuits import (
     CX_MATRIX,
+    MAX_DENSITY_QUBITS,
     Circuit,
     Cx,
     NOISE,
@@ -24,6 +25,7 @@ from nvqa.circuits import (
     evaluate,
     evaluate_pure,
     ry_matrix,
+    _rotate,
     _simulate,
 )
 from nvqa.qstate import DensityMatrix
@@ -81,6 +83,101 @@ def tensor_kraus_density(circuit: Circuit, params: np.ndarray, spec: NoiseSpec) 
             u = dense_gate(n, op, params)
             rho = u @ rho @ u.conj().T
     return rho
+
+
+def step_reference(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = None) -> np.ndarray:
+    """The per-op kernel _simulate replaced: one _rotate per Ry on a statevector
+    and two on a density matrix, one gather per CX and axis, and one
+    _apply_noise per noise mark."""
+    n = circuit.n_qubits
+    dim = 2 ** n
+    idx = np.arange(dim)
+    m = len(params)
+    density = noise is not None
+    cols = dim if density else 1
+    state = np.zeros((m, dim, dim) if density else (m, dim))
+    state.reshape(m, -1)[:, 0] = 1.0
+    cos = np.cos(0.5 * params)[:, :, None, None]
+    sin = np.sin(0.5 * params)[:, :, None, None]
+    for op in circuit.ops:
+        if isinstance(op, Ry):
+            a = 2 ** op.qubit
+            b = dim // (2 * a)
+            c, s = cos[:, op.param_index], sin[:, op.param_index]
+            state = _rotate(state, c, s, a, b * cols)
+            if density:
+                state = _rotate(state, c, s, dim * a, b)
+        elif isinstance(op, Cx):
+            cbit = (idx >> (n - 1 - op.control)) & 1
+            perm = np.where(cbit == 1, idx ^ (1 << (n - 1 - op.target)), idx)
+            state = state[..., perm]
+            if density:
+                state = state[:, perm]
+        elif density:
+            state = _apply_noise(state, noise.channel.kind, noise._gammas)
+    return state
+
+
+# circuits whose groups take every shape the kernel compiles
+KERNEL_CASES = {
+    # two Ry on one qubit back to back, twice, and a circuit that ends in rotations
+    "ry-repeat": Circuit(2, (Ry(0, 0), Ry(1, 0), Ry(2, 1), Cx(0, 1), NOISE, Ry(3, 1), Ry(4, 1)), 5),
+    # starts with a noise mark and a CX, ends in a fixed group, odd qubit count
+    "fixed-ends": Circuit(3, (NOISE, Cx(0, 2), Ry(0, 0), Ry(1, 2), NOISE, Cx(2, 1), Ry(2, 1),
+                              Cx(1, 0), NOISE, Cx(0, 2)), 3),
+    "2q-a": build_2q_circuit("a"),
+    "hea-2": build_hea(2),
+    "4q-vqe": build_4q_vqe(),  # three noise marks per fixed group
+    "valley": build_valley_demo(),
+}
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("name", list(KERNEL_CASES))
+def test_simulate_pure_rows_equal_the_step_reference_bit_for_bit(name, m, rng):
+    circuit = KERNEL_CASES[name]
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(m, circuit.n_params))
+    np.testing.assert_array_equal(_simulate(circuit, thetas), step_reference(circuit, thetas))
+
+
+@pytest.mark.parametrize("gamma", [0.27, 1.0])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("name", list(KERNEL_CASES))
+def test_simulate_density_rows_match_the_step_reference(name, kind, gamma, rng):
+    """Grouped density rows agree with the per-op kernel and the tensor Kraus
+    sum, per-qubit scales containing 0, at full strength too (whole blocks
+    vanish), and each row of an offset batch equals that row alone."""
+    circuit = KERNEL_CASES[name]
+    scales = (1.0, 0.0, 0.5, 0.8)[:circuit.n_qubits] if circuit.n_qubits > 1 else (0.7,)
+    spec = NoiseSpec(make_channel(kind, gamma), scales)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(4, circuit.n_params))
+    got = _simulate(circuit, thetas[1:], spec)
+    assert np.abs(got - step_reference(circuit, thetas[1:], spec)).max() <= 1e-13
+    for rho, params in zip(got, thetas[1:]):
+        assert np.abs(rho - tensor_kraus_density(circuit, params, spec)).max() <= 1e-13
+    for i in range(3):
+        np.testing.assert_array_equal(_simulate(circuit, thetas[i + 1:i + 2], spec)[0], got[i])
+
+
+def test_noisy_evaluation_stops_at_max_density_qubits(rng):
+    """Density rows run up to MAX_DENSITY_QUBITS and are refused above it;
+    noiseless rows, and a trivial spec, run at any width without building
+    the density tables."""
+    def brick(n):
+        return Circuit(n, tuple(Ry(q, q) for q in range(n)) + (Cx(0, 1), NOISE, Ry(n, 1)), n + 1)
+
+    widest = brick(MAX_DENSITY_QUBITS)
+    spec = NoiseSpec.uniform("amplitude", 0.3, widest.n_qubits)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(2, widest.n_params))
+    assert np.abs(_simulate(widest, thetas, spec) - step_reference(widest, thetas, spec)).max() <= 1e-13
+    wide = brick(MAX_DENSITY_QUBITS + 1)
+    params = rng.uniform(0.0, 2.0 * np.pi, wide.n_params)
+    with pytest.raises(ValueError, match=f"at most {MAX_DENSITY_QUBITS} qubits"):
+        evaluate(wide, params, NoiseSpec.uniform("amplitude", 0.3, wide.n_qubits))
+    rho = evaluate(wide, params, NoiseSpec.uniform("amplitude", 0.0, wide.n_qubits))
+    np.testing.assert_array_equal(rho.data, evaluate(wide, params).data)
+    np.testing.assert_array_equal(_simulate(wide, params[None]), step_reference(wide, params[None]))
+    assert "_rotation_entries" not in vars(wide) and "_channel_cache" not in vars(wide)
 
 
 def test_ry_matrix_basics():
