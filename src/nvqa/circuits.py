@@ -103,10 +103,6 @@ class Circuit:
         if sorted(seen) != list(range(self.n_params)):
             raise ValueError("each parameter slot must be used by exactly one Ry gate")
 
-    @property
-    def noise_mark_count(self) -> int:
-        return sum(1 for op in self.ops if isinstance(op, NoiseMark))
-
     @cached_property
     def _groups(self) -> tuple[tuple, ...]:
         """The ops compiled for _simulate, built on first evaluation.
@@ -345,6 +341,12 @@ def _check_width(circuit: Circuit, noise: NoiseSpec | None) -> None:
         raise ValueError(f"noise spec covers {noise.n_qubits} qubits, circuit has {circuit.n_qubits}")
 
 
+def _row_noise(circuit: Circuit, noise: NoiseSpec | None) -> NoiseSpec | None:
+    """The spec to run rows under: None (statevector rows) for no noise or strength zero."""
+    _check_width(circuit, noise)
+    return None if noise is None or noise.is_trivial else noise
+
+
 def _rotate(state: np.ndarray, c: np.ndarray, s: np.ndarray, outer: int, inner: int) -> np.ndarray:
     """Ry on the axis of length 2 when each row of state is viewed as (outer, 2, inner)."""
     t = state.reshape(len(c), outer, 2, inner)
@@ -365,13 +367,12 @@ def _expectations(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None,
     order, so a row's value is the same bits in any batch.
     """
     params = np.asarray(params, dtype=float)
-    _check_width(circuit, noise)
-    pure = noise is None or noise.is_trivial
-    rows = max(1, _CHUNK_FLOATS // 2 ** (circuit.n_qubits * (1 if pure else 2)))
+    noise = _row_noise(circuit, noise)
+    rows = max(1, _CHUNK_FLOATS // 2 ** (circuit.n_qubits * (1 if noise is None else 2)))
     out = np.empty(len(params))
     for start in range(0, len(params), rows):
-        state = _simulate(circuit, params[start:start + rows], None if pure else noise)
-        if pure:
+        state = _simulate(circuit, params[start:start + rows], noise)
+        if noise is None:
             out[start:start + rows] = np.einsum("md,dc,mc->m", state, np.real(obs), state)
         else:
             # Tr[O rho] = sum(O * rho) for symmetric O; the C-ordered copy fixes each row's order
@@ -402,8 +403,8 @@ def evaluate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = Non
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.n_params,):
         raise ValueError(f"expected {circuit.n_params} parameters, got shape {params.shape}")
-    _check_width(circuit, noise)
-    if noise is None or noise.is_trivial:
+    noise = _row_noise(circuit, noise)
+    if noise is None:
         psi = evaluate_pure(circuit, params)
         return DensityMatrix(circuit.n_qubits, np.outer(psi, psi.conj()))
     rho = _simulate(circuit, params[None], noise)[0]

@@ -98,6 +98,9 @@ class ExperimentConfig:
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
         object.__setattr__(self, "variants", tuple(self.variants))
+        for name in EXPERIMENTS[self.experiment].get("single", ()):  # more would go unread
+            if len(getattr(self, name)) != 1:
+                raise ValueError(f"{self.experiment} runs one entry of {name}, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -436,12 +439,14 @@ EXPERIMENTS = {
         "runner": run_degeneracy_hist,
         "help": "fidelity histogram over all degenerate optimum images",
         "defaults": dict(gamma_grid=(0.01,), layers=(4,)),
+        "single": ("layers", "gamma_grid"),
     },
     "transition_scan": {
         "runner": run_transition_scan,
         "help": "warm-started gamma scan exposing the optimum transition",
         "defaults": dict(gamma_grid=tuple(np.linspace(0.0, 0.1, 21)),
                          layers=(3,), kinds=("phase",), n_targets=4),
+        "single": ("layers", "kinds"),
     },
     "alpha_beta_table": {
         "runner": run_alpha_beta_table,
@@ -452,6 +457,7 @@ EXPERIMENTS = {
         "runner": run_valley_demo,
         "help": "one-qubit cost surface with and without mid-circuit noise",
         "defaults": dict(gamma_grid=(0.0, 0.4), kinds=("phase",)),
+        "single": ("kinds",),
     },
 }
 

@@ -14,20 +14,15 @@ each result is bit for bit that of the same run made alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .channels import NoiseSpec
-from .circuits import Circuit, _expectations, evaluate
-from .measures import (
-    QualityRecord,
-    concurrence,
-    ground_truth,
-    max_pairwise_concurrence,
-)
+from .circuits import Circuit, _expectations, _row_noise, _simulate, evaluate
+from .measures import QualityRecord, ground_truth, max_pairwise_concurrence
 from .pauli import PauliSum
 from .qstate import DensityMatrix
 
@@ -83,11 +78,12 @@ class CostFn:
         return self.target.data.real.copy()
 
     @cached_property
-    def _reference_state(self) -> DensityMatrix:
-        """Pure state the fidelity quality measure is taken against."""
+    def _reference_matrix(self) -> np.ndarray:
+        """Real part of the pure state the fidelity quality measure is taken
+        against: the target, or the Hamiltonian's ground state."""
         if self.target is not None:
-            return self.target
-        return ground_truth(self.hamiltonian).state
+            return self._obs_matrix
+        return ground_truth(self.hamiltonian).state.data.real.copy()
 
     @property
     def n_params(self) -> int:
@@ -114,19 +110,12 @@ class CostFn:
         return self.with_noise(None)
 
     def quality(self, params: np.ndarray) -> QualityRecord:
-        rho = self.state(params)
-        if self.hamiltonian is not None:
-            e = float(np.einsum("ij,ji->", self._obs_matrix, rho.data).real)
-        else:
-            e = float("nan")
-        ref = self._reference_state
-        f = float(np.einsum("ij,ji->", ref.data, rho.data).real)
-        if rho.n_qubits == 1:
-            c = 0.0
-        elif rho.n_qubits == 2:
-            c = concurrence(rho)
-        else:
-            c = max_pairwise_concurrence(rho)
+        """Energy and fidelity reduce the params row as the cost does, so value(params)
+        is the energy, or 1 - fidelity, bit for bit; concurrence reads the state."""
+        row = np.asarray(params, dtype=float)[None]
+        e = float(self._costs(row)[0]) if self.hamiltonian is not None else float("nan")
+        f = float(_expectations(self.circuit, row, self.noise, self._reference_matrix)[0])
+        c = max_pairwise_concurrence(self.state(params)) if self.circuit.n_qubits > 1 else 0.0
         return QualityRecord(energy=e, fidelity=f, concurrence=c)
 
 
@@ -168,17 +157,24 @@ class MinimizeOptions:
 
 @dataclass(frozen=True)
 class OptResult:
+    """End point of one BFGS run of cost_fn. Its quality is computed on first
+    read and kept, so the results deduplication drops never evaluate one."""
+
     params: np.ndarray
     cost: float
     grad_norm: float
     iterations: int
     converged: bool
-    quality: QualityRecord
+    cost_fn: CostFn = field(repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.params, dtype=float).copy()
         p.flags.writeable = False
         object.__setattr__(self, "params", p)
+
+    @cached_property
+    def quality(self) -> QualityRecord:
+        return self.cost_fn.quality(self.params)
 
 
 def _canonical(params: np.ndarray) -> np.ndarray:
@@ -188,17 +184,16 @@ def _canonical(params: np.ndarray) -> np.ndarray:
 def _finish(cf: CostFn, x: np.ndarray, f: float, g: np.ndarray, iterations: int,
             line_search_ok: bool, opts: MinimizeOptions) -> OptResult:
     """Result of a run that stops at the iterate x, whose cost f and gradient g
-    the loop already holds; params are x reduced to [0, 2*pi)."""
-    params = _canonical(x)
+    the loop already holds; params are x reduced to [0, 2*pi). Evaluates nothing."""
     gnorm = float(np.linalg.norm(g))
     hit_goal = opts.cost_goal is not None and f <= opts.cost_goal
     return OptResult(
-        params=params,
+        params=_canonical(x),
         cost=f,
         grad_norm=gnorm,
         iterations=iterations,
         converged=line_search_ok and (gnorm <= _GRAD_TOL or hit_goal),
-        quality=cf.quality(params),
+        cost_fn=cf,
     )
 
 
@@ -311,27 +306,25 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
     return _minimize_rows(cf, np.asarray(theta0, dtype=float)[None], opts)[0]
 
 
-def _state_overlap(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Normalized Hilbert-Schmidt overlap; equals fidelity for pure states."""
-    num = np.einsum("ij,ji->", a.data, b.data).real
-    den = np.sqrt(a.purity() * b.purity())
-    return float(num / den)
-
-
 def _dedup(cf: CostFn, results: list[OptResult]) -> list[OptResult]:
+    """Results in cost order, less each one whose cost is within 1e-6 of a kept
+    one's and whose output state has normalised Hilbert-Schmidt overlap
+    Tr[a b] / sqrt(Tr[a^2] Tr[b^2]) >= 1 - 1e-6 with it. One kernel call gives
+    all output rows; scaled to unit norm, the overlap is their dot product,
+    squared for statevectors."""
     ordered = sorted(results, key=lambda r: r.cost)
-    reps: list[OptResult] = []
-    states: list[DensityMatrix] = []
-    for r in ordered:
-        rho = cf.state(r.params)
-        dup = any(
-            abs(r.cost - rep.cost) <= _DEDUP_TOL and _state_overlap(rho, st) >= 1.0 - _DEDUP_TOL
-            for rep, st in zip(reps, states)
-        )
-        if not dup:
-            reps.append(r)
-            states.append(rho)
-    return reps
+    noise = _row_noise(cf.circuit, cf.noise)
+    rows = _simulate(cf.circuit, np.array([r.params for r in ordered]), noise).reshape(len(ordered), -1)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    keep: list[int] = []
+    for i, r in enumerate(ordered):
+        near = [k for k in keep if abs(r.cost - ordered[k].cost) <= _DEDUP_TOL]
+        overlap = rows[near] @ rows[i]
+        if noise is None:
+            overlap = overlap ** 2
+        if not np.any(overlap >= 1.0 - _DEDUP_TOL):
+            keep.append(i)
+    return [ordered[k] for k in keep]
 
 
 def multistart(cf: CostFn, n_starts: int, seed: int) -> list[OptResult]:
@@ -377,13 +370,12 @@ def sweep_gamma(make_cost: Callable[[float], CostFn], gammas, mode: str = "track
 def reoptimize_from(cf: CostFn, theta_star: np.ndarray) -> tuple[OptResult, OptResult]:
     """Evaluate-then-reoptimize a noisy cost from a noiseless optimum.
 
-    Returns (non_reopt, reopt). non_reopt freezes theta_star and just
-    evaluates the noisy cost there; reopt continues minimizing under noise,
-    so reopt.cost <= non_reopt.cost up to line-search roundoff.
+    Returns (non_reopt, reopt). non_reopt freezes theta_star: a zero-iteration
+    run, holding the noisy cost and gradient there. reopt continues minimizing
+    under noise, so reopt.cost <= non_reopt.cost up to line-search roundoff.
     """
     theta_star = _canonical(np.asarray(theta_star, dtype=float))
-    non_reopt = _finish(cf, theta_star, cf.value(theta_star), gradient(cf, theta_star), 0, True,
-                        MinimizeOptions())
+    non_reopt = minimize(cf, theta_star, MinimizeOptions(max_iters=0))
     reopt = minimize(cf, theta_star)
     if reopt.cost > non_reopt.cost:
         reopt = non_reopt

@@ -20,7 +20,30 @@ from nvqa.harness import (
 
 TINY = {
     "vqe2q": dict(gamma_grid=(0.0, 0.2), variants=("a",), n_starts_2q=8),
+    "vqe4q": dict(gamma_grid=(0.0, 0.05), n_starts_4q=3),
+    "vqe_unequal": dict(gamma_grid=(0.0, 0.2), n_starts_2q=4),
+    "target_fidelity": dict(layers=(2,), n_targets=1, gamma_grid=(1e-3,)),
+    "degeneracy_hist": dict(layers=(2,)),
+    "transition_scan": dict(layers=(2,), n_targets=1, gamma_grid=(0.0, 0.05, 0.1)),
+    "alpha_beta_table": dict(n_samples=20),
     "valley_demo": dict(gamma_grid=(0.0, 0.4)),
+}
+
+_MINIMA = ("gamma", "minimum_index", "cost", "energy", "fidelity", "concurrence",
+           "grad_norm", "converged")
+COLUMNS = {
+    "vqe2q": ("variant", "kind") + _MINIMA,
+    "vqe4q": ("kind",) + _MINIMA,
+    "vqe_unequal": ("scale_q0", "scale_q1", "kind") + _MINIMA,
+    "target_fidelity": ("kind", "layers", "gamma", "target_index", "reopt", "residual_id",
+                        "infidelity", "fidelity", "concurrence", "converged"),
+    "degeneracy_hist": ("kind", "gamma", "map_index", "fidelity"),
+    "transition_scan": ("target_index", "kind", "layers", "gamma", "fidelity_noisy",
+                        "concurrence_noisy", "fidelity_clean", "concurrence_clean",
+                        "theta0", "theta1", "theta2", "theta3", "jump", "flagged"),
+    "alpha_beta_table": ("kind", "n_qubits", "n_samples", "alpha", "beta",
+                         "stderr_alpha", "stderr_beta"),
+    "valley_demo": ("kind", "gamma", "i", "j", "theta0", "theta1", "cost"),
 }
 
 
@@ -101,6 +124,29 @@ def test_vqe2q_runner_output_shape():
     # noiseless ground energy appears in the gamma=0 rows
     e0 = min(row[cols.index("cost")] for row in rec.rows if row[cols.index("gamma")] == 0.0)
     assert abs(e0 - (-np.sqrt(5.0))) < 1e-6
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_every_experiment_runs_end_to_end(experiment, tmp_path):
+    """Each experiment at a tiny config, run twice: byte-identical CSVs with
+    the experiment's columns, at least one row, and only finite numbers."""
+    cfg = tiny_config(experiment)
+    first, (csv_a, _) = run_and_write(cfg, tmp_path / "a")
+    second, (csv_b, _) = run_and_write(cfg, tmp_path / "b")
+    assert first is not None and second is not None
+    assert csv_a.read_bytes() == csv_b.read_bytes()
+    header, *lines = csv_a.read_text().splitlines()
+    assert tuple(header.split(",")) == COLUMNS[experiment]
+    assert lines
+    for line in lines:
+        cells = line.split(",")
+        assert len(cells) == len(COLUMNS[experiment])
+        for cell in cells:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # a kind or variant name
+            assert np.isfinite(value), line
 
 
 def test_runs_are_deterministic():
@@ -276,12 +322,19 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     ("alpha_beta_table", {"layers": [2.7], "n_samples": 2}, []),
     ("vqe2q", {"variants": ["d"], "gamma_grid": [0.0], "n_starts_2q": 1}, []),
     ("vqe2q", {"gamma_grid": [True], "variants": ["a"], "n_starts_2q": 1}, []),
+    ("valley_demo", {"kinds": ["phase", "amplitude"]}, []),
+    ("transition_scan", {"kinds": ["phase", "amplitude"], "n_targets": 1}, []),
+    ("transition_scan", {"layers": [2, 3], "n_targets": 1}, []),
+    ("degeneracy_hist", {"layers": [2, 4]}, []),
+    ("degeneracy_hist", {"gamma_grid": [0.01, 0.02]}, []),
 ], ids=["empty-gamma-grid", "empty-kinds", "empty-layers", "zero-starts", "negative-seed",
         "empty-variants", "float-seed", "float-starts", "float-layers", "unknown-variant",
-        "bool-gamma"])
+        "bool-gamma", "valley-two-kinds", "scan-two-kinds", "scan-two-layers",
+        "hist-two-layers", "hist-two-gammas"])
 def test_cli_rejects_configs_that_cannot_run(experiment, payload, args, tmp_path, capsys):
-    """Configs that used to fail mid-run, or write an empty CSV, are refused
-    before any work starts."""
+    """Configs that used to fail mid-run, write an empty CSV, or run only the
+    first of several kinds, layer counts or gammas are refused before any
+    work starts."""
     payload = dict(payload, output_dir=str(tmp_path / "res"))
     assert main(["run", experiment, "--config", _write_cfg(tmp_path, payload)] + args) == 1
     assert "invalid config" in capsys.readouterr().err

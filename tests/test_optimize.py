@@ -466,8 +466,9 @@ def test_minimize_does_not_stall_on_the_roundoff_floor(variant, noise, seed, sha
     unconverged at grad norm 2e-8 and 1e-8; on the amplitude start it
     recovered after 16 iterations."""
     cf = energy_cost(build_2q_circuit(variant), H2, noise)
-    log = ValuesLog(monkeypatch, cf.n_params)
     theta0 = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, shape)[row]
+    assert armijo_reference(cf, theta0, MinimizeOptions()) is None
+    log = ValuesLog(monkeypatch, cf.n_params)
     res = minimize(cf, theta0)
     assert res.converged
     assert res.grad_norm <= 1e-8
@@ -597,6 +598,154 @@ def test_reoptimize_from_never_loses_to_frozen_params(rng):
     assert non_reopt.grad_norm == float(np.linalg.norm(gradient(cf, base.params)))
     assert non_reopt.converged == (non_reopt.grad_norm <= 1e-8)
     assert reopt.cost <= non_reopt.cost + 1e-9
+
+
+def frozen_reference(cf: CostFn, theta_star: np.ndarray) -> OptResult:
+    """The frozen result reoptimize_from built before it was a zero-iteration
+    minimize run: one cf.value and one gradient at the reduced angles."""
+    theta_star = np.mod(np.asarray(theta_star, dtype=float), 2.0 * np.pi)
+    return _finish(cf, theta_star, cf.value(theta_star), gradient(cf, theta_star), 0, True,
+                   MinimizeOptions())
+
+
+@pytest.mark.parametrize("kind", ["phase", "amplitude", "depolarising"])
+@pytest.mark.parametrize("circuit", [build_2q_circuit("a"), build_2q_circuit("c"), build_hea(2)],
+                         ids=["2q-a", "2q-c", "hea-2"])
+def test_reoptimize_from_freezes_like_the_value_and_gradient_it_replaced(circuit, kind, rng):
+    """The zero-iteration run equals the separate cf.value + gradient
+    construction field for field, also from angles outside [0, 2*pi)."""
+    n = circuit.n_qubits
+    cf = infidelity_cost(circuit, sample_real_haar_state(n, rng), NoiseSpec.uniform(kind, 0.1, n))
+    for theta_star in rng.uniform(-2.0 * np.pi, 4.0 * np.pi, (3, circuit.n_params)):
+        non_reopt, _ = reoptimize_from(cf, theta_star)
+        want = frozen_reference(cf, theta_star)
+        assert_same_run(non_reopt, want)
+        assert non_reopt.cost_fn is cf
+        got_q, want_q = non_reopt.quality, want.quality
+        assert (got_q.fidelity, got_q.concurrence) == (want_q.fidelity, want_q.concurrence)
+
+
+@pytest.mark.parametrize("kind", [None, "phase", "amplitude", "depolarising"])
+@pytest.mark.parametrize("circuit", [build_2q_circuit("a"), build_2q_circuit("c"), build_hea(2),
+                                     build_4q_vqe()], ids=["2q-a", "2q-c", "hea-2", "4q-vqe"])
+def test_quality_energy_and_fidelity_are_the_cost_bit_for_bit(circuit, kind, rng):
+    """quality reduces the params row as the cost does: an energy cost's value
+    is its energy, and an infidelity cost's value is 1 - fidelity, bit for
+    bit. The energy cost's fidelity is taken against the ground state."""
+    from nvqa.measures import fidelity
+
+    n = circuit.n_qubits
+    spec = None if kind is None else NoiseSpec.uniform(kind, 0.1, n)
+    h = H2 if n == 2 else _h4()
+    ecf = energy_cost(circuit, h, spec)
+    icf = infidelity_cost(circuit, sample_real_haar_state(n, rng), spec)
+    ground = ground_truth(h).state
+    for p in rng.uniform(0.0, 2.0 * np.pi, (3, circuit.n_params)):
+        q = ecf.quality(p)
+        assert q.energy == ecf.value(p)
+        assert abs(q.fidelity - fidelity(ground, ecf.state(p))) < 1e-12
+        assert 1.0 - icf.quality(p).fidelity == icf.value(p)
+        assert np.isnan(icf.quality(p).energy)
+
+
+def test_runs_evaluate_no_quality(monkeypatch, rng):
+    """Lockstep runs, multistart, tracked sweeps, restarts and reoptimization
+    return results without evaluating the quality of any of them."""
+    from nvqa.harness import optimize_to_target
+
+    def refused(cf, params):
+        raise AssertionError("quality evaluated")
+
+    monkeypatch.setattr(CostFn, "quality", refused)
+    cf = energy_cost(build_2q_circuit("a"), H2, NoiseSpec.uniform("amplitude", 0.3, 2))
+    _minimize_rows(cf, rng.uniform(0.0, 2.0 * np.pi, (4, cf.n_params)))
+    best = multistart(cf, n_starts=8, seed=0)[0]
+    sweep_gamma(lambda g: energy_cost(build_2q_circuit("a"), H2, NoiseSpec.uniform("phase", g, 2)),
+                (0.1, 0.2), mode="track", n_starts=6, seed=1)
+    reoptimize_from(cf, best.params)
+    optimize_to_target(build_hea(2), sample_real_haar_state(4, rng), seed=3)
+
+
+def test_result_quality_is_computed_on_first_read(monkeypatch, rng):
+    """A result evaluates its quality through its cost function when first
+    read, and keeps it."""
+    cf = energy_cost(build_2q_circuit("c"), H2, NoiseSpec.uniform("depolarising", 0.2, 2))
+    [res] = _minimize_rows(cf, rng.uniform(0.0, 2.0 * np.pi, (1, cf.n_params)))
+    read, quality = [], CostFn.quality
+
+    def counted(c, params):
+        read.append(c)
+        return quality(c, params)
+
+    monkeypatch.setattr(CostFn, "quality", counted)
+    first = res.quality
+    assert read == [cf]
+    assert res.quality is first
+    assert read == [cf]
+    assert first == cf.quality(res.params)
+    assert "cost_fn" not in repr(res)
+
+
+def state_overlap_reference(a, b) -> float:
+    """Normalized Hilbert-Schmidt overlap Tr[a b] / sqrt(Tr[a^2] Tr[b^2])."""
+    num = np.einsum("ij,ji->", a.data, b.data).real
+    return float(num / np.sqrt(a.purity() * b.purity()))
+
+
+def dedup_reference(cf: CostFn, results: list[OptResult]) -> list[OptResult]:
+    """_dedup as it was before one kernel call gave every output state: each
+    result's DensityMatrix from cf.state, compared with every survivor's."""
+    reps, states = [], []
+    for r in sorted(results, key=lambda r: r.cost):
+        rho = cf.state(r.params)
+        if not any(abs(r.cost - rep.cost) <= 1e-6 and state_overlap_reference(rho, st) >= 1.0 - 1e-6
+                   for rep, st in zip(reps, states)):
+            reps.append(r)
+            states.append(rho)
+    return reps
+
+
+DEDUP_NOISE = [None, ("phase", 0.0), ("phase", 0.2), ("amplitude", 0.3), ("depolarising", 0.2)]
+DEDUP_IDS = ["none", "trivial", "phase", "amplitude", "depolarising"]
+
+
+def _spec(noise, n):
+    return None if noise is None else NoiseSpec.uniform(noise[0], noise[1], n)
+
+
+@pytest.mark.parametrize("noise", DEDUP_NOISE, ids=DEDUP_IDS)
+def test_multistart_keeps_the_reference_representatives(noise, monkeypatch):
+    """The one-call dedup keeps the representatives the per-state comparison
+    kept, in the same order. ZZ has two degenerate ground states, so minima
+    of one cost stay apart on their states alone."""
+    from nvqa.pauli import PauliSum
+
+    seen = record_dedup_inputs(monkeypatch)
+    cases = [(energy_cost(build_2q_circuit(v), h, _spec(noise, 2)), 24)
+             for v in "ac" for h in (H2, PauliSum(2, ((1.0, "ZZ"),)))]
+    cases.append((energy_cost(build_hea(2), _h4(), _spec(noise, 4)), 8))
+    merged = tied = False
+    for cf, n_starts in cases:
+        got = multistart(cf, n_starts=n_starts, seed=4)
+        assert [id(r) for r in got] == [id(r) for r in dedup_reference(cf, seen[-1])]
+        merged |= len(got) < n_starts
+        tied |= any(abs(a.cost - b.cost) <= 1e-6 for a, b in zip(got, got[1:]))
+    assert merged and tied
+
+
+@pytest.mark.parametrize("noise", DEDUP_NOISE, ids=DEDUP_IDS)
+def test_tracked_sweep_keeps_the_reference_representatives(noise, monkeypatch):
+    seen = record_dedup_inputs(monkeypatch)
+
+    def make_cost(g: float):
+        spec = None if noise is None else NoiseSpec.uniform(noise[0], noise[1] + g, 2)
+        return energy_cost(build_2q_circuit("a"), H2, spec)
+
+    gammas = (0.0, 0.05, 0.1)
+    sweeps = sweep_gamma(make_cost, gammas, mode="track", n_starts=16, seed=2)
+    assert len(seen) == len(gammas)
+    for g, runs, got in zip(gammas, seen, sweeps):
+        assert [id(r) for r in got] == [id(r) for r in dedup_reference(make_cost(g), runs)]
 
 
 def test_reoptimize_pair_runs_end_to_end():
