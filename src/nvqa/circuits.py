@@ -8,6 +8,8 @@ Statevector rows apply each Ry and one gather per fixed group. Density rows
 apply each rotation group as one U rho U^T and each fixed group, with the
 product noise channel at its markers, as one product with blocks composed
 once per noise spec; _expectations alone reduces the rows to Tr[O rho].
+_expectation_gradients takes d Tr[O rho] / d theta of density rows in
+reverse mode: one forward pass, then the adjoint of each group in reverse.
 The blocks grow as 8^n floats, so noisy evaluation stops at
 MAX_DENSITY_QUBITS qubits; noiseless evaluation runs up to MAX_QUBITS.
 """
@@ -154,6 +156,18 @@ class Circuit:
         return tuple(out)
 
     @cached_property
+    def _rotation_traces(self) -> tuple[tuple, ...]:
+        """For each rotation group, (slots, entries, signs) for the reverse pass
+        of _expectation_gradients: the group's parameter slots and, per Ry of
+        weight w = dim // 2^(q+1), the flat entries (i ^ w, i) of a product
+        rho lambda whose signed sum is Tr[2 K_q rho lambda]."""
+        dim = 2 ** self.n_qubits
+        idx = np.arange(dim)
+        return tuple((np.array([p for p, *_ in rys]), np.array([(idx ^ w) * dim + idx for *_, w in rys]),
+                      np.array([np.where(idx & w, 1.0, -1.0) for *_, w in rys]))
+                     for rys, perm in self._groups if perm is None)
+
+    @cached_property
     def _channel_cache(self) -> dict:
         """The fixed-group blocks of the last (kind, gammas), filled by _channel_blocks."""
         return {}
@@ -218,7 +232,8 @@ def build_valley_demo() -> Circuit:
     return Circuit(1, (Ry(0, 0), NOISE, Ry(1, 0)), 2)
 
 
-def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = None) -> np.ndarray:
+def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = None,
+              tape: list | None = None) -> np.ndarray:
     """Output states for every row of an (m, n_params) parameter array.
 
     Returns real statevectors of shape (m, 2^n) when noise is None (noise
@@ -233,7 +248,9 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
     product with its precomposed blocks (_channel_blocks). Every product is
     a stacked per-row matmul, so no BLAS call spans rows and a row's bits do
     not depend on its batch. Density rows are refused above
-    MAX_DENSITY_QUBITS qubits.
+    MAX_DENSITY_QUBITS qubits. A tape list, given with density rows, is
+    appended (rho, U) before each rotation group, for the reverse
+    pass of _expectation_gradients.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != circuit.n_params:
@@ -273,11 +290,65 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
             u = f[:, 0]
             for q in range(1, circuit.n_qubits):
                 u = u * f[:, q]  # the Kronecker product of the rotations, qubit 0 first
+            if tape is not None:
+                tape.append((rho, u))
             rho = u @ rho @ u.transpose(0, 2, 1)
         else:
-            src, blk, back = next(blocks)
-            rho = (blk @ rho.reshape(m, -1)[:, src, None]).reshape(m, -1)[:, back]
+            src, blk, back, _ = next(blocks)
+            rho = _fixed(rho, src, blk, back)
     return rho
+
+
+def _fixed(rho: np.ndarray, src: np.ndarray, blk: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """One fixed group on (m, dim, dim) rows: gather by src, one block product
+    per coherence pattern, gather back."""
+    m = len(rho)
+    return (blk @ rho.reshape(m, -1)[:, src, None]).reshape(m, -1)[:, back]
+
+
+def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: NoiseSpec,
+                           obs: np.ndarray) -> np.ndarray:
+    """d Tr[Re(obs) rho] / d theta, shape (m, n_params), for the density output
+    of every row of an (m, n_params) array, by reverse mode.
+
+    The forward pass is _simulate's, keeping rho before each rotation group.
+    lambda = Re(obs) then runs back through the groups. A fixed group takes
+    it through its transpose (_channel_blocks), a rotation group through
+    lambda <- U^T lambda U. Rotations on distinct qubits commute, so the
+    Ry on qubit q has dU/dtheta = U K_q, K_q = [[0, -1], [1, 0]] / 2 on q;
+    with lambda and rho symmetric, dC/dtheta = 2 Tr[U K_q rho U^T lambda] =
+    Tr[2 K_q rho lambda'], lambda' the updated lambda. Rows run in the
+    chunks of _expectations and every product is per row, so a row's
+    gradient has the same bits in any batch. A zero-strength spec still
+    runs density rows; None is refused.
+    """
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2 or params.shape[1] != circuit.n_params:
+        raise ValueError(f"expected shape (m, {circuit.n_params}), got {params.shape}")
+    if noise is None:
+        raise ValueError("adjoint gradients run density rows: pass a NoiseSpec")
+    dim = 2 ** circuit.n_qubits
+    obs = np.real(obs)
+    rows = max(1, _CHUNK_FLOATS // dim ** 2)
+    out = np.empty(params.shape)
+    for start in range(0, len(params), rows):
+        chunk = params[start:start + rows]
+        tape: list = []
+        _simulate(circuit, chunk, noise, tape)
+        lam = np.repeat(obs[None], len(chunk), axis=0)
+        blocks = reversed(_channel_blocks(circuit, noise))
+        for _, perm in reversed(circuit._groups):
+            if perm is None:
+                rho, u = tape.pop()
+                lam = u.transpose(0, 2, 1) @ lam @ u
+                slots, entries, signs = circuit._rotation_traces[len(tape)]
+                # the gather leaves rows innermost; the C-ordered copy fixes each row's order
+                prod = np.ascontiguousarray((rho @ lam).reshape(len(chunk), -1)[:, entries])
+                out[start:start + len(chunk), slots] = np.einsum("mki,ki->mk", prod, signs)
+            else:
+                _, blk, _, (back_inv, src_inv) = next(blocks)
+                lam = _fixed(lam, back_inv, blk.transpose(0, 2, 1), src_inv)
+    return out
 
 
 def _cx_perm(n_qubits: int, op: Cx) -> np.ndarray:
@@ -288,14 +359,18 @@ def _cx_perm(n_qubits: int, op: Cx) -> np.ndarray:
 
 
 def _channel_blocks(circuit: Circuit, noise: NoiseSpec) -> tuple[tuple, ...]:
-    """(src, blocks, back) for each fixed group of the circuit under the spec.
+    """(src, blocks, back, (back_inv, src_inv)) for each fixed group of the
+    circuit under the spec.
 
     Every channel keeps the coherence pattern y = i ^ j of an entry rho[i, j],
     and a CX maps patterns linearly: output pattern y is fed by input pattern
     perm[y] alone. So a fixed group's map splits into one dim x dim block per
     pattern. rho.reshape(m, -1)[:, src] lists the entries (k, k ^ perm[y]) in
     (y, k) order, blocks[y] maps them to the entries (i, i ^ y), and back
-    gathers the (y, i) result into row-major order. Identical groups are
+    gathers the (y, i) result into row-major order. src and back are
+    permutations of the dim^2 entries, so the group's transpose is the same
+    product with the inverse gathers: back_inv, the transposed blocks, then
+    src_inv (_expectation_gradients). Identical groups are
     composed once, and a circuit keeps the blocks of its last (kind, gammas)
     only, which bounds their memory: every study runs one spec at a time, so
     a longer cache would save only the recompose when a study comes back to
@@ -308,11 +383,13 @@ def _channel_blocks(circuit: Circuit, noise: NoiseSpec) -> tuple[tuple, ...]:
         n = circuit.n_qubits
         idx = np.arange(2 ** n)
         back = (idx[:, None] ^ idx) * 2 ** n + idx[:, None]
+        back_inv = np.argsort(back.ravel()).reshape(back.shape)
         composed: dict[tuple, tuple] = {}
         for ops, perm in circuit._groups:
             if perm is not None and ops not in composed:
                 blocks = np.stack([_pattern_block(n, ops, x, y, *key) for y, x in enumerate(perm)])
-                composed[ops] = (idx * 2 ** n + (idx ^ perm[:, None]), blocks, back)
+                src = idx * 2 ** n + (idx ^ perm[:, None])
+                composed[ops] = (src, blocks, back, (back_inv, np.argsort(src.ravel()).reshape(src.shape)))
         cache[key] = tuple(composed[ops] for ops, perm in circuit._groups if perm is not None)
     return cache[key]
 
@@ -371,14 +448,26 @@ def _expectations(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None,
     rows = max(1, _CHUNK_FLOATS // 2 ** (circuit.n_qubits * (1 if noise is None else 2)))
     out = np.empty(len(params))
     for start in range(0, len(params), rows):
-        state = _simulate(circuit, params[start:start + rows], noise)
-        if noise is None:
-            out[start:start + rows] = np.einsum("md,dc,mc->m", state, np.real(obs), state)
-        else:
-            # Tr[O rho] = sum(O * rho) for symmetric O; the C-ordered copy fixes each row's order
-            flat = np.ascontiguousarray(state).reshape(len(state), -1)
-            out[start:start + rows] = np.einsum("mk,k->m", flat, np.real(obs).ravel())
+        out[start:start + rows] = _reduce(_simulate(circuit, params[start:start + rows], noise), noise, obs)
     return out
+
+
+def _reduce(state: np.ndarray, noise: NoiseSpec | None, obs: np.ndarray) -> np.ndarray:
+    """Tr[Re(obs) rho] for each output row of one _simulate call under noise,
+    in a fixed order per row."""
+    if noise is None:
+        return np.einsum("md,dc,mc->m", state, np.real(obs), state)
+    # Tr[O rho] = sum(O * rho) for symmetric O; the C-ordered copy fixes each row's order
+    flat = np.ascontiguousarray(state).reshape(len(state), -1)
+    return np.einsum("mk,k->m", flat, np.real(obs).ravel())
+
+
+def _as_density_matrix(n_qubits: int, state: np.ndarray, noise: NoiseSpec | None) -> DensityMatrix:
+    """The DensityMatrix of one output row of _simulate under noise."""
+    if noise is None:
+        psi = state.astype(complex)
+        return DensityMatrix(n_qubits, np.outer(psi, psi.conj()))
+    return DensityMatrix(n_qubits, 0.5 * (state + state.T))
 
 
 def evaluate_pure(circuit: Circuit, params: np.ndarray) -> np.ndarray:
@@ -404,11 +493,7 @@ def evaluate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = Non
     if params.shape != (circuit.n_params,):
         raise ValueError(f"expected {circuit.n_params} parameters, got shape {params.shape}")
     noise = _row_noise(circuit, noise)
-    if noise is None:
-        psi = evaluate_pure(circuit, params)
-        return DensityMatrix(circuit.n_qubits, np.outer(psi, psi.conj()))
-    rho = _simulate(circuit, params[None], noise)[0]
-    return DensityMatrix(circuit.n_qubits, 0.5 * (rho + rho.T))
+    return _as_density_matrix(circuit.n_qubits, _simulate(circuit, params[None], noise)[0], noise)
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

@@ -1,15 +1,22 @@
 """Cost functions over circuit parameters and a BFGS minimizer.
 
-Gradients use the exact parameter-shift rule, valid because every parameter
-enters through a single Ry rotation and the noise channels do not depend on
-the parameters. The minimizer is a dense inverse-Hessian BFGS with Armijo
-backtracking, deterministic for fixed inputs. Once a backtracked step is too
+The public gradient is the exact parameter-shift rule, valid because every
+parameter enters through a single Ry rotation and the noise channels do not
+depend on the parameters. The minimizer takes its gradients by that rule too,
+except on density rows of at least _ADJOINT_QUBITS qubits, where one
+reverse-mode pass (circuits._expectation_gradients, as in Jones and Gacon,
+arXiv:2009.02823, carried over to density matrices) gives the same gradient
+to roundoff for a fraction of the cost of the 2P shifted circuits.
+
+The minimizer is a dense inverse-Hessian BFGS with Armijo backtracking,
+deterministic for fixed inputs. Once a backtracked step is too
 short for the cost to resolve its decrease, the step is judged instead by the
 approximate Wolfe test of Hager and Zhang (SIAM J. Optim. 16, 2005), which
 reads the directional derivative; a step that fails it ends the run unconverged.
 
-Independent starts advance in lockstep, sharing one cost batch per round;
-each result is bit for bit that of the same run made alone.
+Independent starts advance in lockstep, sharing one cost batch, and one
+adjoint gradient batch, per round; each result is bit for bit that of the
+same run made alone.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .channels import NoiseSpec
-from .circuits import Circuit, _expectations, _row_noise, _simulate, evaluate
+from .circuits import (Circuit, _as_density_matrix, _expectation_gradients, _expectations, _reduce,
+                       _row_noise, _simulate, evaluate)
 from .measures import QualityRecord, ground_truth, max_pairwise_concurrence
 from .pauli import PauliSum
 from .qstate import DensityMatrix
@@ -44,6 +52,14 @@ _MAX_BACKTRACKS = 60
 
 # Two minima are one when their costs and their output states agree this closely.
 _DEDUP_TOL = 1e-6
+
+# Density rows on at least this many qubits take the loop's gradients by the
+# adjoint method, the rest by the 2P shift rows. One gradient, one BLAS thread:
+# HEA L=4 under amplitude damping 261 us adjoint against 1,274 us shift; 2q
+# variant c under depolarising 95 us either way. With every density row on the
+# adjoint, vqe2q_sweep read level (median 0.49 s either way, six alternated
+# pairs), so narrower rows keep the shift rows and their results' bits.
+_ADJOINT_QUBITS = 4
 
 
 @dataclass(frozen=True)
@@ -100,6 +116,16 @@ class CostFn:
         v = _expectations(self.circuit, params, self.noise, self._obs_matrix)
         return v if self.hamiltonian is not None else 1.0 - v
 
+    @property
+    def _adjoint(self) -> bool:
+        """Whether the BFGS loop takes this cost's gradients by _gradients."""
+        return self.circuit.n_qubits >= _ADJOINT_QUBITS and _row_noise(self.circuit, self.noise) is not None
+
+    def _gradients(self, params: np.ndarray) -> np.ndarray:
+        """Adjoint gradients of the cost at every row of an (m, n_params) array."""
+        g = _expectation_gradients(self.circuit, params, self.noise, self._obs_matrix)
+        return g if self.hamiltonian is not None else -g
+
     def state(self, params: np.ndarray) -> DensityMatrix:
         return evaluate(self.circuit, np.asarray(params, dtype=float), self.noise)
 
@@ -110,12 +136,15 @@ class CostFn:
         return self.with_noise(None)
 
     def quality(self, params: np.ndarray) -> QualityRecord:
-        """Energy and fidelity reduce the params row as the cost does, so value(params)
-        is the energy, or 1 - fidelity, bit for bit; concurrence reads the state."""
-        row = np.asarray(params, dtype=float)[None]
-        e = float(self._costs(row)[0]) if self.hamiltonian is not None else float("nan")
-        f = float(_expectations(self.circuit, row, self.noise, self._reference_matrix)[0])
-        c = max_pairwise_concurrence(self.state(params)) if self.circuit.n_qubits > 1 else 0.0
+        """All three measures from one output row. Energy and fidelity reduce it
+        as the cost does, so value(params) is the energy, or 1 - fidelity, bit
+        for bit; concurrence reads it as the state evaluate returns."""
+        noise = _row_noise(self.circuit, self.noise)
+        row = _simulate(self.circuit, np.asarray(params, dtype=float)[None], noise)
+        e = float(_reduce(row, noise, self._obs_matrix)[0]) if self.hamiltonian is not None else float("nan")
+        f = float(_reduce(row, noise, self._reference_matrix)[0])
+        n = self.circuit.n_qubits
+        c = max_pairwise_concurrence(_as_density_matrix(n, row[0], noise)) if n > 1 else 0.0
         return QualityRecord(energy=e, fidelity=f, concurrence=c)
 
 
@@ -197,12 +226,18 @@ def _finish(cf: CostFn, x: np.ndarray, f: float, g: np.ndarray, iterations: int,
     )
 
 
-def _bfgs(x: np.ndarray, opts: MinimizeOptions):
-    """One BFGS run from x, as a generator: it yields each batch of parameter
-    rows it needs costed, is sent back their costs, and returns the final
-    (x, f, g, iterations, line_search_ok) for _finish."""
-    vals = yield np.vstack([x, _shift_rows(x)])
-    f, g = float(vals[0]), _shift_gradient(vals[1:])
+def _bfgs(x: np.ndarray, opts: MinimizeOptions, adjoint: bool):
+    """One BFGS run from x, as a generator. It yields two kinds of request:
+    a 2-D batch of parameter rows it needs costed, sent back their costs, or
+    (adjoint) a 1-D point, sent back its gradient. It returns the final
+    (x, f, g, iterations, line_search_ok) for _finish. Without adjoint the
+    start point rides in one batch with its shift rows."""
+    if adjoint:
+        f = float((yield x[None])[0])
+        g = yield x
+    else:
+        vals = yield np.vstack([x, _shift_rows(x)])
+        f, g = float(vals[0]), _shift_gradient(vals[1:])
     h = np.eye(x.size)
     first_update = True
     for it in range(opts.max_iters):
@@ -226,7 +261,7 @@ def _bfgs(x: np.ndarray, opts: MinimizeOptions):
             if -alpha * slope <= eps_f:
                 # the cost cannot resolve this decrease: judge the step by
                 # the slope at the trial point instead of crawling on
-                g_new = _shift_gradient((yield _shift_rows(x_new)))
+                g_new = (yield x_new) if adjoint else _shift_gradient((yield _shift_rows(x_new)))
                 dslope = float(g_new @ p)
                 if (f_new <= f + eps_f
                         and _WOLFE_SIGMA * slope <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope):
@@ -236,7 +271,7 @@ def _bfgs(x: np.ndarray, opts: MinimizeOptions):
         else:
             return x, f, g, it, False
         if g_new is None:
-            g_new = _shift_gradient((yield _shift_rows(x_new)))
+            g_new = (yield x_new) if adjoint else _shift_gradient((yield _shift_rows(x_new)))
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -255,28 +290,41 @@ def _bfgs(x: np.ndarray, opts: MinimizeOptions):
 def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None = None) -> list[OptResult]:
     """One independent BFGS run from each row of an (S, n_params) array, in lockstep.
 
-    Every round makes one cf.values call over the pending rows of all runs
-    still going: a run's start point and its 2P shift rows, one trial point
-    at the run's own step length, or 2P gradient rows. A row's cost does not
-    depend on its batch, so each result is bit for bit that of a serial run.
+    Each round serves the pending requests of all runs still going. Density
+    rows on at least _ADJOINT_QUBITS qubits take each gradient by the adjoint
+    method: one cf._gradients call serves every pending gradient point, and
+    one cf.values call every pending cost row (a start point or a trial
+    point at the run's own step length). Other rows take the parameter-shift
+    rule, and one cf.values call serves everything: a start point with its
+    2P shift rows, a trial point, or 2P gradient rows. A row's cost and
+    gradient do not depend on its batch, so each result is bit for bit that
+    of a serial run.
     """
     opts = opts or MinimizeOptions()
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != cf.n_params:
         raise ValueError(f"expected shape (S, {cf.n_params}), got {starts.shape}")
-    runs = [_bfgs(x, opts) for x in starts]
+    adjoint = cf._adjoint
+    runs = [_bfgs(x, opts, adjoint) for x in starts]
     pending = {i: run.send(None) for i, run in enumerate(runs)}
     results: list[OptResult | None] = [None] * len(runs)
     while pending:
-        vals = cf.values(np.concatenate(list(pending.values())))
+        requests = list(pending.items())
+        rows = [r for _, r in requests if r.ndim == 2]
+        vals = cf.values(np.concatenate(rows)) if rows else None
+        points = [x for _, x in requests if x.ndim == 1]
+        grads = iter(cf._gradients(np.array(points))) if points else None
         at = 0
-        for i, rows in list(pending.items()):
+        for i, req in requests:
+            if req.ndim == 1:
+                reply = next(grads)
+            else:
+                reply, at = vals[at:at + len(req)], at + len(req)
             try:
-                pending[i] = runs[i].send(vals[at:at + len(rows)])
+                pending[i] = runs[i].send(reply)
             except StopIteration as stop:
                 del pending[i]
                 results[i] = _finish(cf, *stop.value, opts)
-            at += len(rows)
     return results
 
 
@@ -299,6 +347,8 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
     failed line search, or on max_iters short of the gradient tolerance and
     cost_goal.
 
+    Gradients are the parameter-shift rule's, or on density rows of at
+    least four qubits the adjoint method's, equal to it up to roundoff.
     The result's cost and grad_norm are those of the final iterate, the
     values the stopping test read; its params are that iterate's angles
     reduced to [0, 2*pi). This is the one-start case of _minimize_rows.

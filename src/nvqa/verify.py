@@ -12,10 +12,10 @@ from .channels import (
     make_channel,
     ptm_from_channel,
 )
-from .circuits import build_2q_circuit, build_hea, evaluate
+from .circuits import build_2q_circuit, build_4q_vqe, build_hea, evaluate
 from .noisemodel import apply_global_depol, global_depol_infidelity
 from .optimize import energy_cost, gradient, infidelity_cost
-from .pauli import vqe_hamiltonian_2q
+from .pauli import vqe_hamiltonian_2q, vqe_hamiltonian_4q
 from .qstate import DensityMatrix, pure_state
 from .randstates import sample_real_haar_state
 
@@ -120,6 +120,21 @@ def check_gradient(n_cases: int = 6) -> float:
     return worst
 
 
+def check_adjoint_gradient() -> float:
+    """The BFGS loop's gradient on 4-qubit density rows against the shift rule."""
+    gen = np.random.default_rng(16)
+    worst = 0.0
+    for circuit in (build_hea(2), build_4q_vqe()):
+        for kind in CHANNEL_KINDS:
+            noise = NoiseSpec.uniform(kind, 0.1, 4)
+            for cf in (energy_cost(circuit, vqe_hamiltonian_4q(), noise),
+                       infidelity_cost(circuit, sample_real_haar_state(4, gen), noise)):
+                theta = gen.uniform(0.0, 2.0 * np.pi, (2, circuit.n_params))
+                want = np.array([gradient(cf, t) for t in theta])
+                worst = max(worst, float(np.abs(cf._gradients(theta) - want).max()))
+    return worst
+
+
 def check_global_depol(n_cases: int = 20) -> float:
     gen = np.random.default_rng(14)
     worst = 0.0
@@ -163,6 +178,7 @@ CHECKS = (
     ("product channel vs tensor-product Kraus", check_product_vs_tensor_kraus, 1e-12),
     ("PTM closed forms", check_ptm_closed_forms, 1e-12),
     ("parameter-shift gradient vs finite differences", check_gradient, 1e-6),
+    ("adjoint gradient vs parameter shift", check_adjoint_gradient, 1e-12),
     ("global depolarising closed form vs simulation", check_global_depol, 1e-12),
     ("state invariants after noisy circuits", check_state_invariants, 1e-10),
 )

@@ -25,6 +25,7 @@ from nvqa.circuits import (
     evaluate,
     evaluate_pure,
     ry_matrix,
+    _expectation_gradients,
     _rotate,
     _simulate,
 )
@@ -178,6 +179,57 @@ def test_noisy_evaluation_stops_at_max_density_qubits(rng):
     np.testing.assert_array_equal(rho.data, evaluate(wide, params).data)
     np.testing.assert_array_equal(_simulate(wide, params[None]), step_reference(wide, params[None]))
     assert "_rotation_entries" not in vars(wide) and "_channel_cache" not in vars(wide)
+
+
+def random_hamiltonian(n_qubits: int, rng):
+    """Eight random Pauli words with normal weights; Y-odd words make the matrix complex."""
+    from nvqa.pauli import PauliSum
+
+    words = ("".join(rng.choice(list("IXYZ"), n_qubits)) for _ in range(8))
+    return PauliSum(n_qubits, tuple((float(rng.standard_normal()), w) for w in words))
+
+
+ADJOINT_CASES = {**{f"hea-{l}": build_hea(l) for l in (1, 2, 4, 6)}, "4q-vqe": build_4q_vqe(),
+                 **{f"2q-{v}": build_2q_circuit(v) for v in "abc"}, "valley": build_valley_demo(),
+                 "ry-repeat": KERNEL_CASES["ry-repeat"], "fixed-ends": KERNEL_CASES["fixed-ends"]}
+
+
+@pytest.mark.parametrize("gamma", [0.27, 1.0])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("name", list(ADJOINT_CASES))
+def test_adjoint_gradients_match_the_parameter_shift_rule(name, kind, gamma, rng):
+    """The reverse-mode gradient of Tr[Re(H) rho] equals the public
+    parameter-shift gradient of the energy cost to 1e-12, at every width,
+    with per-qubit scales containing 0 and at full strength."""
+    from nvqa.optimize import energy_cost, gradient
+
+    circuit = ADJOINT_CASES[name]
+    n = circuit.n_qubits
+    spec = NoiseSpec(make_channel(kind, gamma), (1.0, 0.0, 0.5, 0.8)[:n] if n > 1 else (0.7,))
+    h = random_hamiltonian(n, rng)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(3, circuit.n_params))
+    got = _expectation_gradients(circuit, thetas, spec, h.to_matrix())
+    want = np.array([gradient(energy_cost(circuit, h, spec), t) for t in thetas])
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("name", ["hea-2", "4q-vqe", "2q-c", "valley", "fixed-ends"])
+def test_adjoint_gradient_rows_do_not_depend_on_their_batch(name, kind, rng):
+    """Each row alone has the bits of its row in a 2-row batch, a 33-row
+    batch (two chunks at four qubits) and an offset batch. A zero-strength
+    spec still runs density rows; no spec is refused."""
+    circuit = ADJOINT_CASES[name]
+    n = circuit.n_qubits
+    obs = random_hamiltonian(n, rng).to_matrix()
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(34, circuit.n_params))
+    for spec in (NoiseSpec.uniform(kind, 0.3, n), NoiseSpec.uniform(kind, 0.0, n)):
+        alone = np.array([_expectation_gradients(circuit, t[None], spec, obs)[0] for t in thetas])
+        for lo, hi in ((0, 2), (0, 33), (1, 34)):
+            np.testing.assert_array_equal(_expectation_gradients(circuit, thetas[lo:hi], spec, obs),
+                                          alone[lo:hi])
+    with pytest.raises(ValueError, match="NoiseSpec"):
+        _expectation_gradients(circuit, thetas, None, obs)
 
 
 def test_ry_matrix_basics():

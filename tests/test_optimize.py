@@ -229,6 +229,14 @@ def test_minimize_finishes_from_the_loops_cost_and_gradient(noise, opts, monkeyp
     assert abs(res.cost - cf.value(res.params)) < 1e-12
 
 
+def loop_gradient(cf: CostFn, x: np.ndarray) -> np.ndarray:
+    """The gradient the BFGS loop takes at x: the adjoint one for density rows
+    on at least four qubits, the public parameter-shift rule otherwise.
+    test_adjoint_gradients_match_the_parameter_shift_rule pins the first to
+    the second."""
+    return cf._gradients(x[None])[0] if cf._adjoint else gradient(cf, x)
+
+
 def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None):
     """The one-start BFGS loop that minimize ran before starts advanced in
     lockstep, costing one point or one gradient per call. Every row of
@@ -236,7 +244,7 @@ def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | Non
     opts = opts or MinimizeOptions()
     x = np.asarray(theta0, dtype=float).copy()
     f = cf.value(x)
-    g = gradient(cf, x)
+    g = loop_gradient(cf, x)
     h = np.eye(x.size)
     first_update = True
     for it in range(opts.max_iters):
@@ -258,7 +266,7 @@ def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | Non
             if f_new <= f + _ARMIJO_C * alpha * slope:
                 break
             if -alpha * slope <= eps_f:
-                g_new = gradient(cf, x_new)
+                g_new = loop_gradient(cf, x_new)
                 dslope = float(g_new @ p)
                 if (f_new <= f + eps_f
                         and _WOLFE_SIGMA * slope <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope):
@@ -268,7 +276,7 @@ def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | Non
         else:
             return _finish(cf, x, f, g, it, False, opts)
         if g_new is None:
-            g_new = gradient(cf, x_new)
+            g_new = loop_gradient(cf, x_new)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -314,13 +322,20 @@ def test_minimize_rows_match_serial_runs(kind, n_starts):
             assert len({r.iterations for r in got}) > 1
 
 
-@pytest.mark.parametrize("kind", [None, "amplitude"])
+@pytest.mark.parametrize("kind", [None, "phase", "amplitude", "depolarising"])
 def test_minimize_rows_match_serial_runs_on_four_qubits(kind, rng):
+    """Pure rows take the shift rows; density rows, of an infidelity and an
+    energy cost, the adjoint gradient."""
     c = build_hea(2)
     spec = None if kind is None else NoiseSpec.uniform(kind, 0.05, 4)
     cf = infidelity_cost(c, sample_real_haar_state(4, rng), spec)
     got = assert_rows_match_serial(cf, rng.uniform(0.0, 2.0 * np.pi, (3, c.n_params)))
     assert len({r.iterations for r in got}) > 1
+    assert cf._adjoint == (kind is not None)
+    if kind is not None:
+        cf = energy_cost(build_4q_vqe(), _h4(), spec)
+        got = assert_rows_match_serial(cf, rng.uniform(0.0, 2.0 * np.pi, (3, cf.n_params)))
+        assert len({r.iterations for r in got}) > 1
 
 
 @pytest.mark.parametrize("variant, noise, seed, shape, floored", [
@@ -365,6 +380,38 @@ def test_minimize_rows_match_serial_runs_at_the_cap_and_the_goal():
     assert any(0 < r.iterations < 6 and r.converged for r in got)
 
 
+class GradientsLog:
+    """Every CostFn._gradients call, as the points it was given."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[np.ndarray] = []
+        gradients = CostFn._gradients
+
+        def logged(cf, params):
+            self.calls.append(np.array(params, dtype=float))
+            return gradients(cf, params)
+
+        monkeypatch.setattr(CostFn, "_gradients", logged)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+@pytest.mark.parametrize("kind", ["phase", "amplitude", "depolarising"])
+def test_four_qubit_density_runs_take_adjoint_gradients(kind, gamma, monkeypatch, rng):
+    """A 4-qubit density run costs single points only and asks one adjoint
+    gradient at the start and one per accepted step; at strength zero its
+    rows are statevectors and it keeps the shift rows."""
+    cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng), NoiseSpec.uniform(kind, gamma, 4))
+    values, grads = ValuesLog(monkeypatch, cf.n_params), GradientsLog(monkeypatch)
+    res = minimize(cf, rng.uniform(0.0, 2.0 * np.pi, cf.n_params))
+    assert res.converged
+    if gamma == 0.0:
+        assert values.gradients() == res.iterations + 1 and grads.calls == []
+    else:
+        assert values.sizes() == {1}
+        assert [len(c) for c in grads.calls] == [1] * (res.iterations + 1)
+        assert np.array_equal(np.mod(grads.calls[-1][0], 2.0 * np.pi), res.params)
+
+
 def test_minimize_rows_refuse_a_wrong_shape():
     cf = energy_cost(build_2q_circuit("a"), H2)
     assert _minimize_rows(cf, np.zeros((0, 3))) == []
@@ -384,8 +431,8 @@ def armijo_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions):
     x = np.asarray(theta0, dtype=float).copy()
     f = cf.value(x)
     if opts.cost_goal is not None and f <= opts.cost_goal:
-        return _finish(cf, x, f, gradient(cf, x), 0, True, opts)
-    g = gradient(cf, x)
+        return _finish(cf, x, f, loop_gradient(cf, x), 0, True, opts)
+    g = loop_gradient(cf, x)
     h = np.eye(x.size)
     first_update = True
     for it in range(opts.max_iters):
@@ -411,8 +458,8 @@ def armijo_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions):
         else:
             return _finish(cf, x, f, g, it, False, opts)
         if opts.cost_goal is not None and f_new <= opts.cost_goal:
-            return _finish(cf, x_new, f_new, gradient(cf, x_new), it + 1, True, opts)
-        g_new = gradient(cf, x_new)
+            return _finish(cf, x_new, f_new, loop_gradient(cf, x_new), it + 1, True, opts)
+        g_new = loop_gradient(cf, x_new)
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -595,7 +642,7 @@ def test_reoptimize_from_never_loses_to_frozen_params(rng):
     non_reopt, reopt = reoptimize_from(cf, base.params)
     assert non_reopt.iterations == 0
     assert non_reopt.cost == cf.value(base.params)
-    assert non_reopt.grad_norm == float(np.linalg.norm(gradient(cf, base.params)))
+    assert non_reopt.grad_norm == float(np.linalg.norm(loop_gradient(cf, base.params)))
     assert non_reopt.converged == (non_reopt.grad_norm <= 1e-8)
     assert reopt.cost <= non_reopt.cost + 1e-9
 
@@ -604,7 +651,7 @@ def frozen_reference(cf: CostFn, theta_star: np.ndarray) -> OptResult:
     """The frozen result reoptimize_from built before it was a zero-iteration
     minimize run: one cf.value and one gradient at the reduced angles."""
     theta_star = np.mod(np.asarray(theta_star, dtype=float), 2.0 * np.pi)
-    return _finish(cf, theta_star, cf.value(theta_star), gradient(cf, theta_star), 0, True,
+    return _finish(cf, theta_star, cf.value(theta_star), loop_gradient(cf, theta_star), 0, True,
                    MinimizeOptions())
 
 
@@ -628,11 +675,14 @@ def test_reoptimize_from_freezes_like_the_value_and_gradient_it_replaced(circuit
 @pytest.mark.parametrize("kind", [None, "phase", "amplitude", "depolarising"])
 @pytest.mark.parametrize("circuit", [build_2q_circuit("a"), build_2q_circuit("c"), build_hea(2),
                                      build_4q_vqe()], ids=["2q-a", "2q-c", "hea-2", "4q-vqe"])
-def test_quality_energy_and_fidelity_are_the_cost_bit_for_bit(circuit, kind, rng):
+def test_quality_energy_and_fidelity_are_the_cost_bit_for_bit(circuit, kind, monkeypatch, rng):
     """quality reduces the params row as the cost does: an energy cost's value
     is its energy, and an infidelity cost's value is 1 - fidelity, bit for
-    bit. The energy cost's fidelity is taken against the ground state."""
-    from nvqa.measures import fidelity
+    bit. The energy cost's fidelity is taken against the ground state. One
+    kernel call gives all three measures, and the concurrence is that of
+    the state evaluate returns, bit for bit."""
+    import nvqa.optimize as optimize
+    from nvqa.measures import fidelity, max_pairwise_concurrence
 
     n = circuit.n_qubits
     spec = None if kind is None else NoiseSpec.uniform(kind, 0.1, n)
@@ -640,8 +690,14 @@ def test_quality_energy_and_fidelity_are_the_cost_bit_for_bit(circuit, kind, rng
     ecf = energy_cost(circuit, h, spec)
     icf = infidelity_cost(circuit, sample_real_haar_state(n, rng), spec)
     ground = ground_truth(h).state
+    calls, simulate = [], optimize._simulate
     for p in rng.uniform(0.0, 2.0 * np.pi, (3, circuit.n_params)):
+        monkeypatch.setattr(optimize, "_simulate", lambda *a: calls.append(a) or simulate(*a))
         q = ecf.quality(p)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        calls.clear()
+        assert q.concurrence == max_pairwise_concurrence(ecf.state(p))
         assert q.energy == ecf.value(p)
         assert abs(q.fidelity - fidelity(ground, ecf.state(p))) < 1e-12
         assert 1.0 - icf.quality(p).fidelity == icf.value(p)
