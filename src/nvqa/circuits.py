@@ -7,11 +7,11 @@ Ry gates on distinct qubits, and the CX gates and noise marks between them.
 Statevector rows apply each Ry and one gather per fixed group. Density rows
 apply each rotation group as one U rho U^T and each fixed group, with the
 product noise channel at its markers, as one product with blocks composed
-once per noise spec; _expectations alone reduces the rows to Tr[O rho].
-_expectation_gradients takes d Tr[O rho] / d theta of density rows in
-reverse mode: one forward pass, then the adjoint of each group in reverse.
-The blocks grow as 8^n floats, so noisy evaluation stops at
-MAX_DENSITY_QUBITS qubits; noiseless evaluation runs up to MAX_QUBITS.
+once per noise spec; _reduce alone turns the rows into Tr[O rho].
+_expectation_gradients gives Tr[O rho] and d Tr[O rho] / d theta of density
+rows from one forward pass and the adjoint of each group in reverse. The
+blocks grow as 8^n floats, so noisy evaluation stops at MAX_DENSITY_QUBITS
+qubits; noiseless evaluation runs up to MAX_QUBITS.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from typing import Union
 
 import numpy as np
 
-from .channels import NoiseSpec, _apply_noise
+from .channels import NoiseSpec
 from .qstate import DensityMatrix, MAX_QUBITS
 
 _CHUNK_FLOATS = 2 ** 13  # output-state floats per _simulate call in _expectations
-# widest circuit with density rows: a spec's blocks take dim^4 work to compose and
-# dim^3 floats to keep per fixed group (a two-layer brickwork circuit composes in
-# 3 ms at 4 qubits, 27 ms at 5, 0.55 s at 6 and 9 s at 7)
+# widest circuit with density rows: a spec's blocks take dim^3 floats per fixed group
+# (a two-layer brickwork circuit composes in 0.5 ms at 4 qubits, 20 ms at 6, 0.23 s at 7)
 MAX_DENSITY_QUBITS = 6
 
 
@@ -307,34 +306,29 @@ def _fixed(rho: np.ndarray, src: np.ndarray, blk: np.ndarray, back: np.ndarray) 
 
 
 def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: NoiseSpec,
-                           obs: np.ndarray) -> np.ndarray:
-    """d Tr[Re(obs) rho] / d theta, shape (m, n_params), for the density output
-    of every row of an (m, n_params) array, by reverse mode.
+                           obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tr[Re(obs) rho], shape (m,), and its gradient, shape (m, n_params),
+    for the density output of every row of an (m, n_params) array.
 
-    The forward pass is _simulate's, keeping rho before each rotation group.
-    lambda = Re(obs) then runs back through the groups. A fixed group takes
-    it through its transpose (_channel_blocks), a rotation group through
-    lambda <- U^T lambda U. Rotations on distinct qubits commute, so the
-    Ry on qubit q has dU/dtheta = U K_q, K_q = [[0, -1], [1, 0]] / 2 on q;
-    with lambda and rho symmetric, dC/dtheta = 2 Tr[U K_q rho U^T lambda] =
-    Tr[2 K_q rho lambda'], lambda' the updated lambda. Rows run in the
-    chunks of _expectations and every product is per row, so a row's
-    gradient has the same bits in any batch. A zero-strength spec still
-    runs density rows; None is refused.
+    The forward pass is _simulate's, keeping rho before each rotation group;
+    _reduce takes the value from its final rho, with _expectations' bits.
+    lambda = Re(obs) then runs back through a fixed group's transpose
+    (_channel_blocks) and through a rotation group as lambda <- U^T lambda U.
+    With dU/dtheta = U K_q, K_q = [[0, -1], [1, 0]] / 2 on the Ry's qubit q,
+    dC/dtheta = Tr[2 K_q rho lambda'], lambda' the updated lambda. Rows run in
+    _expectations' chunks, so a row has the same bits in any batch.
     """
     params = np.asarray(params, dtype=float)
-    if params.ndim != 2 or params.shape[1] != circuit.n_params:
-        raise ValueError(f"expected shape (m, {circuit.n_params}), got {params.shape}")
     if noise is None:
         raise ValueError("adjoint gradients run density rows: pass a NoiseSpec")
     dim = 2 ** circuit.n_qubits
     obs = np.real(obs)
     rows = max(1, _CHUNK_FLOATS // dim ** 2)
-    out = np.empty(params.shape)
+    vals, out = np.empty(len(params)), np.empty(params.shape)
     for start in range(0, len(params), rows):
         chunk = params[start:start + rows]
         tape: list = []
-        _simulate(circuit, chunk, noise, tape)
+        vals[start:start + len(chunk)] = _reduce(_simulate(circuit, chunk, noise, tape), noise, obs)
         lam = np.repeat(obs[None], len(chunk), axis=0)
         blocks = reversed(_channel_blocks(circuit, noise))
         for _, perm in reversed(circuit._groups):
@@ -348,7 +342,7 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: NoiseSpe
             else:
                 _, blk, _, (back_inv, src_inv) = next(blocks)
                 lam = _fixed(lam, back_inv, blk.transpose(0, 2, 1), src_inv)
-    return out
+    return vals, out
 
 
 def _cx_perm(n_qubits: int, op: Cx) -> np.ndarray:
@@ -365,16 +359,11 @@ def _channel_blocks(circuit: Circuit, noise: NoiseSpec) -> tuple[tuple, ...]:
     Every channel keeps the coherence pattern y = i ^ j of an entry rho[i, j],
     and a CX maps patterns linearly: output pattern y is fed by input pattern
     perm[y] alone. So a fixed group's map splits into one dim x dim block per
-    pattern. rho.reshape(m, -1)[:, src] lists the entries (k, k ^ perm[y]) in
-    (y, k) order, blocks[y] maps them to the entries (i, i ^ y), and back
-    gathers the (y, i) result into row-major order. src and back are
-    permutations of the dim^2 entries, so the group's transpose is the same
-    product with the inverse gathers: back_inv, the transposed blocks, then
-    src_inv (_expectation_gradients). Identical groups are
-    composed once, and a circuit keeps the blocks of its last (kind, gammas)
-    only, which bounds their memory: every study runs one spec at a time, so
-    a longer cache would save only the recompose when a study comes back to
-    a spec (2.6 ms for HEA L=4).
+    pattern (_pattern_blocks, n 8^n work). rho.reshape(m, -1)[:, src] lists
+    the entries (k, k ^ perm[y]) in (y, k) order, blocks[y] maps them to the
+    entries (i, i ^ y), and back gathers the result into row-major order; the
+    transpose takes the inverse gathers back_inv and src_inv. Identical groups
+    are composed once, and a circuit keeps its last (kind, gammas) only.
     """
     key = (noise.channel.kind, noise._gammas)
     cache = circuit._channel_cache
@@ -387,29 +376,42 @@ def _channel_blocks(circuit: Circuit, noise: NoiseSpec) -> tuple[tuple, ...]:
         composed: dict[tuple, tuple] = {}
         for ops, perm in circuit._groups:
             if perm is not None and ops not in composed:
-                blocks = np.stack([_pattern_block(n, ops, x, y, *key) for y, x in enumerate(perm)])
+                blocks = _pattern_blocks(n, ops, *key)
                 src = idx * 2 ** n + (idx ^ perm[:, None])
                 composed[ops] = (src, blocks, back, (back_inv, np.argsort(src.ravel()).reshape(src.shape)))
         cache[key] = tuple(composed[ops] for ops, perm in circuit._groups if perm is not None)
     return cache[key]
 
 
-def _pattern_block(n_qubits: int, ops: tuple, x: int, y: int, kind: str, gammas) -> np.ndarray:
-    """Block [i, k]: the coefficient of rho[k, k ^ x] in entry (i, i ^ y) after ops.
-
-    Built from the 2^n basis matrices |k><k ^ x| of one input pattern, run
-    through the group's gathers and channels.
-    """
-    idx = np.arange(2 ** n_qubits)
-    t = np.zeros((idx.size,) * 3)
-    t[idx, idx, idx ^ x] = 1.0
+def _pattern_blocks(n_qubits: int, ops: tuple, kind: str, gammas) -> np.ndarray:
+    """blocks[y, i, k]: the coefficient of rho[k, k ^ x] in the entry (i, i ^ y)
+    after ops, x the input pattern feeding y. Slice t[y] holds the entries
+    (i, i ^ y) of its current pattern y. A CX, linear over GF(2) and its own
+    inverse, moves slice y to perm[y] and gathers i. A channel on qubit q
+    scales the slices whose pattern has q's bit and mixes the A and D halves
+    (q's bit of i clear or set) of the others in _apply_noise's expressions."""
+    dim = 2 ** n_qubits
+    t = np.repeat(np.eye(dim)[None], dim, axis=0)
     for op in ops:
         if isinstance(op, Cx):
             perm = _cx_perm(n_qubits, op)
-            t = t[:, perm][:, :, perm]
-        else:
-            t = _apply_noise(t, kind, gammas)
-    return t[:, idx, idx ^ y].T
+            t = t[perm][:, :, perm]
+            continue
+        for q, g in enumerate(gammas):
+            if g == 0.0:
+                continue
+            a, w = 2 ** q, dim >> (q + 1)
+            v = t.reshape(a, 2, w, dim, a, 2, w)
+            v[:, 1] *= (1.0 - g) if kind == "depolarising" else np.sqrt(1.0 - g)
+            blk_a, blk_d = v[:, 0, :, :, :, 0], v[:, 0, :, :, :, 1]
+            if kind == "depolarising":
+                shift = 0.5 * g * (blk_d - blk_a)
+                blk_a += shift
+                blk_d -= shift
+            elif kind == "amplitude":
+                blk_a += g * blk_d
+                blk_d *= 1.0 - g
+    return np.ascontiguousarray(t.transpose(0, 2, 1))
 
 
 def _check_width(circuit: Circuit, noise: NoiseSpec | None) -> None:

@@ -2,21 +2,18 @@
 
 The public gradient is the exact parameter-shift rule, valid because every
 parameter enters through a single Ry rotation and the noise channels do not
-depend on the parameters. The minimizer takes its gradients by that rule too,
-except on density rows of at least _ADJOINT_QUBITS qubits, where one
-reverse-mode pass (circuits._expectation_gradients, as in Jones and Gacon,
-arXiv:2009.02823, carried over to density matrices) gives the same gradient
-to roundoff for a fraction of the cost of the 2P shifted circuits.
+depend on the parameters. The minimizer is a dense inverse-Hessian BFGS with
+Armijo backtracking, deterministic for fixed inputs. Once a backtracked step
+is too short for the cost to resolve its decrease, it is judged instead by
+the approximate Wolfe test of Hager and Zhang (SIAM J. Optim. 16, 2005);
+a step that fails it ends the run unconverged.
 
-The minimizer is a dense inverse-Hessian BFGS with Armijo backtracking,
-deterministic for fixed inputs. Once a backtracked step is too
-short for the cost to resolve its decrease, the step is judged instead by the
-approximate Wolfe test of Hager and Zhang (SIAM J. Optim. 16, 2005), which
-reads the directional derivative; a step that fails it ends the run unconverged.
-
-Independent starts advance in lockstep, sharing one cost batch, and one
-adjoint gradient batch, per round; each result is bit for bit that of the
-same run made alone.
+Independent starts advance in lockstep. A start or a step's first trial
+point takes its cost and gradient from one kernel pass: its row with its 2P
+shift rows, or on density rows of at least _ADJOINT_QUBITS qubits one
+reverse-mode pass (circuits._expectation_gradients, after Jones and Gacon,
+arXiv:2009.02823) that also returns the cost. Each result is bit for bit
+that of the same run made alone.
 """
 
 from __future__ import annotations
@@ -55,10 +52,9 @@ _DEDUP_TOL = 1e-6
 
 # Density rows on at least this many qubits take the loop's gradients by the
 # adjoint method, the rest by the 2P shift rows. One gradient, one BLAS thread:
-# HEA L=4 under amplitude damping 261 us adjoint against 1,274 us shift; 2q
-# variant c under depolarising 95 us either way. With every density row on the
-# adjoint, vqe2q_sweep read level (median 0.49 s either way, six alternated
-# pairs), so narrower rows keep the shift rows and their results' bits.
+# HEA L=4 amplitude 261 us adjoint, 1,274 us shift; 2q variant c depolarising
+# 95 us either way, and vqe2q_sweep read level with every density row on the
+# adjoint, so narrower rows keep the shift rows and their results' bits.
 _ADJOINT_QUBITS = 4
 
 
@@ -118,13 +114,14 @@ class CostFn:
 
     @property
     def _adjoint(self) -> bool:
-        """Whether the BFGS loop takes this cost's gradients by _gradients."""
+        """Whether the BFGS loop takes this cost's gradients by _values_and_gradients."""
         return self.circuit.n_qubits >= _ADJOINT_QUBITS and _row_noise(self.circuit, self.noise) is not None
 
-    def _gradients(self, params: np.ndarray) -> np.ndarray:
-        """Adjoint gradients of the cost at every row of an (m, n_params) array."""
-        g = _expectation_gradients(self.circuit, params, self.noise, self._obs_matrix)
-        return g if self.hamiltonian is not None else -g
+    def _values_and_gradients(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Costs, with the bits of values, and adjoint gradients at every row of
+        an (m, n_params) array, from one forward and one reverse pass."""
+        v, g = _expectation_gradients(self.circuit, params, self.noise, self._obs_matrix)
+        return (v, g) if self.hamiltonian is not None else (1.0 - v, -g)
 
     def state(self, params: np.ndarray) -> DensityMatrix:
         return evaluate(self.circuit, np.asarray(params, dtype=float), self.noise)
@@ -183,6 +180,13 @@ class MinimizeOptions:
     max_iters: int = 1000
     cost_goal: float | None = None
 
+    def __post_init__(self):
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 0:
+            raise ValueError(f"max_iters must be an int >= 0, got {self.max_iters!r}")
+        if self.cost_goal is not None and not np.isfinite(self.cost_goal):
+            raise ValueError(f"cost_goal must be None or finite, got {self.cost_goal!r}")
+
 
 @dataclass(frozen=True)
 class OptResult:
@@ -226,18 +230,13 @@ def _finish(cf: CostFn, x: np.ndarray, f: float, g: np.ndarray, iterations: int,
     )
 
 
-def _bfgs(x: np.ndarray, opts: MinimizeOptions, adjoint: bool):
-    """One BFGS run from x, as a generator. It yields two kinds of request:
-    a 2-D batch of parameter rows it needs costed, sent back their costs, or
-    (adjoint) a 1-D point, sent back its gradient. It returns the final
-    (x, f, g, iterations, line_search_ok) for _finish. Without adjoint the
-    start point rides in one batch with its shift rows."""
-    if adjoint:
-        f = float((yield x[None])[0])
-        g = yield x
-    else:
-        vals = yield np.vstack([x, _shift_rows(x)])
-        f, g = float(vals[0]), _shift_gradient(vals[1:])
+def _bfgs(x: np.ndarray, opts: MinimizeOptions):
+    """One BFGS run from x, as a generator. It yields a 1-D point, sent back
+    its (cost, gradient), or a 1-row batch, sent back its cost: the start and
+    each step's first trial point (alpha = 1) are points, and a backtracked
+    trial is a batch, asked again as a point once accepted or judged by the
+    roundoff fallback. It returns (x, f, g, iterations, line_search_ok)."""
+    f, g = yield x
     h = np.eye(x.size)
     first_update = True
     for it in range(opts.max_iters):
@@ -251,17 +250,16 @@ def _bfgs(x: np.ndarray, opts: MinimizeOptions, adjoint: bool):
             p = -g
             slope = -float(g @ g)
         alpha = 1.0
-        g_new = None
         eps_f = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(f))
-        for _ in range(_MAX_BACKTRACKS):
+        for k in range(_MAX_BACKTRACKS):
             x_new = x + alpha * p
-            f_new = float((yield x_new[None])[0])
+            f_new, g_new = (yield x_new) if k == 0 else (float((yield x_new[None])[0]), None)
             if f_new <= f + _ARMIJO_C * alpha * slope:
                 break
             if -alpha * slope <= eps_f:
                 # the cost cannot resolve this decrease: judge the step by
                 # the slope at the trial point instead of crawling on
-                g_new = (yield x_new) if adjoint else _shift_gradient((yield _shift_rows(x_new)))
+                g_new = (yield x_new)[1] if g_new is None else g_new
                 dslope = float(g_new @ p)
                 if (f_new <= f + eps_f
                         and _WOLFE_SIGMA * slope <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope):
@@ -270,8 +268,7 @@ def _bfgs(x: np.ndarray, opts: MinimizeOptions, adjoint: bool):
             alpha *= _SHRINK
         else:
             return x, f, g, it, False
-        if g_new is None:
-            g_new = (yield x_new) if adjoint else _shift_gradient((yield _shift_rows(x_new)))
+        g_new = (yield x_new)[1] if g_new is None else g_new
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -290,36 +287,37 @@ def _bfgs(x: np.ndarray, opts: MinimizeOptions, adjoint: bool):
 def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None = None) -> list[OptResult]:
     """One independent BFGS run from each row of an (S, n_params) array, in lockstep.
 
-    Each round serves the pending requests of all runs still going. Density
-    rows on at least _ADJOINT_QUBITS qubits take each gradient by the adjoint
-    method: one cf._gradients call serves every pending gradient point, and
-    one cf.values call every pending cost row (a start point or a trial
-    point at the run's own step length). Other rows take the parameter-shift
-    rule, and one cf.values call serves everything: a start point with its
-    2P shift rows, a trial point, or 2P gradient rows. A row's cost and
-    gradient do not depend on its batch, so each result is bit for bit that
-    of a serial run.
+    Each round serves all pending requests with at most one cf.values call
+    and one adjoint call; the gradient method is chosen here alone. A point
+    that wants its cost and gradient takes its row in the adjoint call on
+    density rows of at least _ADJOINT_QUBITS qubits, otherwise its row and
+    2P shift rows in the cf.values batch, where backtracked trials ride too.
+    Rows do not depend on their batch, so each result is a serial run's.
     """
     opts = opts or MinimizeOptions()
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != cf.n_params:
         raise ValueError(f"expected shape (S, {cf.n_params}), got {starts.shape}")
     adjoint = cf._adjoint
-    runs = [_bfgs(x, opts, adjoint) for x in starts]
+    runs = [_bfgs(x, opts) for x in starts]
     pending = {i: run.send(None) for i, run in enumerate(runs)}
     results: list[OptResult | None] = [None] * len(runs)
     while pending:
         requests = list(pending.items())
-        rows = [r for _, r in requests if r.ndim == 2]
+        points = [x for _, x in requests if adjoint and x.ndim == 1]
+        fused = zip(*cf._values_and_gradients(np.array(points))) if points else None
+        rows = [x if x.ndim == 2 else np.vstack([x, _shift_rows(x)])
+                for _, x in requests if not (adjoint and x.ndim == 1)]
         vals = cf.values(np.concatenate(rows)) if rows else None
-        points = [x for _, x in requests if x.ndim == 1]
-        grads = iter(cf._gradients(np.array(points))) if points else None
         at = 0
         for i, req in requests:
-            if req.ndim == 1:
-                reply = next(grads)
+            if adjoint and req.ndim == 1:
+                f, g = next(fused)
+                reply = float(f), g
             else:
-                reply, at = vals[at:at + len(req)], at + len(req)
+                n = len(req) if req.ndim == 2 else 2 * req.size + 1
+                v, at = vals[at:at + n], at + n
+                reply = v if req.ndim == 2 else (float(v[0]), _shift_gradient(v[1:]))
             try:
                 pending[i] = runs[i].send(reply)
             except StopIteration as stop:
@@ -331,27 +329,24 @@ def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None 
 def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None) -> OptResult:
     """BFGS with Armijo backtracking from a single start.
 
-    opts sets the two knobs a caller may choose, max_iters and an optional
-    cost_goal. The run stops when the gradient 2-norm drops to 1e-8, when
-    the cost reaches cost_goal, or after max_iters accepted steps. Steps
-    backtrack from alpha = 1, halving up to 60 times, until the Armijo test
-    f_new <= f + 1e-4*alpha*slope holds.
+    opts sets max_iters and an optional cost_goal. The run stops when the
+    gradient 2-norm drops to 1e-8, when the cost reaches cost_goal, or after
+    max_iters accepted steps. Steps backtrack from alpha = 1, halving up to
+    60 times, until f_new <= f + 1e-4*alpha*slope (Armijo). A step that fails
+    Armijo while its predicted decrease alpha*|slope| is within the cost's
+    roundoff (16 ulps of max(1, |f|)) is judged by the gradient at the trial
+    point: it is accepted if the cost rose by at most that roundoff and
+    0.9*slope <= g_new.p <= -0.8*slope (approximate Wolfe). A step that fails
+    this test, like a search that exhausts its backtracks, ends the run at
+    the current iterate with converged=False; so converged=False means a
+    failed line search, or max_iters short of the gradient tolerance and goal.
 
-    A step that fails Armijo while its predicted decrease alpha*|slope| is
-    within the cost's roundoff (16 ulps of max(1, |f|)) is judged by the
-    gradient at the trial point: it is accepted if the cost rose by at most
-    that roundoff and 0.9*slope <= g_new.p <= -0.8*slope (approximate Wolfe),
-    and g_new feeds the BFGS update. A step that fails this test, like a
-    search that exhausts its backtracks, ends the run at the current iterate
-    with converged=False. So converged=False means the run stopped on a
-    failed line search, or on max_iters short of the gradient tolerance and
-    cost_goal.
-
-    Gradients are the parameter-shift rule's, or on density rows of at
-    least four qubits the adjoint method's, equal to it up to roundoff.
-    The result's cost and grad_norm are those of the final iterate, the
-    values the stopping test read; its params are that iterate's angles
-    reduced to [0, 2*pi). This is the one-start case of _minimize_rows.
+    The start and each step's first trial point take cost and gradient from
+    one kernel pass, the shift rule's or on density rows of at least four
+    qubits the adjoint method's; a backtracked trial asks its gradient only
+    once accepted or judged. The result's cost and grad_norm are those the
+    stopping test read at the final iterate; its params are that iterate's
+    angles reduced to [0, 2*pi). This is the one-start case of _minimize_rows.
     """
     return _minimize_rows(cf, np.asarray(theta0, dtype=float)[None], opts)[0]
 

@@ -121,7 +121,7 @@ def check_gradient(n_cases: int = 6) -> float:
 
 
 def check_adjoint_gradient() -> float:
-    """The BFGS loop's gradient on 4-qubit density rows against the shift rule."""
+    """The loop's 4-qubit density gradients against the shift rule, its costs against values exactly."""
     gen = np.random.default_rng(16)
     worst = 0.0
     for circuit in (build_hea(2), build_4q_vqe()):
@@ -131,7 +131,10 @@ def check_adjoint_gradient() -> float:
                        infidelity_cost(circuit, sample_real_haar_state(4, gen), noise)):
                 theta = gen.uniform(0.0, 2.0 * np.pi, (2, circuit.n_params))
                 want = np.array([gradient(cf, t) for t in theta])
-                worst = max(worst, float(np.abs(cf._gradients(theta) - want).max()))
+                costs, grads = cf._values_and_gradients(theta)
+                if not np.array_equal(costs, cf.values(theta)):
+                    raise AssertionError("adjoint costs differ from cf.values")
+                worst = max(worst, float(np.abs(grads - want).max()))
     return worst
 
 

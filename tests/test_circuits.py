@@ -25,7 +25,10 @@ from nvqa.circuits import (
     evaluate,
     evaluate_pure,
     ry_matrix,
+    _channel_blocks,
+    _cx_perm,
     _expectation_gradients,
+    _expectations,
     _rotate,
     _simulate,
 )
@@ -208,7 +211,7 @@ def test_adjoint_gradients_match_the_parameter_shift_rule(name, kind, gamma, rng
     spec = NoiseSpec(make_channel(kind, gamma), (1.0, 0.0, 0.5, 0.8)[:n] if n > 1 else (0.7,))
     h = random_hamiltonian(n, rng)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(3, circuit.n_params))
-    got = _expectation_gradients(circuit, thetas, spec, h.to_matrix())
+    got = _expectation_gradients(circuit, thetas, spec, h.to_matrix())[1]
     want = np.array([gradient(energy_cost(circuit, h, spec), t) for t in thetas])
     assert np.abs(got - want).max() <= 1e-12
 
@@ -217,19 +220,65 @@ def test_adjoint_gradients_match_the_parameter_shift_rule(name, kind, gamma, rng
 @pytest.mark.parametrize("name", ["hea-2", "4q-vqe", "2q-c", "valley", "fixed-ends"])
 def test_adjoint_gradient_rows_do_not_depend_on_their_batch(name, kind, rng):
     """Each row alone has the bits of its row in a 2-row batch, a 33-row
-    batch (two chunks at four qubits) and an offset batch. A zero-strength
-    spec still runs density rows; no spec is refused."""
+    batch (two chunks at four qubits) and an offset batch, for the value and
+    the gradient, and the value is _expectations' bit for bit. A
+    zero-strength spec still runs density rows; no spec is refused."""
     circuit = ADJOINT_CASES[name]
     n = circuit.n_qubits
     obs = random_hamiltonian(n, rng).to_matrix()
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(34, circuit.n_params))
     for spec in (NoiseSpec.uniform(kind, 0.3, n), NoiseSpec.uniform(kind, 0.0, n)):
-        alone = np.array([_expectation_gradients(circuit, t[None], spec, obs)[0] for t in thetas])
+        vals, grads = zip(*(_expectation_gradients(circuit, t[None], spec, obs) for t in thetas))
+        vals, grads = np.concatenate(vals), np.concatenate(grads)
+        if not spec.is_trivial:
+            single = [_expectations(circuit, t[None], spec, obs)[0] for t in thetas]
+            np.testing.assert_array_equal(vals, single)
         for lo, hi in ((0, 2), (0, 33), (1, 34)):
-            np.testing.assert_array_equal(_expectation_gradients(circuit, thetas[lo:hi], spec, obs),
-                                          alone[lo:hi])
+            got_vals, got_grads = _expectation_gradients(circuit, thetas[lo:hi], spec, obs)
+            np.testing.assert_array_equal(got_grads, grads[lo:hi])
+            np.testing.assert_array_equal(got_vals, vals[lo:hi])
+            if not spec.is_trivial:
+                np.testing.assert_array_equal(got_vals, _expectations(circuit, thetas[lo:hi], spec, obs))
     with pytest.raises(ValueError, match="NoiseSpec"):
         _expectation_gradients(circuit, thetas, None, obs)
+
+
+def pattern_block_reference(n_qubits: int, ops: tuple, x: int, y: int, kind: str, gammas) -> np.ndarray:
+    """The per-pattern compose _pattern_blocks replaced. Block [i, k]: the
+    coefficient of rho[k, k ^ x] in entry (i, i ^ y) after ops, from the 2^n
+    basis matrices |k><k ^ x| run through the group's gathers and channels
+    as one full (dim, dim, dim) tensor."""
+    idx = np.arange(2 ** n_qubits)
+    t = np.zeros((idx.size,) * 3)
+    t[idx, idx, idx ^ x] = 1.0
+    for op in ops:
+        if isinstance(op, Cx):
+            perm = _cx_perm(n_qubits, op)
+            t = t[:, perm][:, :, perm]
+        else:
+            t = _apply_noise(t, kind, gammas)
+    return t[:, idx, idx ^ y].T
+
+
+@pytest.mark.parametrize("gamma", [0.27, 1.0])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("name", ["hea-1", "hea-2", "4q-vqe", "2q-a", "2q-b", "2q-c", "valley",
+                                  "fixed-ends"])
+def test_channel_blocks_equal_the_full_tensor_compose_bit_for_bit(name, kind, gamma):
+    """Each fixed group's blocks, composed on one (dim, dim) slice per input
+    pattern, equal the full-tensor compose bit for bit, with per-qubit
+    scales containing 0 and at full strength."""
+    circuit = ADJOINT_CASES[name]
+    n = circuit.n_qubits
+    spec = NoiseSpec(make_channel(kind, gamma), (1.0, 0.0, 0.5, 0.8)[:n] if n > 1 else (0.7,))
+    fixed = [(ops, perm) for ops, perm in circuit._groups if perm is not None]
+    got = _channel_blocks(circuit, spec)
+    assert len(got) == len(fixed)
+    for (ops, perm), (_, blocks, _, _) in zip(fixed, got):
+        want = np.stack([pattern_block_reference(n, ops, x, y, kind, spec._gammas)
+                         for y, x in enumerate(perm)])
+        assert blocks.flags.c_contiguous
+        np.testing.assert_array_equal(blocks, want)
 
 
 def test_ry_matrix_basics():

@@ -6,6 +6,7 @@ import pytest
 from nvqa.channels import NoiseSpec, make_channel
 from nvqa.circuits import build_2q_circuit, build_4q_vqe, build_hea, build_valley_demo
 from nvqa.measures import ground_truth
+from nvqa import optimize
 from nvqa.optimize import (
     CostFn,
     MinimizeOptions,
@@ -179,30 +180,69 @@ def test_minimize_reaches_known_ground_state():
 
 
 class ValuesLog:
-    """Every CostFn.values call of a one-start run. Each call is one request of
-    the BFGS loop: 1 row (a trial point), 2P rows (a gradient) or 2P + 1 rows
-    (the start point and its gradient)."""
+    """Every kernel request of a one-start run, in order, as (point, wants
+    gradient). A CostFn.values call is one request of the BFGS loop: 1 row, a
+    backtracked trial point that wants its cost, or 2P + 1 rows, a point that
+    wants its cost and gradient (the start, a step's first trial point, or a
+    backtracked trial accepted or judged by the roundoff fallback) with its
+    shift rows. On density rows of four qubits a point that wants both is
+    instead one row of a CostFn._values_and_gradients call."""
 
     def __init__(self, monkeypatch, n_params: int):
-        self.calls: list[np.ndarray] = []
+        self.calls: list[tuple[np.ndarray, bool]] = []
+        self.values_sizes: list[int] = []
+        self.adjoint_sizes: list[int] = []
         self.p = n_params
-        values = CostFn.values
+        values, fused = CostFn.values, CostFn._values_and_gradients
 
         def logged(cf, params):
-            self.calls.append(np.array(params, dtype=float))
+            self.values_sizes.append(len(params))
+            self.calls.append((np.array(params[0], dtype=float), len(params) == 2 * self.p + 1))
             return values(cf, params)
 
+        def logged_fused(cf, params):
+            self.adjoint_sizes.append(len(params))
+            self.calls += [(np.array(x, dtype=float), True) for x in params]
+            return fused(cf, params)
+
         monkeypatch.setattr(CostFn, "values", logged)
+        monkeypatch.setattr(CostFn, "_values_and_gradients", logged_fused)
 
     def sizes(self) -> set[int]:
-        return {len(c) for c in self.calls}
+        return set(self.values_sizes)
 
     def gradients(self) -> int:
-        return sum(len(c) >= 2 * self.p for c in self.calls)
+        return sum(wants for _, wants in self.calls)
 
     def points(self) -> list[np.ndarray]:
-        """Every single point costed, reduced to [0, 2*pi)."""
-        return [np.mod(c[0], 2.0 * np.pi) for c in self.calls if len(c) != 2 * self.p]
+        """Every point costed, reduced to [0, 2*pi)."""
+        return [np.mod(x, 2.0 * np.pi) for x, _ in self.calls]
+
+    def gradient_points(self) -> list[np.ndarray]:
+        return [np.mod(x, 2.0 * np.pi) for x, wants in self.calls if wants]
+
+    def asked_again(self) -> int:
+        """The backtracked trials accepted or judged: each is costed alone and
+        at once asked again for its cost and gradient. Asserts that no other
+        point is costed twice."""
+        first: dict[bytes, int] = {}
+        again = 0
+        for k, (x, wants) in enumerate(self.calls):
+            key = x.tobytes()
+            if key in first:
+                assert first[key] == k - 1 and not self.calls[k - 1][1] and wants
+                again += 1
+            first[key] = k
+        return again
+
+
+def assert_one_pass_per_step(log: ValuesLog, res: OptResult):
+    """A converged run asks for cost and gradient once at the start, once at
+    each step's first trial point, and once more per backtracked trial
+    accepted or judged; the last request is at the final iterate."""
+    assert res.converged
+    assert log.gradients() == 1 + res.iterations + log.asked_again()
+    assert np.array_equal(log.gradient_points()[-1], res.params)
 
 
 @pytest.mark.parametrize("noise, opts", [
@@ -212,18 +252,15 @@ class ValuesLog:
     (None, MinimizeOptions(cost_goal=10.0)),
 ], ids=["noiseless", "depolarising", "step-reaches-goal", "start-meets-goal"])
 def test_minimize_finishes_from_the_loops_cost_and_gradient(noise, opts, monkeypatch):
-    """One gradient per accepted step plus one at the start, and no point
-    costed twice: the result reuses the cost and gradient of the final
-    iterate instead of evaluating them again at the reduced angles."""
+    """One cost-and-gradient request at the start and at each step's first
+    trial point, and no point costed twice but a backtracked trial asked
+    again: the result reuses the cost and gradient of the final iterate
+    instead of evaluating them again at the reduced angles."""
     cf = energy_cost(build_2q_circuit("a"), H2, noise)
     log = ValuesLog(monkeypatch, cf.n_params)
     res = minimize(cf, np.array([0.5, 1.2, 2.5]), opts)
-    assert res.converged
-    assert log.sizes() <= {1, 2 * cf.n_params, 2 * cf.n_params + 1}
-    assert log.gradients() == res.iterations + 1
-    costed = log.points()
-    assert len({p.tobytes() for p in costed}) == len(costed)
-    assert np.array_equal(costed[-1], res.params)
+    assert log.sizes() <= {1, 2 * cf.n_params + 1} and log.adjoint_sizes == []
+    assert_one_pass_per_step(log, res)
     monkeypatch.undo()
     assert abs(res.grad_norm - np.linalg.norm(gradient(cf, res.params))) < 1e-12
     assert abs(res.cost - cf.value(res.params)) < 1e-12
@@ -234,7 +271,7 @@ def loop_gradient(cf: CostFn, x: np.ndarray) -> np.ndarray:
     on at least four qubits, the public parameter-shift rule otherwise.
     test_adjoint_gradients_match_the_parameter_shift_rule pins the first to
     the second."""
-    return cf._gradients(x[None])[0] if cf._adjoint else gradient(cf, x)
+    return cf._values_and_gradients(x[None])[1][0] if cf._adjoint else gradient(cf, x)
 
 
 def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None):
@@ -380,36 +417,80 @@ def test_minimize_rows_match_serial_runs_at_the_cap_and_the_goal():
     assert any(0 < r.iterations < 6 and r.converged for r in got)
 
 
-class GradientsLog:
-    """Every CostFn._gradients call, as the points it was given."""
-
-    def __init__(self, monkeypatch):
-        self.calls: list[np.ndarray] = []
-        gradients = CostFn._gradients
-
-        def logged(cf, params):
-            self.calls.append(np.array(params, dtype=float))
-            return gradients(cf, params)
-
-        monkeypatch.setattr(CostFn, "_gradients", logged)
-
-
 @pytest.mark.parametrize("gamma", [0.0, 0.05])
 @pytest.mark.parametrize("kind", ["phase", "amplitude", "depolarising"])
 def test_four_qubit_density_runs_take_adjoint_gradients(kind, gamma, monkeypatch, rng):
-    """A 4-qubit density run costs single points only and asks one adjoint
-    gradient at the start and one per accepted step; at strength zero its
-    rows are statevectors and it keeps the shift rows."""
+    """A 4-qubit density run asks each point that wants its cost and gradient
+    in one single-row adjoint call, and costs only backtracked trials in
+    cf.values; at strength zero its rows are statevectors and it keeps the
+    shift rows."""
     cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng), NoiseSpec.uniform(kind, gamma, 4))
-    values, grads = ValuesLog(monkeypatch, cf.n_params), GradientsLog(monkeypatch)
+    log = ValuesLog(monkeypatch, cf.n_params)
     res = minimize(cf, rng.uniform(0.0, 2.0 * np.pi, cf.n_params))
-    assert res.converged
+    assert_one_pass_per_step(log, res)
     if gamma == 0.0:
-        assert values.gradients() == res.iterations + 1 and grads.calls == []
+        assert log.sizes() <= {1, 2 * cf.n_params + 1} and log.adjoint_sizes == []
     else:
-        assert values.sizes() == {1}
-        assert [len(c) for c in grads.calls] == [1] * (res.iterations + 1)
-        assert np.array_equal(np.mod(grads.calls[-1][0], 2.0 * np.pi), res.params)
+        assert log.sizes() <= {1}
+        assert log.adjoint_sizes == [1] * log.gradients()
+
+
+class RoundLog:
+    """The kernel calls of a _minimize_rows call, split into rounds: a round's
+    calls come between the requests the runs yield."""
+
+    def __init__(self, monkeypatch):
+        self.events: list[str] = []
+        bfgs, values, fused = optimize._bfgs, CostFn.values, CostFn._values_and_gradients
+
+        def logged_bfgs(x, opts):
+            run, reply = bfgs(x, opts), None
+            while True:
+                try:
+                    req = run.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                self.events.append("request")
+                reply = yield req
+
+        def logged(name, fn):
+            def call(cf, params):
+                self.events.append(name)
+                return fn(cf, params)
+            return call
+
+        monkeypatch.setattr(optimize, "_bfgs", logged_bfgs)
+        monkeypatch.setattr(CostFn, "values", logged("values", values))
+        monkeypatch.setattr(CostFn, "_values_and_gradients", logged("adjoint", fused))
+
+    def rounds(self) -> list[list[str]]:
+        out: list[list[str]] = []
+        for prev, event in zip(["request"] + self.events, self.events):
+            if event != "request":
+                if prev == "request":
+                    out.append([])
+                out[-1].append(event)
+        return out
+
+
+@pytest.mark.parametrize("case", ["pure", "2q-density", "4q-density"])
+def test_minimize_rows_make_one_values_and_one_adjoint_call_per_round(case, monkeypatch, rng):
+    """Every round serves all pending runs with at most one cf.values call
+    and one adjoint call; 4-qubit density rounds use both kinds."""
+    if case == "4q-density":
+        spec = NoiseSpec.uniform("amplitude", 0.05, 4)
+        cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng), spec)
+    else:
+        spec = NoiseSpec.uniform("depolarising", 0.2, 2) if case == "2q-density" else None
+        cf = energy_cost(build_2q_circuit("c"), H2, spec)
+    log = RoundLog(monkeypatch)
+    got = _minimize_rows(cf, rng.uniform(0.0, 2.0 * np.pi, (6, cf.n_params)))
+    rounds = log.rounds()
+    assert len(rounds) >= max(r.iterations for r in got) + 1
+    assert all(r.count("values") <= 1 and r.count("adjoint") <= 1 for r in rounds)
+    assert any("adjoint" in r for r in rounds) == (case == "4q-density")
+    if case == "4q-density":
+        assert any(set(r) == {"values", "adjoint"} for r in rounds)
 
 
 def test_minimize_rows_refuse_a_wrong_shape():
@@ -517,11 +598,23 @@ def test_minimize_does_not_stall_on_the_roundoff_floor(variant, noise, seed, sha
     assert armijo_reference(cf, theta0, MinimizeOptions()) is None
     log = ValuesLog(monkeypatch, cf.n_params)
     res = minimize(cf, theta0)
-    assert res.converged
     assert res.grad_norm <= 1e-8
-    assert log.sizes() <= {1, 2 * cf.n_params, 2 * cf.n_params + 1}
-    assert log.gradients() == res.iterations + 1
+    assert log.sizes() <= {1, 2 * cf.n_params + 1}
+    assert_one_pass_per_step(log, res)
     assert len(log.points()) < 200
+
+
+@pytest.mark.parametrize("bad", [
+    dict(max_iters=-1), dict(max_iters=True), dict(max_iters=False), dict(max_iters=2.0),
+    dict(cost_goal=float("nan")), dict(cost_goal=float("inf")), dict(cost_goal=-np.inf),
+], ids=["negative", "true", "false", "float", "nan-goal", "inf-goal", "minus-inf-goal"])
+def test_minimize_options_refuse_values_that_read_as_results(bad):
+    """max_iters=-1 or True came back as iterations=-1 or True, and a NaN
+    cost_goal was silently ignored."""
+    with pytest.raises(ValueError):
+        MinimizeOptions(**bad)
+    assert MinimizeOptions(max_iters=np.int64(3), cost_goal=np.float64(-1.0)).max_iters == 3
+    assert MinimizeOptions(max_iters=0, cost_goal=None).max_iters == 0
 
 
 def test_minimize_result_is_frozen():
