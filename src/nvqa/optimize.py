@@ -8,12 +8,13 @@ is too short for the cost to resolve its decrease, it is judged instead by
 the approximate Wolfe test of Hager and Zhang (SIAM J. Optim. 16, 2005);
 a step that fails it ends the run unconverged.
 
-Independent starts advance in lockstep. A start or a step's first trial
-point takes its cost and gradient from one kernel pass: its row with its 2P
-shift rows, or on density rows of at least _ADJOINT_QUBITS qubits one
-reverse-mode pass (circuits._expectation_gradients, after Jones and Gacon,
-arXiv:2009.02823) that also returns the cost. Each result is bit for bit
-that of the same run made alone.
+Independent starts advance in lockstep, and every point a run tries, start
+or trial, asks for its cost and gradient in one request. A round answers
+all pending requests with one CostFn._values_and_gradients call: each
+point's row with its 2P shift rows, or on density rows of at least
+_ADJOINT_QUBITS qubits one reverse-mode pass (circuits._expectation_gradients,
+after Jones and Gacon, arXiv:2009.02823) that also returns the cost. Each
+result is bit for bit that of the same run made alone.
 """
 
 from __future__ import annotations
@@ -112,16 +113,17 @@ class CostFn:
         v = _expectations(self.circuit, params, self.noise, self._obs_matrix)
         return v if self.hamiltonian is not None else 1.0 - v
 
-    @property
-    def _adjoint(self) -> bool:
-        """Whether the BFGS loop takes this cost's gradients by _values_and_gradients."""
-        return self.circuit.n_qubits >= _ADJOINT_QUBITS and _row_noise(self.circuit, self.noise) is not None
-
     def _values_and_gradients(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Costs, with the bits of values, and adjoint gradients at every row of
-        an (m, n_params) array, from one forward and one reverse pass."""
-        v, g = _expectation_gradients(self.circuit, params, self.noise, self._obs_matrix)
-        return (v, g) if self.hamiltonian is not None else (1.0 - v, -g)
+        """Costs, with the bits of values, and gradients at every row of an
+        (m, n_params) array, from one kernel call. Density rows of at least
+        _ADJOINT_QUBITS qubits take one forward and one reverse pass; every
+        other row is costed with its 2P shift rows, with gradient's bits."""
+        if self.circuit.n_qubits >= _ADJOINT_QUBITS and _row_noise(self.circuit, self.noise) is not None:
+            v, g = _expectation_gradients(self.circuit, params, self.noise, self._obs_matrix)
+            return (v, g) if self.hamiltonian is not None else (1.0 - v, -g)
+        rows = np.concatenate([np.vstack([x, _shift_rows(x)]) for x in params])
+        vals = self.values(rows).reshape(len(params), -1)
+        return vals[:, 0], _shift_gradient(vals[:, 1:])
 
     def state(self, params: np.ndarray) -> DensityMatrix:
         return evaluate(self.circuit, np.asarray(params, dtype=float), self.noise)
@@ -166,8 +168,9 @@ def _shift_rows(params: np.ndarray) -> np.ndarray:
 
 
 def _shift_gradient(vals: np.ndarray) -> np.ndarray:
-    p = vals.size // 2
-    return 0.5 * (vals[:p] - vals[p:])
+    """Gradients from the shift-row costs on the last axis (+pi/2 half first)."""
+    p = vals.shape[-1] // 2
+    return 0.5 * (vals[..., :p] - vals[..., p:])
 
 
 def gradient(cf: CostFn, params: np.ndarray) -> np.ndarray:
@@ -231,11 +234,10 @@ def _finish(cf: CostFn, x: np.ndarray, f: float, g: np.ndarray, iterations: int,
 
 
 def _bfgs(x: np.ndarray, opts: MinimizeOptions):
-    """One BFGS run from x, as a generator. It yields a 1-D point, sent back
-    its (cost, gradient), or a 1-row batch, sent back its cost: the start and
-    each step's first trial point (alpha = 1) are points, and a backtracked
-    trial is a batch, asked again as a point once accepted or judged by the
-    roundoff fallback. It returns (x, f, g, iterations, line_search_ok)."""
+    """One BFGS run from x, as a generator. It yields every point it tries,
+    the start and each trial point, and is sent back that point's (cost,
+    gradient). A rejected trial's gradient goes unused. It returns (x, f, g,
+    iterations, line_search_ok)."""
     f, g = yield x
     h = np.eye(x.size)
     first_update = True
@@ -251,15 +253,14 @@ def _bfgs(x: np.ndarray, opts: MinimizeOptions):
             slope = -float(g @ g)
         alpha = 1.0
         eps_f = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(f))
-        for k in range(_MAX_BACKTRACKS):
+        for _ in range(_MAX_BACKTRACKS):
             x_new = x + alpha * p
-            f_new, g_new = (yield x_new) if k == 0 else (float((yield x_new[None])[0]), None)
+            f_new, g_new = yield x_new
             if f_new <= f + _ARMIJO_C * alpha * slope:
                 break
             if -alpha * slope <= eps_f:
                 # the cost cannot resolve this decrease: judge the step by
                 # the slope at the trial point instead of crawling on
-                g_new = (yield x_new)[1] if g_new is None else g_new
                 dslope = float(g_new @ p)
                 if (f_new <= f + eps_f
                         and _WOLFE_SIGMA * slope <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope):
@@ -268,7 +269,6 @@ def _bfgs(x: np.ndarray, opts: MinimizeOptions):
             alpha *= _SHRINK
         else:
             return x, f, g, it, False
-        g_new = (yield x_new)[1] if g_new is None else g_new
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -287,39 +287,22 @@ def _bfgs(x: np.ndarray, opts: MinimizeOptions):
 def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None = None) -> list[OptResult]:
     """One independent BFGS run from each row of an (S, n_params) array, in lockstep.
 
-    Each round serves all pending requests with at most one cf.values call
-    and one adjoint call; the gradient method is chosen here alone. A point
-    that wants its cost and gradient takes its row in the adjoint call on
-    density rows of at least _ADJOINT_QUBITS qubits, otherwise its row and
-    2P shift rows in the cf.values batch, where backtracked trials ride too.
-    Rows do not depend on their batch, so each result is a serial run's.
+    Each round answers every pending run's point with one
+    cf._values_and_gradients call over all of them. Rows do not depend on
+    their batch, so each result is a serial run's.
     """
     opts = opts or MinimizeOptions()
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != cf.n_params:
         raise ValueError(f"expected shape (S, {cf.n_params}), got {starts.shape}")
-    adjoint = cf._adjoint
     runs = [_bfgs(x, opts) for x in starts]
     pending = {i: run.send(None) for i, run in enumerate(runs)}
     results: list[OptResult | None] = [None] * len(runs)
     while pending:
-        requests = list(pending.items())
-        points = [x for _, x in requests if adjoint and x.ndim == 1]
-        fused = zip(*cf._values_and_gradients(np.array(points))) if points else None
-        rows = [x if x.ndim == 2 else np.vstack([x, _shift_rows(x)])
-                for _, x in requests if not (adjoint and x.ndim == 1)]
-        vals = cf.values(np.concatenate(rows)) if rows else None
-        at = 0
-        for i, req in requests:
-            if adjoint and req.ndim == 1:
-                f, g = next(fused)
-                reply = float(f), g
-            else:
-                n = len(req) if req.ndim == 2 else 2 * req.size + 1
-                v, at = vals[at:at + n], at + n
-                reply = v if req.ndim == 2 else (float(v[0]), _shift_gradient(v[1:]))
+        costs, grads = cf._values_and_gradients(np.array(list(pending.values())))
+        for i, f, g in zip(list(pending), costs, grads):
             try:
-                pending[i] = runs[i].send(reply)
+                pending[i] = runs[i].send((float(f), g))
             except StopIteration as stop:
                 del pending[i]
                 results[i] = _finish(cf, *stop.value, opts)
@@ -341,12 +324,12 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
     the current iterate with converged=False; so converged=False means a
     failed line search, or max_iters short of the gradient tolerance and goal.
 
-    The start and each step's first trial point take cost and gradient from
-    one kernel pass, the shift rule's or on density rows of at least four
-    qubits the adjoint method's; a backtracked trial asks its gradient only
-    once accepted or judged. The result's cost and grad_norm are those the
-    stopping test read at the final iterate; its params are that iterate's
-    angles reduced to [0, 2*pi). This is the one-start case of _minimize_rows.
+    Every point the run tries, the start and each trial point, takes its cost
+    and gradient from one kernel call, the shift rule's or on density rows of
+    at least four qubits the adjoint method's. The result's cost and
+    grad_norm are those the stopping test read at the final iterate; its
+    params are that iterate's angles reduced to [0, 2*pi). This is the
+    one-start case of _minimize_rows.
     """
     return _minimize_rows(cf, np.asarray(theta0, dtype=float)[None], opts)[0]
 

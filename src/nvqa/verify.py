@@ -14,7 +14,7 @@ from .channels import (
 )
 from .circuits import build_2q_circuit, build_4q_vqe, build_hea, evaluate
 from .noisemodel import apply_global_depol, global_depol_infidelity
-from .optimize import energy_cost, gradient, infidelity_cost
+from .optimize import _ADJOINT_QUBITS, energy_cost, gradient, infidelity_cost
 from .pauli import vqe_hamiltonian_2q, vqe_hamiltonian_4q
 from .qstate import DensityMatrix, pure_state
 from .randstates import sample_real_haar_state
@@ -120,20 +120,25 @@ def check_gradient(n_cases: int = 6) -> float:
     return worst
 
 
-def check_adjoint_gradient() -> float:
-    """The loop's 4-qubit density gradients against the shift rule, its costs against values exactly."""
+def check_loop_costs_and_gradients() -> float:
+    """The BFGS loop's one entry point, CostFn._values_and_gradients, noiseless
+    and under each kind: costs equal cf.values exactly, and gradients equal the
+    parameter-shift rule exactly on shift rows and to the defect on adjoint
+    rows (density rows of at least _ADJOINT_QUBITS qubits)."""
     gen = np.random.default_rng(16)
     worst = 0.0
-    for circuit in (build_hea(2), build_4q_vqe()):
-        for kind in CHANNEL_KINDS:
-            noise = NoiseSpec.uniform(kind, 0.1, 4)
-            for cf in (energy_cost(circuit, vqe_hamiltonian_4q(), noise),
-                       infidelity_cost(circuit, sample_real_haar_state(4, gen), noise)):
+    for circuit, h in ((build_2q_circuit("c"), vqe_hamiltonian_2q()), (build_hea(2), vqe_hamiltonian_4q()),
+                       (build_4q_vqe(), vqe_hamiltonian_4q())):
+        n = circuit.n_qubits
+        for noise in (None,) + tuple(NoiseSpec.uniform(kind, 0.1, n) for kind in CHANNEL_KINDS):
+            for cf in (energy_cost(circuit, h, noise),
+                       infidelity_cost(circuit, sample_real_haar_state(n, gen), noise)):
                 theta = gen.uniform(0.0, 2.0 * np.pi, (2, circuit.n_params))
                 want = np.array([gradient(cf, t) for t in theta])
                 costs, grads = cf._values_and_gradients(theta)
-                if not np.array_equal(costs, cf.values(theta)):
-                    raise AssertionError("adjoint costs differ from cf.values")
+                exact = n < _ADJOINT_QUBITS or noise is None  # shift rows
+                if not np.array_equal(costs, cf.values(theta)) or exact and not np.array_equal(grads, want):
+                    raise AssertionError("loop costs or shift-row gradients differ from values and gradient")
                 worst = max(worst, float(np.abs(grads - want).max()))
     return worst
 
@@ -181,7 +186,7 @@ CHECKS = (
     ("product channel vs tensor-product Kraus", check_product_vs_tensor_kraus, 1e-12),
     ("PTM closed forms", check_ptm_closed_forms, 1e-12),
     ("parameter-shift gradient vs finite differences", check_gradient, 1e-6),
-    ("adjoint gradient vs parameter shift", check_adjoint_gradient, 1e-12),
+    ("loop cost and gradient vs values and parameter shift", check_loop_costs_and_gradients, 1e-12),
     ("global depolarising closed form vs simulation", check_global_depol, 1e-12),
     ("state invariants after noisy circuits", check_state_invariants, 1e-10),
 )

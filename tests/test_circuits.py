@@ -483,5 +483,27 @@ def test_serialization_round_trip(circuit):
 
 
 def test_from_dict_rejects_malformed():
-    with pytest.raises(ValueError):
-        circuit_from_dict({"n_qubits": 1, "ops": [{"rz": {"p": 0, "q": 0}}], "n_params": 1})
+    """Every malformed dict raises ValueError: an unknown op, a missing key, a
+    non-dict entry, and a bool or non-integer field."""
+    ry = {"ry": {"p": 0, "q": 0}}
+    for d in ({"n_qubits": 1, "ops": [{"rz": {"p": 0, "q": 0}}], "n_params": 1},
+              {"n_qubits": 1, "ops": [{"ry": {"p": 0}}], "n_params": 1},
+              {"n_qubits": 1, "ops": [ry]},
+              {"ops": [ry], "n_params": 1},
+              {"n_qubits": 1, "ops": [{"ry": 3}], "n_params": 1},
+              {"n_qubits": 1, "ops": [5], "n_params": 1},
+              {"n_qubits": 1, "ops": [{"ry": {"p": 0, "q": "0"}}], "n_params": 1},
+              {"n_qubits": 1, "ops": [{"ry": {"p": True, "q": 0}}], "n_params": 1},
+              {"n_qubits": 2, "ops": [ry, {"cx": {"c": 0, "t": 1.0}}], "n_params": 1},
+              {"n_qubits": 1.0, "ops": [ry], "n_params": 1},
+              {"n_qubits": 1, "ops": [ry], "n_params": True},
+              [ry]):
+        with pytest.raises(ValueError):
+            circuit_from_dict(d)
+
+
+def test_circuit_fields_keep_numpy_integers_as_ints():
+    """numpy integers are accepted and stored as ints, so the circuit serialises."""
+    c = Circuit(np.int64(2), (Ry(np.int64(0), np.int32(1)), Cx(np.int8(1), 0)), np.int64(1))
+    assert c == Circuit(2, (Ry(0, 1), Cx(1, 0)), 1)
+    assert circuit_from_json(circuit_to_json(c)) == c

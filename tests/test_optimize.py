@@ -180,69 +180,59 @@ def test_minimize_reaches_known_ground_state():
 
 
 class ValuesLog:
-    """Every kernel request of a one-start run, in order, as (point, wants
-    gradient). A CostFn.values call is one request of the BFGS loop: 1 row, a
-    backtracked trial point that wants its cost, or 2P + 1 rows, a point that
-    wants its cost and gradient (the start, a step's first trial point, or a
-    backtracked trial accepted or judged by the roundoff fallback) with its
-    shift rows. On density rows of four qubits a point that wants both is
-    instead one row of a CostFn._values_and_gradients call."""
+    """Every kernel request of a one-start run, in order. A request is one row
+    of a CostFn._values_and_gradients call and wants that point's cost and
+    gradient; values_sizes and adjoint_sizes list the rows of the cf.values
+    and _expectation_gradients calls that answer them."""
 
-    def __init__(self, monkeypatch, n_params: int):
-        self.calls: list[tuple[np.ndarray, bool]] = []
+    def __init__(self, monkeypatch):
+        self.points: list[np.ndarray] = []
         self.values_sizes: list[int] = []
         self.adjoint_sizes: list[int] = []
-        self.p = n_params
-        values, fused = CostFn.values, CostFn._values_and_gradients
+        values, fused, adjoint = CostFn.values, CostFn._values_and_gradients, optimize._expectation_gradients
 
-        def logged(cf, params):
+        def logged_values(cf, params):
             self.values_sizes.append(len(params))
-            self.calls.append((np.array(params[0], dtype=float), len(params) == 2 * self.p + 1))
             return values(cf, params)
 
         def logged_fused(cf, params):
-            self.adjoint_sizes.append(len(params))
-            self.calls += [(np.array(x, dtype=float), True) for x in params]
+            self.points += [np.array(x, dtype=float) for x in params]
             return fused(cf, params)
 
-        monkeypatch.setattr(CostFn, "values", logged)
+        def logged_adjoint(circuit, params, *args):
+            self.adjoint_sizes.append(len(params))
+            return adjoint(circuit, params, *args)
+
+        monkeypatch.setattr(CostFn, "values", logged_values)
         monkeypatch.setattr(CostFn, "_values_and_gradients", logged_fused)
-
-    def sizes(self) -> set[int]:
-        return set(self.values_sizes)
-
-    def gradients(self) -> int:
-        return sum(wants for _, wants in self.calls)
-
-    def points(self) -> list[np.ndarray]:
-        """Every point costed, reduced to [0, 2*pi)."""
-        return [np.mod(x, 2.0 * np.pi) for x, _ in self.calls]
-
-    def gradient_points(self) -> list[np.ndarray]:
-        return [np.mod(x, 2.0 * np.pi) for x, wants in self.calls if wants]
-
-    def asked_again(self) -> int:
-        """The backtracked trials accepted or judged: each is costed alone and
-        at once asked again for its cost and gradient. Asserts that no other
-        point is costed twice."""
-        first: dict[bytes, int] = {}
-        again = 0
-        for k, (x, wants) in enumerate(self.calls):
-            key = x.tobytes()
-            if key in first:
-                assert first[key] == k - 1 and not self.calls[k - 1][1] and wants
-                again += 1
-            first[key] = k
-        return again
+        monkeypatch.setattr(optimize, "_expectation_gradients", logged_adjoint)
 
 
-def assert_one_pass_per_step(log: ValuesLog, res: OptResult):
-    """A converged run asks for cost and gradient once at the start, once at
-    each step's first trial point, and once more per backtracked trial
-    accepted or judged; the last request is at the final iterate."""
+def costed_points(monkeypatch, cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None):
+    """The points serial_reference costs, in order: the start and every trial
+    point it tries, each once."""
+    seen: list[np.ndarray] = []
+    value = CostFn.value
+
+    def logged(self, params):
+        seen.append(np.array(params, dtype=float))
+        return value(self, params)
+
+    with monkeypatch.context() as m:
+        m.setattr(CostFn, "value", logged)
+        serial_reference(cf, theta0, opts)
+    return seen
+
+
+def assert_one_request_per_point(log: ValuesLog, tried: list[np.ndarray], res: OptResult):
+    """A converged run asks for cost and gradient once at every point it
+    tries, the start and each trial point alike (1 + trial points), and at no
+    point twice; the last request is at the final iterate."""
     assert res.converged
-    assert log.gradients() == 1 + res.iterations + log.asked_again()
-    assert np.array_equal(log.gradient_points()[-1], res.params)
+    assert len(log.points) == len(tried)
+    assert all(np.array_equal(x, t) for x, t in zip(log.points, tried))
+    assert len({x.tobytes() for x in log.points}) == len(log.points)
+    assert np.array_equal(np.mod(log.points[-1], 2.0 * np.pi), res.params)
 
 
 @pytest.mark.parametrize("noise, opts", [
@@ -252,15 +242,17 @@ def assert_one_pass_per_step(log: ValuesLog, res: OptResult):
     (None, MinimizeOptions(cost_goal=10.0)),
 ], ids=["noiseless", "depolarising", "step-reaches-goal", "start-meets-goal"])
 def test_minimize_finishes_from_the_loops_cost_and_gradient(noise, opts, monkeypatch):
-    """One cost-and-gradient request at the start and at each step's first
-    trial point, and no point costed twice but a backtracked trial asked
-    again: the result reuses the cost and gradient of the final iterate
-    instead of evaluating them again at the reduced angles."""
+    """One cost-and-gradient request at the start and at each trial point,
+    each answered by one cf.values call over its row and 2P shift rows: the
+    result reuses the cost and gradient of the final iterate instead of
+    evaluating them again at the reduced angles."""
     cf = energy_cost(build_2q_circuit("a"), H2, noise)
-    log = ValuesLog(monkeypatch, cf.n_params)
-    res = minimize(cf, np.array([0.5, 1.2, 2.5]), opts)
-    assert log.sizes() <= {1, 2 * cf.n_params + 1} and log.adjoint_sizes == []
-    assert_one_pass_per_step(log, res)
+    theta0 = np.array([0.5, 1.2, 2.5])
+    tried = costed_points(monkeypatch, cf, theta0, opts)
+    log = ValuesLog(monkeypatch)
+    res = minimize(cf, theta0, opts)
+    assert log.values_sizes == [2 * cf.n_params + 1] * len(log.points) and log.adjoint_sizes == []
+    assert_one_request_per_point(log, tried, res)
     monkeypatch.undo()
     assert abs(res.grad_norm - np.linalg.norm(gradient(cf, res.params))) < 1e-12
     assert abs(res.cost - cf.value(res.params)) < 1e-12
@@ -268,10 +260,11 @@ def test_minimize_finishes_from_the_loops_cost_and_gradient(noise, opts, monkeyp
 
 def loop_gradient(cf: CostFn, x: np.ndarray) -> np.ndarray:
     """The gradient the BFGS loop takes at x: the adjoint one for density rows
-    on at least four qubits, the public parameter-shift rule otherwise.
+    on at least four qubits, the parameter-shift rule's bits otherwise
+    (test_values_and_gradients_are_values_and_gradient_bit_for_bit).
     test_adjoint_gradients_match_the_parameter_shift_rule pins the first to
     the second."""
-    return cf._values_and_gradients(x[None])[1][0] if cf._adjoint else gradient(cf, x)
+    return cf._values_and_gradients(x[None])[1][0]
 
 
 def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None):
@@ -360,15 +353,20 @@ def test_minimize_rows_match_serial_runs(kind, n_starts):
 
 
 @pytest.mark.parametrize("kind", [None, "phase", "amplitude", "depolarising"])
-def test_minimize_rows_match_serial_runs_on_four_qubits(kind, rng):
+def test_minimize_rows_match_serial_runs_on_four_qubits(kind, monkeypatch, rng):
     """Pure rows take the shift rows; density rows, of an infidelity and an
     energy cost, the adjoint gradient."""
     c = build_hea(2)
     spec = None if kind is None else NoiseSpec.uniform(kind, 0.05, 4)
     cf = infidelity_cost(c, sample_real_haar_state(4, rng), spec)
-    got = assert_rows_match_serial(cf, rng.uniform(0.0, 2.0 * np.pi, (3, c.n_params)))
+    starts = rng.uniform(0.0, 2.0 * np.pi, (3, c.n_params))
+    with monkeypatch.context() as m:
+        log = ValuesLog(m)
+        got = _minimize_rows(cf, starts)
+    assert (log.adjoint_sizes != [], log.values_sizes != []) == (kind is not None, kind is None)
+    for res, theta0 in zip(got, starts):
+        assert_same_run(res, serial_reference(cf, theta0))
     assert len({r.iterations for r in got}) > 1
-    assert cf._adjoint == (kind is not None)
     if kind is not None:
         cf = energy_cost(build_4q_vqe(), _h4(), spec)
         got = assert_rows_match_serial(cf, rng.uniform(0.0, 2.0 * np.pi, (3, cf.n_params)))
@@ -420,19 +418,20 @@ def test_minimize_rows_match_serial_runs_at_the_cap_and_the_goal():
 @pytest.mark.parametrize("gamma", [0.0, 0.05])
 @pytest.mark.parametrize("kind", ["phase", "amplitude", "depolarising"])
 def test_four_qubit_density_runs_take_adjoint_gradients(kind, gamma, monkeypatch, rng):
-    """A 4-qubit density run asks each point that wants its cost and gradient
-    in one single-row adjoint call, and costs only backtracked trials in
-    cf.values; at strength zero its rows are statevectors and it keeps the
-    shift rows."""
+    """A 4-qubit density run asks each point it tries in one single-row
+    adjoint call and never reaches cf.values; at strength zero its rows are
+    statevectors and it keeps the shift rows."""
     cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng), NoiseSpec.uniform(kind, gamma, 4))
-    log = ValuesLog(monkeypatch, cf.n_params)
-    res = minimize(cf, rng.uniform(0.0, 2.0 * np.pi, cf.n_params))
-    assert_one_pass_per_step(log, res)
+    theta0 = rng.uniform(0.0, 2.0 * np.pi, cf.n_params)
+    tried = costed_points(monkeypatch, cf, theta0)
+    log = ValuesLog(monkeypatch)
+    res = minimize(cf, theta0)
+    assert_one_request_per_point(log, tried, res)
     if gamma == 0.0:
-        assert log.sizes() <= {1, 2 * cf.n_params + 1} and log.adjoint_sizes == []
+        assert log.values_sizes == [2 * cf.n_params + 1] * len(log.points) and log.adjoint_sizes == []
     else:
-        assert log.sizes() <= {1}
-        assert log.adjoint_sizes == [1] * log.gradients()
+        assert log.values_sizes == []
+        assert log.adjoint_sizes == [1] * len(log.points)
 
 
 class RoundLog:
@@ -442,6 +441,7 @@ class RoundLog:
     def __init__(self, monkeypatch):
         self.events: list[str] = []
         bfgs, values, fused = optimize._bfgs, CostFn.values, CostFn._values_and_gradients
+        adjoint = optimize._expectation_gradients
 
         def logged_bfgs(x, opts):
             run, reply = bfgs(x, opts), None
@@ -454,14 +454,15 @@ class RoundLog:
                 reply = yield req
 
         def logged(name, fn):
-            def call(cf, params):
+            def call(*args):
                 self.events.append(name)
-                return fn(cf, params)
+                return fn(*args)
             return call
 
         monkeypatch.setattr(optimize, "_bfgs", logged_bfgs)
         monkeypatch.setattr(CostFn, "values", logged("values", values))
-        monkeypatch.setattr(CostFn, "_values_and_gradients", logged("adjoint", fused))
+        monkeypatch.setattr(CostFn, "_values_and_gradients", logged("fused", fused))
+        monkeypatch.setattr(optimize, "_expectation_gradients", logged("adjoint", adjoint))
 
     def rounds(self) -> list[list[str]]:
         out: list[list[str]] = []
@@ -474,9 +475,10 @@ class RoundLog:
 
 
 @pytest.mark.parametrize("case", ["pure", "2q-density", "4q-density"])
-def test_minimize_rows_make_one_values_and_one_adjoint_call_per_round(case, monkeypatch, rng):
-    """Every round serves all pending runs with at most one cf.values call
-    and one adjoint call; 4-qubit density rounds use both kinds."""
+def test_minimize_rows_make_one_kernel_call_per_round(case, monkeypatch, rng):
+    """Every round answers all pending runs with one _values_and_gradients
+    call, which makes one cf.values call or, on 4-qubit density rows, one
+    adjoint call."""
     if case == "4q-density":
         spec = NoiseSpec.uniform("amplitude", 0.05, 4)
         cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng), spec)
@@ -487,10 +489,33 @@ def test_minimize_rows_make_one_values_and_one_adjoint_call_per_round(case, monk
     got = _minimize_rows(cf, rng.uniform(0.0, 2.0 * np.pi, (6, cf.n_params)))
     rounds = log.rounds()
     assert len(rounds) >= max(r.iterations for r in got) + 1
-    assert all(r.count("values") <= 1 and r.count("adjoint") <= 1 for r in rounds)
-    assert any("adjoint" in r for r in rounds) == (case == "4q-density")
+    assert all(r == ["fused", "adjoint" if case == "4q-density" else "values"] for r in rounds)
+
+
+@pytest.mark.parametrize("case", ["pure", "2q-density", "4q-density"])
+def test_values_and_gradients_are_values_and_gradient_bit_for_bit(case, rng):
+    """The loop's one entry point: costs equal cf.values bit for bit, for a
+    row alone and in 2- and 33-row batches, and so do the gradients; shift-row
+    gradients equal the public gradient bit for bit, adjoint ones to 1e-12."""
     if case == "4q-density":
-        assert any(set(r) == {"values", "adjoint"} for r in rounds)
+        spec = NoiseSpec.uniform("amplitude", 0.05, 4)
+        cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng), spec)
+    elif case == "2q-density":
+        cf = energy_cost(build_2q_circuit("c"), H2, NoiseSpec.uniform("depolarising", 0.2, 2))
+    else:
+        cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng))
+    thetas = rng.uniform(0.0, 2.0 * np.pi, (34, cf.n_params))
+    costs, grads = map(np.concatenate, zip(*(cf._values_and_gradients(t[None]) for t in thetas)))
+    np.testing.assert_array_equal(costs, cf.values(thetas))
+    for lo, hi in ((0, 2), (0, 33), (1, 34)):
+        got_costs, got_grads = cf._values_and_gradients(thetas[lo:hi])
+        np.testing.assert_array_equal(got_costs, costs[lo:hi])
+        np.testing.assert_array_equal(got_grads, grads[lo:hi])
+    want = np.array([gradient(cf, t) for t in thetas])
+    if case == "4q-density":
+        np.testing.assert_allclose(grads, want, rtol=0.0, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(grads, want)
 
 
 def test_minimize_rows_refuse_a_wrong_shape():
@@ -596,12 +621,13 @@ def test_minimize_does_not_stall_on_the_roundoff_floor(variant, noise, seed, sha
     cf = energy_cost(build_2q_circuit(variant), H2, noise)
     theta0 = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, shape)[row]
     assert armijo_reference(cf, theta0, MinimizeOptions()) is None
-    log = ValuesLog(monkeypatch, cf.n_params)
+    tried = costed_points(monkeypatch, cf, theta0)
+    log = ValuesLog(monkeypatch)
     res = minimize(cf, theta0)
     assert res.grad_norm <= 1e-8
-    assert log.sizes() <= {1, 2 * cf.n_params + 1}
-    assert_one_pass_per_step(log, res)
-    assert len(log.points()) < 200
+    assert log.values_sizes == [2 * cf.n_params + 1] * len(log.points)
+    assert_one_request_per_point(log, tried, res)
+    assert len(log.points) < 200
 
 
 @pytest.mark.parametrize("bad", [
