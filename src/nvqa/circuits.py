@@ -4,10 +4,11 @@ A circuit is a flat list of operations: Ry rotations referencing a parameter
 slot, CX gates, and NOISE markers. Every evaluation runs through one batched
 kernel, _simulate, over the circuit's ops compiled once into groups: runs of
 Ry gates on distinct qubits, and the CX gates and noise marks between them.
-Statevector rows apply each Ry and one gather per fixed group. Density rows
-apply each rotation group as one U rho U^T and each fixed group, with the
-product noise channel at its markers, as one product with blocks composed
-once per noise spec; _reduce alone turns the rows into Tr[O rho].
+Statevector rows run with the batch innermost: each Ry is two products on
+contiguous rows and each fixed group one gather. Density rows apply each
+rotation group as one U rho U^T and each fixed group, with the product noise
+channel at its markers, as one product with blocks composed once per noise
+spec; _reduce alone turns the rows into Tr[O rho].
 _expectation_gradients gives Tr[O rho] and d Tr[O rho] / d theta of density
 rows from one forward pass and the adjoint of each group in reverse. The
 blocks grow as 8^n floats, so noisy evaluation stops at MAX_DENSITY_QUBITS
@@ -24,23 +25,13 @@ from typing import Union
 import numpy as np
 
 from .channels import NoiseSpec, _apply_noise
-from .qstate import DensityMatrix, MAX_QUBITS
+from .qstate import DensityMatrix, MAX_QUBITS, _require_ints
 
 _CHUNK_FLOATS = 2 ** 13  # output-state floats per _simulate call in _expectations
 # widest circuit with density rows: a spec's blocks take dim^3 floats per fixed group
 # (a two-layer brickwork circuit composes in 0.5 ms at 4 qubits, 12 ms at 6, 0.11 s at 7,
 # one BLAS thread)
 MAX_DENSITY_QUBITS = 6
-
-
-def _require_ints(obj, *names: str) -> None:
-    """Store the named fields as ints; bools, which Python makes ints, and
-    non-integers are refused."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -128,10 +119,9 @@ class Circuit:
 
         One (ops, perm) pair per group. Consecutive Ry gates on distinct
         qubits form a rotation group (rys, None): rys lists (param_index,
-        qubit, a, b) in op order, where the qubit's bit splits a basis index
-        as (a, 2, b). The CX gates and noise marks between two rotation groups
-        form a fixed group (ops, perm), perm being the basis gather of its CX
-        gates composed.
+        qubit) in op order. The CX gates and noise marks between two rotation
+        groups form a fixed group (ops, perm), perm being the basis gather of
+        its CX gates composed.
         """
         runs: list[list[CircuitOp]] = []
         for op in self.ops:
@@ -145,8 +135,7 @@ class Circuit:
         groups = []
         for run in runs:
             if isinstance(run[0], Ry):
-                groups.append((tuple((r.param_index, r.qubit, 2 ** r.qubit, dim // 2 ** (r.qubit + 1))
-                                     for r in run), None))
+                groups.append((tuple((r.param_index, r.qubit) for r in run), None))
             else:
                 perm = np.arange(dim)
                 for op in run:
@@ -167,21 +156,30 @@ class Circuit:
         for rys, perm in self._groups:
             if perm is None:
                 slots = np.full(n, self.n_params)
-                for p, q, _, _ in rys:
+                for p, q in rys:
                     slots[q] = p
                 out.append(4 * slots[:, None, None] + 2 * bits[:, :, None] + bits[:, None, :])
         return tuple(out)
 
     @cached_property
+    def _flips(self) -> tuple[tuple, ...]:
+        """For each qubit q, of bit weight w = dim // 2^(q+1), (i ^ w, sign):
+        the basis index that an Ry on q mixes with i, and sign[i] = -1 where
+        bit w of i is clear, +1 where it is set."""
+        idx = np.arange(2 ** self.n_qubits)
+        weights = 2 ** self.n_qubits >> np.arange(1, self.n_qubits + 1)
+        return tuple((idx ^ w, np.where(idx & w, 1.0, -1.0)) for w in weights)
+
+    @cached_property
     def _rotation_traces(self) -> tuple[tuple, ...]:
         """For each rotation group, (slots, entries, signs) for the reverse pass
-        of _expectation_gradients: the group's parameter slots and, per Ry of
-        weight w = dim // 2^(q+1), the flat entries (i ^ w, i) of a product
-        rho lambda whose signed sum is Tr[2 K_q rho lambda]."""
+        of _expectation_gradients: the group's parameter slots and, per Ry on
+        qubit q, the flat entries (i ^ w, i) of a product rho lambda whose sum
+        signed by _flips is Tr[2 K_q rho lambda]."""
         dim = 2 ** self.n_qubits
         idx = np.arange(dim)
-        return tuple((np.array([p for p, *_ in rys]), np.array([(idx ^ w) * dim + idx for *_, w in rys]),
-                      np.array([np.where(idx & w, 1.0, -1.0) for *_, w in rys]))
+        return tuple((np.array([p for p, _ in rys]), np.array([self._flips[q][0] * dim + idx for _, q in rys]),
+                      np.array([self._flips[q][1] for _, q in rys]))
                      for rys, perm in self._groups if perm is None)
 
     @cached_property
@@ -258,9 +256,13 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
     otherwise. Ry, CX and all three channels map real states to real states,
     so float64 arithmetic is exact here.
 
-    Both paths walk the circuit's groups (Circuit._groups). A statevector
-    takes each Ry of a rotation group in op order and one gather per fixed
-    group. A density row takes a rotation group as one rho <- U rho U^T, U
+    Both paths walk the circuit's groups (Circuit._groups). Statevectors are
+    held as one (2^n, m) array, the batch innermost, and returned C-ordered as
+    (m, 2^n). An Ry of slot p on qubit q is psi <- cos_p psi + sin_p sign *
+    psi[i ^ w], taking (i ^ w, sign) from Circuit._flips, in op order; a
+    fixed group is one gather of its basis indices. Each entry is cos * x0 +
+    (-sin) * x1 or cos * x1 + sin * x0, the bits of the per-op kernel's
+    c x0 - s x1 and s x0 + c x1. A density row takes a rotation group as one rho <- U rho U^T, U
     the Kronecker product of the group's rotations, and a fixed group as one
     product with its precomposed blocks (_channel_blocks). Every product is
     a stacked per-row matmul, so no BLAS call spans rows and a row's bits do
@@ -277,16 +279,21 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
     dim = 2 ** circuit.n_qubits
     cos, sin = np.cos(0.5 * params), np.sin(0.5 * params)
     if noise is None:
-        state = np.zeros((m, dim))
-        state[:, 0] = 1.0
-        cos, sin = cos[:, :, None, None], sin[:, :, None, None]
+        # one basis index per row of state, the batch innermost
+        cos, sin = cos.T.copy(), sin.T.copy()
+        state = np.zeros((dim, m))
+        state[0] = 1.0
         for ops, perm in circuit._groups:
             if perm is None:
-                for p, _, a, b in ops:
-                    state = _rotate(state, cos[:, p], sin[:, p], a, b)
+                for p, q in ops:
+                    partner, sign = circuit._flips[q]
+                    flip = state[partner]
+                    flip *= sign[:, None] * sin[p]
+                    state *= cos[p]
+                    state += flip
             else:
-                state = state[:, perm]
-        return state
+                state = state[perm]
+        return np.ascontiguousarray(state.T)
     if circuit.n_qubits > MAX_DENSITY_QUBITS:
         raise ValueError(f"noisy circuits run on at most {MAX_DENSITY_QUBITS} qubits, "
                          f"circuit has {circuit.n_qubits}")
@@ -430,16 +437,6 @@ def _row_noise(circuit: Circuit, noise: NoiseSpec | None) -> NoiseSpec | None:
     """The spec to run rows under: None (statevector rows) for no noise or strength zero."""
     _check_width(circuit, noise)
     return None if noise is None or noise.is_trivial else noise
-
-
-def _rotate(state: np.ndarray, c: np.ndarray, s: np.ndarray, outer: int, inner: int) -> np.ndarray:
-    """Ry on the axis of length 2 when each row of state is viewed as (outer, 2, inner)."""
-    t = state.reshape(len(c), outer, 2, inner)
-    x0, x1 = t[:, :, 0], t[:, :, 1]
-    out = np.empty_like(t)
-    out[:, :, 0] = c * x0 - s * x1
-    out[:, :, 1] = s * x0 + c * x1
-    return out.reshape(state.shape)
 
 
 def _expectations(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None,

@@ -121,8 +121,7 @@ class CostFn:
         if self.circuit.n_qubits >= _ADJOINT_QUBITS and _row_noise(self.circuit, self.noise) is not None:
             v, g = _expectation_gradients(self.circuit, params, self.noise, self._obs_matrix)
             return (v, g) if self.hamiltonian is not None else (1.0 - v, -g)
-        rows = np.concatenate([np.vstack([x, _shift_rows(x)]) for x in params])
-        vals = self.values(rows).reshape(len(params), -1)
+        vals = self.values(_shift_rows(params)).reshape(len(params), 2 * self.n_params + 1)
         return vals[:, 0], _shift_gradient(vals[:, 1:])
 
     def state(self, params: np.ndarray) -> DensityMatrix:
@@ -158,13 +157,14 @@ def infidelity_cost(circuit: Circuit, target: DensityMatrix, noise: NoiseSpec | 
 
 
 def _shift_rows(params: np.ndarray) -> np.ndarray:
-    """The 2P parameter-shift rows of params: +pi/2, then -pi/2, on each angle."""
-    p = params.size
-    batch = np.broadcast_to(params, (2 * p, p)).copy()
+    """Each row of an (S, P) array followed by its 2P parameter-shift rows,
+    +pi/2 and then -pi/2 on each angle, as one (S * (2P + 1), P) array."""
+    p = params.shape[1]
+    rows = np.repeat(params[:, None], 2 * p + 1, axis=1)
     idx = np.arange(p)
-    batch[idx, idx] += 0.5 * np.pi
-    batch[p + idx, idx] -= 0.5 * np.pi
-    return batch
+    rows[:, 1 + idx, idx] += 0.5 * np.pi
+    rows[:, 1 + p + idx, idx] -= 0.5 * np.pi
+    return rows.reshape(-1, p)
 
 
 def _shift_gradient(vals: np.ndarray) -> np.ndarray:
@@ -175,7 +175,7 @@ def _shift_gradient(vals: np.ndarray) -> np.ndarray:
 
 def gradient(cf: CostFn, params: np.ndarray) -> np.ndarray:
     """Exact parameter-shift gradient: [C(t + pi/2) - C(t - pi/2)] / 2."""
-    return _shift_gradient(cf.values(_shift_rows(np.asarray(params, dtype=float))))
+    return _shift_gradient(cf.values(_shift_rows(np.asarray(params, dtype=float)[None])[1:]))
 
 
 @dataclass(frozen=True)
@@ -289,12 +289,15 @@ def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None 
 
     Each round answers every pending run's point with one
     cf._values_and_gradients call over all of them. Rows do not depend on
-    their batch, so each result is a serial run's.
+    their batch, so each result is a serial run's. A start holding a NaN or
+    an infinity is refused before any kernel call.
     """
     opts = opts or MinimizeOptions()
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != cf.n_params:
         raise ValueError(f"expected shape (S, {cf.n_params}), got {starts.shape}")
+    if not np.isfinite(starts).all():
+        raise ValueError("starts must be finite")
     runs = [_bfgs(x, opts) for x in starts]
     pending = {i: run.send(None) for i, run in enumerate(runs)}
     results: list[OptResult | None] = [None] * len(runs)

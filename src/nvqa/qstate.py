@@ -21,6 +21,16 @@ EIGVAL_TOL = 1e-10
 PURITY_TOL = 1e-10
 
 
+def _require_ints(obj, *names: str) -> None:
+    """Store the named fields as ints; bools, which Python makes ints, and
+    non-integers are refused."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Immutable n-qubit mixed state.
@@ -34,6 +44,7 @@ class DensityMatrix:
     data: np.ndarray
 
     def __post_init__(self):
+        _require_ints(self, "n_qubits")
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         dim = 2 ** self.n_qubits
@@ -83,11 +94,11 @@ def zero_state(n_qubits: int) -> DensityMatrix:
 def pure_state(amplitudes: np.ndarray) -> DensityMatrix:
     """Density matrix |psi><psi| of a normalized state vector."""
     v = np.asarray(amplitudes, dtype=complex).ravel()
-    n = int(np.log2(v.size))
+    n = v.size.bit_length() - 1
     if 2 ** n != v.size:
         raise ValueError(f"vector length {v.size} is not a power of two")
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
         raise ValueError(f"vector norm {nrm} differs from 1")
     return DensityMatrix(n, np.outer(v, v.conj()))
 

@@ -12,7 +12,8 @@ from .channels import (
     make_channel,
     ptm_from_channel,
 )
-from .circuits import build_2q_circuit, build_4q_vqe, build_hea, evaluate
+from .circuits import (CX_MATRIX, Cx, Ry, _simulate, build_2q_circuit, build_4q_vqe, build_hea, evaluate,
+                       ry_matrix)
 from .noisemodel import apply_global_depol, global_depol_infidelity
 from .optimize import _ADJOINT_QUBITS, energy_cost, gradient, infidelity_cost
 from .pauli import vqe_hamiltonian_2q, vqe_hamiltonian_4q
@@ -143,6 +144,40 @@ def check_loop_costs_and_gradients() -> float:
     return worst
 
 
+def _dense_statevector(circuit, theta: np.ndarray) -> np.ndarray:
+    """The circuit's output statevector as a product of dense Kronecker
+    gates: ry_matrix on its qubit, CX_MATRIX on a pair (q, q + 1)."""
+    n = circuit.n_qubits
+    psi = np.zeros(2 ** n, dtype=complex)
+    psi[0] = 1.0
+    for op in circuit.ops:
+        if isinstance(op, Ry):
+            gate, first, width = ry_matrix(theta[op.param_index]), op.qubit, 1
+        elif isinstance(op, Cx):
+            if op.target != op.control + 1:
+                raise ValueError(f"the dense product takes CX(q, q + 1) only, got {op}")
+            gate, first, width = CX_MATRIX, op.control, 2
+        else:
+            continue
+        psi = np.kron(np.kron(np.eye(2 ** first), gate), np.eye(2 ** (n - first - width))) @ psi
+    return psi
+
+
+def check_statevector_rows(n_rows: int = 600, n_dense: int = 20) -> float:
+    """Statevector rows of _simulate against the dense product for the first
+    rows of a 600-row batch; every row of the batch must equal that row alone."""
+    gen = np.random.default_rng(17)
+    worst = 0.0
+    for circuit in (build_hea(2), build_4q_vqe(), build_2q_circuit("c")):
+        theta = gen.uniform(0.0, 2.0 * np.pi, (n_rows, circuit.n_params))
+        rows = _simulate(circuit, theta)
+        if not all(np.array_equal(row, _simulate(circuit, t[None])[0]) for row, t in zip(rows, theta)):
+            raise AssertionError("a statevector row differs from the same row run alone")
+        for row, t in zip(rows[:n_dense], theta):
+            worst = max(worst, float(np.abs(row - _dense_statevector(circuit, t)).max()))
+    return worst
+
+
 def check_global_depol(n_cases: int = 20) -> float:
     gen = np.random.default_rng(14)
     worst = 0.0
@@ -187,6 +222,7 @@ CHECKS = (
     ("PTM closed forms", check_ptm_closed_forms, 1e-12),
     ("parameter-shift gradient vs finite differences", check_gradient, 1e-6),
     ("loop cost and gradient vs values and parameter shift", check_loop_costs_and_gradients, 1e-12),
+    ("statevector rows vs dense Ry/CX product", check_statevector_rows, 1e-12),
     ("global depolarising closed form vs simulation", check_global_depol, 1e-12),
     ("state invariants after noisy circuits", check_state_invariants, 1e-10),
 )

@@ -29,10 +29,9 @@ from nvqa.circuits import (
     _cx_perm,
     _expectation_gradients,
     _expectations,
-    _rotate,
     _simulate,
 )
-from nvqa.qstate import DensityMatrix
+from nvqa.qstate import MAX_QUBITS, DensityMatrix
 
 
 def dense_gate(n_qubits: int, op, params: np.ndarray) -> np.ndarray:
@@ -89,6 +88,16 @@ def tensor_kraus_density(circuit: Circuit, params: np.ndarray, spec: NoiseSpec) 
     return rho
 
 
+def _rotate(state: np.ndarray, c: np.ndarray, s: np.ndarray, outer: int, inner: int) -> np.ndarray:
+    """Ry on the axis of length 2 when each row of state is viewed as (outer, 2, inner)."""
+    t = state.reshape(len(c), outer, 2, inner)
+    x0, x1 = t[:, :, 0], t[:, :, 1]
+    out = np.empty_like(t)
+    out[:, :, 0] = c * x0 - s * x1
+    out[:, :, 1] = s * x0 + c * x1
+    return out.reshape(state.shape)
+
+
 def step_reference(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = None) -> np.ndarray:
     """The per-op kernel _simulate replaced: one _rotate per Ry on a statevector
     and two on a density matrix, one gather per CX and axis, and one
@@ -136,12 +145,40 @@ KERNEL_CASES = {
 }
 
 
-@pytest.mark.parametrize("m", [1, 5])
-@pytest.mark.parametrize("name", list(KERNEL_CASES))
+# statevector rows also run at MAX_QUBITS: CX gates between distant qubits in
+# both directions, a noise mark, and two Ry on one qubit back to back
+PURE_CASES = {**KERNEL_CASES, "wide": Circuit(
+    MAX_QUBITS, tuple(Ry(q, q) for q in range(MAX_QUBITS))
+    + (Cx(0, 9), Cx(7, 2), Cx(4, 5), NOISE, Ry(MAX_QUBITS, 3), Ry(MAX_QUBITS + 1, 3), Cx(9, 0),
+       Ry(MAX_QUBITS + 2, 6)),
+    MAX_QUBITS + 3)}
+
+
+@pytest.mark.parametrize("m", [1, 5, 33, 600])
+@pytest.mark.parametrize("name", list(PURE_CASES))
 def test_simulate_pure_rows_equal_the_step_reference_bit_for_bit(name, m, rng):
-    circuit = KERNEL_CASES[name]
+    circuit = PURE_CASES[name]
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(m, circuit.n_params))
-    np.testing.assert_array_equal(_simulate(circuit, thetas), step_reference(circuit, thetas))
+    got = _simulate(circuit, thetas)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, step_reference(circuit, thetas))
+
+
+@pytest.mark.parametrize("name", ["2q-a", "hea-2", "4q-vqe", "fixed-ends"])
+def test_pure_rows_do_not_depend_on_their_batch(name, rng):
+    """Each statevector row alone equals its row in 2-, 33- and 600-row
+    batches and in an offset batch, as a kernel row and as an _expectations
+    value; 600 rows are two _expectations chunks at 4 qubits."""
+    circuit = KERNEL_CASES[name]
+    dim = 2 ** circuit.n_qubits
+    obs = rng.standard_normal((dim, dim))
+    obs += obs.T
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(601, circuit.n_params))
+    rows = np.concatenate([_simulate(circuit, t[None]) for t in thetas])
+    values = np.concatenate([_expectations(circuit, t[None], None, obs) for t in thetas])
+    for lo, hi in ((0, 2), (0, 33), (0, 600), (1, 601), (7, 40)):
+        np.testing.assert_array_equal(_simulate(circuit, thetas[lo:hi]), rows[lo:hi])
+        np.testing.assert_array_equal(_expectations(circuit, thetas[lo:hi], None, obs), values[lo:hi])
 
 
 @pytest.mark.parametrize("gamma", [0.27, 1.0])

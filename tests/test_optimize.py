@@ -29,7 +29,7 @@ from nvqa.optimize import (
     reoptimize_pair,
     sweep_gamma,
 )
-from nvqa.pauli import vqe_hamiltonian_2q
+from nvqa.pauli import vqe_hamiltonian_2q, vqe_hamiltonian_4q
 from nvqa.randstates import RngStream, sample_real_haar_state
 
 H2 = vqe_hamiltonian_2q()
@@ -55,8 +55,6 @@ def test_costfn_requires_exactly_one_objective():
 
 
 def test_costfn_checks_qubit_counts():
-    from nvqa.pauli import vqe_hamiltonian_4q
-
     c = build_2q_circuit("a")
     with pytest.raises(ValueError):
         CostFn(circuit=c, hamiltonian=vqe_hamiltonian_4q())
@@ -149,8 +147,6 @@ def test_real_part_costs_are_exact_for_complex_observables(noise, rng):
 
 
 def _h4():
-    from nvqa.pauli import vqe_hamiltonian_4q
-
     return vqe_hamiltonian_4q()
 
 
@@ -516,6 +512,37 @@ def test_values_and_gradients_are_values_and_gradient_bit_for_bit(case, rng):
         np.testing.assert_allclose(grads, want, rtol=0.0, atol=1e-12)
     else:
         np.testing.assert_array_equal(grads, want)
+
+
+@pytest.mark.parametrize("case", ["pure", "2q-density", "4q-density"])
+def test_values_and_gradients_of_an_empty_batch_are_empty(case):
+    """Empty arrays for pure rows and for density rows of either gradient method."""
+    if case == "4q-density":
+        cf = energy_cost(build_4q_vqe(), vqe_hamiltonian_4q(), NoiseSpec.uniform("phase", 0.1, 4))
+    else:
+        noise = NoiseSpec.uniform("phase", 0.1, 2) if case == "2q-density" else None
+        cf = energy_cost(build_2q_circuit("c"), H2, noise)
+    costs, grads = cf._values_and_gradients(np.empty((0, cf.n_params)))
+    assert costs.shape == (0,) and grads.shape == (0, cf.n_params)
+
+
+def test_non_finite_starts_are_refused_before_any_kernel_request(monkeypatch):
+    """A NaN or infinite start raises, rather than running to a nan cost that
+    reads like a failed line search."""
+    cf = energy_cost(build_2q_circuit("a"), H2, NoiseSpec.uniform("amplitude", 0.1, 2))
+
+    def refuse(*_):
+        raise AssertionError("kernel request for a non-finite start")
+
+    monkeypatch.setattr(CostFn, "_values_and_gradients", refuse)
+    for bad in (np.nan, np.inf, -np.inf):
+        start = np.array([0.5, bad, 2.5])
+        with pytest.raises(ValueError, match="finite"):
+            minimize(cf, start)
+        with pytest.raises(ValueError, match="finite"):
+            _minimize_rows(cf, np.array([[0.1, 0.2, 0.3], start]))
+    with pytest.raises(ValueError, match="finite"):
+        reoptimize_from(cf, np.array([0.5, np.nan, 2.5]))
 
 
 def test_minimize_rows_refuse_a_wrong_shape():

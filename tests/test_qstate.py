@@ -40,6 +40,20 @@ def test_pure_state_rejects_non_power_of_two():
         pure_state(np.ones(3) / np.sqrt(3.0))
 
 
+@pytest.mark.parametrize("amplitudes", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0], []],
+                         ids=["nan", "nan-second", "inf", "empty"])
+def test_pure_state_refuses_non_finite_and_empty_vectors(amplitudes):
+    with pytest.raises(ValueError):
+        pure_state(amplitudes)
+
+
+@pytest.mark.parametrize("n_qubits", [True, 1.0, "1"])
+def test_density_matrix_refuses_a_non_integer_qubit_count(n_qubits):
+    with pytest.raises(ValueError, match="integer"):
+        DensityMatrix(n_qubits, np.eye(2) / 2)
+    assert type(DensityMatrix(np.int64(1), np.eye(2) / 2).n_qubits) is int
+
+
 def test_data_is_read_only():
     rho = zero_state(1)
     with pytest.raises(ValueError):
