@@ -269,9 +269,9 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
     not depend on its batch. Density rows are refused above
     MAX_DENSITY_QUBITS qubits. A tape list, given with density rows, is
     appended (rho, U) before each rotation group, for the reverse
-    pass of _expectation_gradients.
+    pass of _expectation_gradients. A NaN or infinite angle is refused.
     """
-    params = np.asarray(params, dtype=float)
+    params = _require_finite(params)
     if params.ndim != 2 or params.shape[1] != circuit.n_params:
         raise ValueError(f"expected shape (m, {circuit.n_params}), got {params.shape}")
     _check_width(circuit, noise)
@@ -353,7 +353,7 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: NoiseSpe
     for start in range(0, len(params), rows):
         chunk = params[start:start + rows]
         tape: list = []
-        vals[start:start + len(chunk)] = _reduce(_simulate(circuit, chunk, noise, tape), noise, obs)
+        vals[start:start + len(chunk)] = _reduce(_simulate(circuit, chunk, noise, tape), obs)
         lam = np.repeat(obs[None], len(chunk), axis=0)
         blocks = reversed(_channel_blocks(circuit, noise))
         for _, perm in reversed(circuit._groups):
@@ -427,6 +427,14 @@ def _pattern_blocks(n_qubits: int, ops: tuple, kind: str, gammas) -> np.ndarray:
     return np.ascontiguousarray(t[:, idx, idx ^ idx[:, None]].transpose(1, 2, 0))
 
 
+def _require_finite(params, name: str = "params") -> np.ndarray:
+    """params as a float array, refusing a NaN or an infinity."""
+    params = np.asarray(params, dtype=float)
+    if not np.isfinite(params).all():
+        raise ValueError(f"{name} must be finite")
+    return params
+
+
 def _check_width(circuit: Circuit, noise: NoiseSpec | None) -> None:
     """Refuse a spec of the wrong width, trivial or not."""
     if noise is not None and noise.n_qubits != circuit.n_qubits:
@@ -453,23 +461,23 @@ def _expectations(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None,
     rows = max(1, _CHUNK_FLOATS // 2 ** (circuit.n_qubits * (1 if noise is None else 2)))
     out = np.empty(len(params))
     for start in range(0, len(params), rows):
-        out[start:start + rows] = _reduce(_simulate(circuit, params[start:start + rows], noise), noise, obs)
+        out[start:start + rows] = _reduce(_simulate(circuit, params[start:start + rows], noise), obs)
     return out
 
 
-def _reduce(state: np.ndarray, noise: NoiseSpec | None, obs: np.ndarray) -> np.ndarray:
-    """Tr[Re(obs) rho] for each output row of one _simulate call under noise,
-    in a fixed order per row."""
-    if noise is None:
+def _reduce(state: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Tr[Re(obs) rho] for each output row of one _simulate call, statevectors
+    (m, 2^n) or density matrices (m, 2^n, 2^n), in a fixed order per row."""
+    if state.ndim == 2:
         return np.einsum("md,dc,mc->m", state, np.real(obs), state)
     # Tr[O rho] = sum(O * rho) for symmetric O; the C-ordered copy fixes each row's order
     flat = np.ascontiguousarray(state).reshape(len(state), -1)
     return np.einsum("mk,k->m", flat, np.real(obs).ravel())
 
 
-def _as_density_matrix(n_qubits: int, state: np.ndarray, noise: NoiseSpec | None) -> DensityMatrix:
-    """The DensityMatrix of one output row of _simulate under noise."""
-    if noise is None:
+def _as_density_matrix(n_qubits: int, state: np.ndarray) -> DensityMatrix:
+    """The DensityMatrix of one output row of _simulate, a statevector or a density matrix."""
+    if state.ndim == 1:
         psi = state.astype(complex)
         return DensityMatrix(n_qubits, np.outer(psi, psi.conj()))
     return DensityMatrix(n_qubits, 0.5 * (state + state.T))
@@ -498,7 +506,7 @@ def evaluate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = Non
     if params.shape != (circuit.n_params,):
         raise ValueError(f"expected {circuit.n_params} parameters, got shape {params.shape}")
     noise = _row_noise(circuit, noise)
-    return _as_density_matrix(circuit.n_qubits, _simulate(circuit, params[None], noise)[0], noise)
+    return _as_density_matrix(circuit.n_qubits, _simulate(circuit, params[None], noise)[0])
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoiseSpec
-from .circuits import Circuit, Cx, NoiseMark, Ry, _expectations, _simulate
+from .circuits import Circuit, Cx, NoiseMark, Ry, _expectations, _require_finite, _simulate
+from .measures import _require_pure
 from .qstate import DensityMatrix
 
 _VERIFY_TOL = 1e-10
@@ -66,8 +67,7 @@ class DegeneracyMap:
         return all(s == 1 for s in self.signs) and all(b == 0 for b in self.shifts)
 
     def apply(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        return np.mod(np.array(self.signs) * theta + np.pi * np.array(self.shifts), 2.0 * np.pi)
+        return _images(np.array(self.signs), np.array(self.shifts, dtype=bool), theta)
 
     def compose(self, other: "DegeneracyMap") -> "DegeneracyMap":
         """The map sending theta to self.apply(other.apply(theta))."""
@@ -156,8 +156,8 @@ def _map_arrays(maps: list[DegeneracyMap], n_params: int) -> tuple[np.ndarray, n
 
 
 def _images(signs: np.ndarray, shifts: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The images of theta under the maps of _map_arrays, as rows in map order, built in place."""
-    out = np.multiply(signs, theta)
+    """The images of a finite theta under the maps of _map_arrays, as rows in map order, built in place."""
+    out = np.multiply(signs, _require_finite(theta, "theta"))
     np.add(out, np.pi, out=out, where=shifts)
     return np.mod(out, 2.0 * np.pi, out=out)
 
@@ -183,7 +183,6 @@ def degeneracy_split(circuit: Circuit, theta_star: np.ndarray,
     At zero noise all entries agree; noise that does not commute with the
     inserted Pauli words (amplitude damping) spreads them apart.
     """
-    if target.purity() < 1.0 - 1e-8:
-        raise ValueError(f"reference state is not pure (purity {target.purity()})")
-    images = _images(*_map_arrays(maps, circuit.n_params), np.asarray(theta_star, dtype=float))
+    _require_pure(target)
+    images = _images(*_map_arrays(maps, circuit.n_params), theta_star)
     return _expectations(circuit, images, noise, target.data)

@@ -43,7 +43,8 @@ from .optimize import (
     _minimize_rows,
 )
 from .pauli import PauliSum, vqe_hamiltonian_2q, vqe_hamiltonian_4q
-from .randstates import RngStream, sample_real_haar_state
+from .qstate import _require_ints
+from .randstates import RngStream, _child_seed, sample_real_haar_state
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,11 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        for name in ("seed", "n_starts_2q", "n_starts_4q", "n_targets", "n_samples", "layers"):
-            value = getattr(self, name)
-            # bool is refused too: a JSON true is no count, though Python makes it an int
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                       for v in (value if name == "layers" else (value,))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, tuple(map(int, value)) if name == "layers" else int(value))
+        _require_ints(self, "seed", "n_starts_2q", "n_starts_4q", "n_targets", "n_samples")
+        # bool is refused too: a JSON true is no count, though Python makes it an int
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in self.layers):
+            raise ValueError(f"layers must be integers, got {self.layers!r}")
+        object.__setattr__(self, "layers", tuple(map(int, self.layers)))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
@@ -193,31 +192,19 @@ def is_complete(config: ExperimentConfig, out_dir: str | Path | None = None) -> 
             and side.get("csv_sha256") == hashlib.sha256(csv_bytes).hexdigest())
 
 
-def _uniform_noise(kind: str, gamma: float, n_qubits: int,
-                   scales: tuple[float, ...] | None = None) -> NoiseSpec:
-    if scales is None:
-        return NoiseSpec.uniform(kind, gamma, n_qubits)
-    return NoiseSpec(make_channel(kind, gamma), scales)
-
-
-def _stream_seed(config: ExperimentConfig, *path: int) -> int:
-    seq = np.random.SeedSequence(config.seed, spawn_key=tuple(path))
-    return int(seq.generate_state(1)[0])
-
-
 _MINIMA_COLS = ("gamma", "minimum_index", "cost", "energy", "fidelity", "concurrence",
                 "grad_norm", "converged")
 
 
 def _sweep_rows(config: ExperimentConfig, prefix: tuple, circuit: Circuit, h: PauliSum,
-                kind: str, scales: tuple[float, ...] | None, n_starts: int,
+                kind: str, scales: tuple[float, ...], n_starts: int,
                 seed_path: tuple[int, ...]) -> list[tuple]:
     """Energy minima along config.gamma_grid for one circuit and channel kind,
     as rows prefix + _MINIMA_COLS."""
     def cost_at(g):
-        return energy_cost(circuit, h, _uniform_noise(kind, g, circuit.n_qubits, scales))
+        return energy_cost(circuit, h, NoiseSpec(make_channel(kind, g), scales))
     per_gamma = sweep_gamma(cost_at, config.gamma_grid, mode=config.mode,
-                            n_starts=n_starts, seed=_stream_seed(config, *seed_path))
+                            n_starts=n_starts, seed=_child_seed(config.seed, *seed_path))
     rows = []
     for g, minima in zip(config.gamma_grid, per_gamma):
         for idx, r in enumerate(minima):
@@ -234,7 +221,7 @@ def run_vqe2q(config: ExperimentConfig) -> ResultRecord:
     for vi, variant in enumerate(config.variants):
         circuit = build_2q_circuit(variant)
         for ki, kind in enumerate(config.kinds):
-            rows += _sweep_rows(config, (variant, kind), circuit, h, kind, None,
+            rows += _sweep_rows(config, (variant, kind), circuit, h, kind, (1.0, 1.0),
                                 config.n_starts_2q, (vi, ki))
     return ResultRecord(config.experiment, config, ("variant", "kind") + _MINIMA_COLS, rows)
 
@@ -245,7 +232,7 @@ def run_vqe4q(config: ExperimentConfig) -> ResultRecord:
     circuit = build_4q_vqe()
     rows = []
     for ki, kind in enumerate(config.kinds):
-        rows += _sweep_rows(config, (kind,), circuit, h, kind, None, config.n_starts_4q, (ki,))
+        rows += _sweep_rows(config, (kind,), circuit, h, kind, (1.0,) * 4, config.n_starts_4q, (ki,))
     return ResultRecord(config.experiment, config, ("kind",) + _MINIMA_COLS, rows)
 
 
@@ -281,7 +268,7 @@ def optimize_to_target(circuit: Circuit, target, seed: int) -> OptResult:
     """
     cf = infidelity_cost(circuit, target)
     opts = MinimizeOptions(max_iters=400, cost_goal=_INFIDELITY_GOAL * 1e-2)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    rng = RngStream(seed, 0).generator()
     best: OptResult | None = None
     done, chunk = 0, 1
     while done < _MAX_STARTS:
@@ -307,12 +294,11 @@ def run_target_fidelity(config: ExperimentConfig) -> ResultRecord:
         circuit = build_hea(layers)
         for t in range(config.n_targets):
             target = sample_real_haar_state(4, RngStream(config.seed, stream_id=t))
-            base = optimize_to_target(circuit, target,
-                                      _stream_seed(config, li, t))
+            base = optimize_to_target(circuit, target, _child_seed(config.seed, li, t))
             residual = base.cost
             for kind in config.kinds:
                 for g in config.gamma_grid:
-                    cf = infidelity_cost(circuit, target, _uniform_noise(kind, g, 4))
+                    cf = infidelity_cost(circuit, target, NoiseSpec.uniform(kind, g, 4))
                     non_reopt, reopt = reoptimize_from(cf, base.params)
                     for flag, r in ((0, non_reopt), (1, reopt)):
                         q = r.quality
@@ -329,11 +315,11 @@ def run_degeneracy_hist(config: ExperimentConfig) -> ResultRecord:
     gamma = config.gamma_grid[0]
     circuit = build_hea(layers)
     target = sample_real_haar_state(4, RngStream(config.seed, stream_id=0))
-    base = optimize_to_target(circuit, target, _stream_seed(config, 0))
+    base = optimize_to_target(circuit, target, _child_seed(config.seed, 0))
     maps = generate_degeneracy_maps(circuit)
     rows = []
     for kind in config.kinds:
-        noise = _uniform_noise(kind, gamma, 4)
+        noise = NoiseSpec.uniform(kind, gamma, 4)
         fids = degeneracy_split(circuit, base.params, maps, noise, target)
         rows.extend((kind, gamma, i, f) for i, f in enumerate(fids))
     return ResultRecord(config.experiment, config,
@@ -358,11 +344,11 @@ def run_transition_scan(config: ExperimentConfig) -> ResultRecord:
     rows = []
     for t in range(config.n_targets):
         target = sample_real_haar_state(4, RngStream(config.seed, stream_id=t))
-        base = optimize_to_target(circuit, target, _stream_seed(config, t))
+        base = optimize_to_target(circuit, target, _child_seed(config.seed, t))
         prev = base
         history = []
         for g in config.gamma_grid:
-            cf = infidelity_cost(circuit, target, _uniform_noise(kind, g, 4))
+            cf = infidelity_cost(circuit, target, NoiseSpec.uniform(kind, g, 4))
             res = minimize(cf, prev.params)
             clean = infidelity_cost(circuit, target).quality(res.params)
             jump = _wrapped_jump(res.params, prev.params) if history else 0.0
@@ -406,7 +392,7 @@ def run_valley_demo(config: ExperimentConfig) -> ResultRecord:
     pairs = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
     rows = []
     for g in config.gamma_grid:
-        costs = _expectations(circuit, pairs, _uniform_noise(kind, g, 1), np.diag([1.0, 0.0]))
+        costs = _expectations(circuit, pairs, NoiseSpec.uniform(kind, g, 1), np.diag([1.0, 0.0]))
         rows += [(kind, g, k // 101, k % 101, t0, t1, c)
                  for k, ((t0, t1), c) in enumerate(zip(pairs, costs))]
     return ResultRecord(config.experiment, config,

@@ -26,6 +26,12 @@ class QualityRecord:
     concurrence: float
 
 
+def _require_pure(sigma: DensityMatrix) -> None:
+    """Refuse a reference state whose purity is below 1 - 1e-8."""
+    if sigma.purity() < 1.0 - 1e-8:
+        raise ValueError(f"reference state is not pure (purity {sigma.purity()})")
+
+
 def energy(rho: DensityMatrix, hamiltonian: PauliSum) -> float:
     """Tr[H rho]."""
     return expectation(rho, hamiltonian)
@@ -39,8 +45,7 @@ def fidelity(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     """
     if sigma.n_qubits != rho.n_qubits:
         raise ValueError("states act on different qubit counts")
-    if sigma.purity() < 1.0 - _IMAG_TOL:
-        raise ValueError(f"reference state is not pure (purity {sigma.purity()})")
+    _require_pure(sigma)
     val = np.einsum("ij,ji->", sigma.data, rho.data)
     if abs(val.imag) > _IMAG_TOL:
         raise ValueError(f"fidelity has imaginary residue {val.imag}")

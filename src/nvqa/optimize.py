@@ -26,11 +26,12 @@ from typing import Callable
 import numpy as np
 
 from .channels import NoiseSpec
-from .circuits import (Circuit, _as_density_matrix, _expectation_gradients, _expectations, _reduce,
-                       _row_noise, _simulate, evaluate)
-from .measures import QualityRecord, ground_truth, max_pairwise_concurrence
+from .circuits import (Circuit, _as_density_matrix, _check_width, _expectation_gradients, _expectations,
+                       _reduce, _require_finite, _row_noise, _simulate, evaluate)
+from .measures import QualityRecord, _require_pure, ground_truth, max_pairwise_concurrence
 from .pauli import PauliSum
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, _require_ints
+from .randstates import _child_seed
 
 TWO_PI = 2.0 * np.pi
 
@@ -79,8 +80,7 @@ class CostFn:
             raise ValueError("target qubit count does not match circuit")
         if self.hamiltonian is not None and self.hamiltonian.n_qubits != self.circuit.n_qubits:
             raise ValueError("hamiltonian qubit count does not match circuit")
-        if self.noise is not None and self.noise.n_qubits != self.circuit.n_qubits:
-            raise ValueError("noise spec qubit count does not match circuit")
+        _check_width(self.circuit, self.noise)
 
     @cached_property
     def _obs_matrix(self) -> np.ndarray:
@@ -139,10 +139,10 @@ class CostFn:
         for bit; concurrence reads it as the state evaluate returns."""
         noise = _row_noise(self.circuit, self.noise)
         row = _simulate(self.circuit, np.asarray(params, dtype=float)[None], noise)
-        e = float(_reduce(row, noise, self._obs_matrix)[0]) if self.hamiltonian is not None else float("nan")
-        f = float(_reduce(row, noise, self._reference_matrix)[0])
+        e = float(_reduce(row, self._obs_matrix)[0]) if self.hamiltonian is not None else float("nan")
+        f = float(_reduce(row, self._reference_matrix)[0])
         n = self.circuit.n_qubits
-        c = max_pairwise_concurrence(_as_density_matrix(n, row[0], noise)) if n > 1 else 0.0
+        c = max_pairwise_concurrence(_as_density_matrix(n, row[0])) if n > 1 else 0.0
         return QualityRecord(energy=e, fidelity=f, concurrence=c)
 
 
@@ -151,8 +151,7 @@ def energy_cost(circuit: Circuit, hamiltonian: PauliSum, noise: NoiseSpec | None
 
 
 def infidelity_cost(circuit: Circuit, target: DensityMatrix, noise: NoiseSpec | None = None) -> CostFn:
-    if target.purity() < 1.0 - 1e-8:
-        raise ValueError("fidelity targets must be pure states")
+    _require_pure(target)
     return CostFn(circuit=circuit, noise=noise, target=target)
 
 
@@ -184,9 +183,9 @@ class MinimizeOptions:
     cost_goal: float | None = None
 
     def __post_init__(self):
-        iters = self.max_iters
-        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 0:
-            raise ValueError(f"max_iters must be an int >= 0, got {self.max_iters!r}")
+        _require_ints(self, "max_iters")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
         if self.cost_goal is not None and not np.isfinite(self.cost_goal):
             raise ValueError(f"cost_goal must be None or finite, got {self.cost_goal!r}")
 
@@ -293,11 +292,9 @@ def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None 
     an infinity is refused before any kernel call.
     """
     opts = opts or MinimizeOptions()
-    starts = np.asarray(starts, dtype=float)
+    starts = _require_finite(starts, "starts")
     if starts.ndim != 2 or starts.shape[1] != cf.n_params:
         raise ValueError(f"expected shape (S, {cf.n_params}), got {starts.shape}")
-    if not np.isfinite(starts).all():
-        raise ValueError("starts must be finite")
     runs = [_bfgs(x, opts) for x in starts]
     pending = {i: run.send(None) for i, run in enumerate(runs)}
     results: list[OptResult | None] = [None] * len(runs)
@@ -344,14 +341,14 @@ def _dedup(cf: CostFn, results: list[OptResult]) -> list[OptResult]:
     all output rows; scaled to unit norm, the overlap is their dot product,
     squared for statevectors."""
     ordered = sorted(results, key=lambda r: r.cost)
-    noise = _row_noise(cf.circuit, cf.noise)
-    rows = _simulate(cf.circuit, np.array([r.params for r in ordered]), noise).reshape(len(ordered), -1)
+    states = _simulate(cf.circuit, np.array([r.params for r in ordered]), _row_noise(cf.circuit, cf.noise))
+    rows = states.reshape(len(ordered), -1)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     keep: list[int] = []
     for i, r in enumerate(ordered):
         near = [k for k in keep if abs(r.cost - ordered[k].cost) <= _DEDUP_TOL]
         overlap = rows[near] @ rows[i]
-        if noise is None:
+        if states.ndim == 2:  # statevector rows
             overlap = overlap ** 2
         if not np.any(overlap >= 1.0 - _DEDUP_TOL):
             keep.append(i)
@@ -390,8 +387,7 @@ def sweep_gamma(make_cost: Callable[[float], CostFn], gammas, mode: str = "track
     for i, g in enumerate(gammas):
         cf = make_cost(g)
         if mode == "restart" or i == 0:
-            child_seed = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0]
-            out.append(multistart(cf, n_starts, int(child_seed)))
+            out.append(multistart(cf, n_starts, _child_seed(seed, i)))
         else:
             warm = _minimize_rows(cf, np.array([r.params for r in out[-1]]))
             out.append(_dedup(cf, warm))
@@ -405,7 +401,7 @@ def reoptimize_from(cf: CostFn, theta_star: np.ndarray) -> tuple[OptResult, OptR
     run, holding the noisy cost and gradient there. reopt continues minimizing
     under noise, so reopt.cost <= non_reopt.cost up to line-search roundoff.
     """
-    theta_star = _canonical(np.asarray(theta_star, dtype=float))
+    theta_star = _canonical(_require_finite(theta_star, "theta_star"))
     non_reopt = minimize(cf, theta_star, MinimizeOptions(max_iters=0))
     reopt = minimize(cf, theta_star)
     if reopt.cost > non_reopt.cost:

@@ -28,6 +28,11 @@ class RngStream:
         )
 
 
+def _child_seed(seed: int, *path: int) -> int:
+    """The integer seed of the child stream at path under seed, one draw of its SeedSequence."""
+    return int(np.random.SeedSequence(seed, spawn_key=path).generate_state(1)[0])
+
+
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RngStream):
         return rng.generator()

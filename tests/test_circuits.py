@@ -25,6 +25,7 @@ from nvqa.circuits import (
     evaluate,
     evaluate_pure,
     ry_matrix,
+    _as_density_matrix,
     _channel_blocks,
     _cx_perm,
     _expectation_gradients,
@@ -544,3 +545,18 @@ def test_circuit_fields_keep_numpy_integers_as_ints():
     c = Circuit(np.int64(2), (Ry(np.int64(0), np.int32(1)), Cx(np.int8(1), 0)), np.int64(1))
     assert c == Circuit(2, (Ry(0, 1), Cx(1, 0)), 1)
     assert circuit_from_json(circuit_to_json(c)) == c
+
+
+@pytest.mark.parametrize("noise", [None, NoiseSpec.uniform("amplitude", 0.1, 4)], ids=["pure", "density"])
+def test_as_density_matrix_reads_the_row_rank(noise, rng):
+    """The row's rank alone tells the two apart: a statevector row becomes
+    |psi><psi| taken in complex and a density row its symmetrised rho, bit
+    for bit."""
+    c = build_hea(2)
+    row = _simulate(c, rng.uniform(0.0, 2.0 * np.pi, (1, c.n_params)), noise)[0]
+    if noise is None:
+        psi = row.astype(complex)
+        want = np.outer(psi, psi.conj())
+    else:
+        want = 0.5 * (row + row.T)
+    assert np.array_equal(_as_density_matrix(4, row).data, want)

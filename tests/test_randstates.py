@@ -5,10 +5,22 @@ import numpy as np
 from nvqa.measures import concurrence
 from nvqa.randstates import (
     RngStream,
+    _child_seed,
     haar_orthogonal,
     sample_product_state,
     sample_real_haar_state,
 )
+
+
+def test_child_seed_is_one_draw_of_the_spawned_seed_sequence():
+    """The one derivation of child seeds: one-element paths (sweep_gamma's
+    gamma index, the harness's target index) and the harness's
+    (layer index, target index) path."""
+    for seed, path in ((0, (0,)), (2, (1,)), (7, (3,)), (7, (0, 0)), (7, (1, 4))):
+        got = _child_seed(seed, *path)
+        assert type(got) is int
+        assert got == int(np.random.SeedSequence(seed, spawn_key=path).generate_state(1)[0])
+    assert _child_seed(7, 1, 4) != _child_seed(7, 4, 1)
 
 
 def test_haar_orthogonal_is_orthogonal(rng):
