@@ -8,17 +8,21 @@ is too short for the cost to resolve its decrease, it is judged instead by
 the approximate Wolfe test of Hager and Zhang (SIAM J. Optim. 16, 2005);
 a step that fails it ends the run unconverged.
 
-Independent starts advance in lockstep, and every point a run tries, start
-or trial, asks for its cost and gradient in one request. A round answers
-all pending requests with one CostFn._values_and_gradients call: each
-point's row with its 2P shift rows, or on density rows of at least
+Independent starts advance in lockstep as one stacked state: each run
+still going is a row of the iterate, gradient, direction and inverse-Hessian
+arrays. Every point a run tries, start or trial, is costed once, and a
+round costs all runs' points with one CostFn._values_and_gradients call:
+each point's row with its 2P shift rows, or on density rows of at least
 _ADJOINT_QUBITS qubits one reverse-mode pass (circuits._expectation_gradients,
-after Jones and Gacon, arXiv:2009.02823) that also returns the cost. Each
+after Jones and Gacon, arXiv:2009.02823) that also returns the cost. Each run
+takes its line-search decisions alone, and the runs that accept a step update
+together, in stacked products with the bits of their 1-D forms. So each
 result is bit for bit that of the same run made alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
@@ -42,6 +46,7 @@ TWO_PI = 2.0 * np.pi
 _ROUNDOFF_ULPS = 16.0
 _WOLFE_SIGMA = 0.9
 _WOLFE_DELTA = 0.1
+_ROUNDOFF = _ROUNDOFF_ULPS * float(np.finfo(float).eps)
 
 # Stopping test and Armijo backtracking of every run.
 _GRAD_TOL = 1e-8
@@ -232,81 +237,99 @@ def _finish(cf: CostFn, x: np.ndarray, f: float, g: np.ndarray, iterations: int,
     )
 
 
-def _bfgs(x: np.ndarray, opts: MinimizeOptions):
-    """One BFGS run from x, as a generator. It yields every point it tries,
-    the start and each trial point, and is sent back that point's (cost,
-    gradient). A rejected trial's gradient goes unused. It returns (x, f, g,
-    iterations, line_search_ok)."""
-    f, g = yield x
-    h = np.eye(x.size)
-    first_update = True
-    for it in range(opts.max_iters):
-        if np.linalg.norm(g) <= _GRAD_TOL or (opts.cost_goal is not None and f <= opts.cost_goal):
-            return x, f, g, it, True
-        p = -h @ g
-        slope = float(g @ p)
-        if slope >= 0.0:
-            h = np.eye(x.size)
-            first_update = True
-            p = -g
-            slope = -float(g @ g)
-        alpha = 1.0
-        eps_f = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(f))
-        for _ in range(_MAX_BACKTRACKS):
-            x_new = x + alpha * p
-            f_new, g_new = yield x_new
-            if f_new <= f + _ARMIJO_C * alpha * slope:
-                break
-            if -alpha * slope <= eps_f:
-                # the cost cannot resolve this decrease: judge the step by
-                # the slope at the trial point instead of crawling on
-                dslope = float(g_new @ p)
-                if (f_new <= f + eps_f
-                        and _WOLFE_SIGMA * slope <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope):
-                    break
-                return x, f, g, it, False
-            alpha *= _SHRINK
-        else:
-            return x, f, g, it, False
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
-            if first_update:
-                h = (sy / float(y @ y)) * np.eye(x.size)
-                first_update = False
-            hy = h @ y
-            rho_ = 1.0 / sy
-            h = h - rho_ * (np.outer(s, hy) + np.outer(hy, s)) \
-                + rho_ * rho_ * (sy + float(y @ hy)) * np.outer(s, s)
-        x, f, g = x_new, f_new, g_new
-    return x, f, g, opts.max_iters, True
-
-
 def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None = None) -> list[OptResult]:
     """One independent BFGS run from each row of an (S, n_params) array, in lockstep.
 
-    Each round answers every pending run's point with one
-    cf._values_and_gradients call over all of them. Rows do not depend on
-    their batch, so each result is a serial run's. A start holding a NaN or
-    an infinity is refused before any kernel call.
+    The runs still going are the rows of stacked arrays: iterates, gradients,
+    directions and inverse Hessians. Their cost, slope, step length and counts
+    are Python scalars, one list entry per row. Each round costs every run's
+    trial point with one cf._values_and_gradients call, takes each run's
+    line-search decision on its scalars, and updates the runs that accepted a
+    step as one stack. Every stacked product has the bits of its 1-D form, and
+    rows do not depend on their batch, so each result is a serial run's. A
+    start holding a NaN or an infinity is refused before any kernel call.
     """
     opts = opts or MinimizeOptions()
     starts = _require_finite(starts, "starts")
     if starts.ndim != 2 or starts.shape[1] != cf.n_params:
         raise ValueError(f"expected shape (S, {cf.n_params}), got {starts.shape}")
-    runs = [_bfgs(x, opts) for x in starts]
-    pending = {i: run.send(None) for i, run in enumerate(runs)}
-    results: list[OptResult | None] = [None] * len(runs)
-    while pending:
-        costs, grads = cf._values_and_gradients(np.array(list(pending.values())))
-        for i, f, g in zip(list(pending), costs, grads):
-            try:
-                pending[i] = runs[i].send((float(f), g))
-            except StopIteration as stop:
-                del pending[i]
-                results[i] = _finish(cf, *stop.value, opts)
-    return results
+    n, dim = starts.shape
+    eye = np.eye(dim)
+    x, h, p = starts.copy(), np.repeat(eye[None], n, axis=0), np.empty_like(starts)
+    costs, g = cf._values_and_gradients(x)
+    f, it, first = costs.tolist(), [0] * n, [True] * n
+    slope, alpha, eps_f, tries = [0.0] * n, [1.0] * n, [0.0] * n, [0] * n
+    ids, results = list(range(n)), [None] * n
+    acc, sel = list(range(n)), slice(None)  # the rows at a new iterate
+
+    def stop(r, line_search_ok):
+        results[ids[r]] = _finish(cf, x[r], f[r], g[r], it[r], line_search_ok, opts)
+
+    while True:
+        if acc:  # the stop test, then the next direction
+            ga = g[sel]
+            gg = np.vecdot(ga, ga)
+            pa = np.matvec(-h[sel], ga)
+            for k, (r, gg_k, slope_k) in enumerate(zip(acc, gg.tolist(), np.vecdot(ga, pa).tolist())):
+                if (it[r] == opts.max_iters or math.sqrt(gg_k) <= _GRAD_TOL
+                        or (opts.cost_goal is not None and f[r] <= opts.cost_goal)):
+                    stop(r, True)
+                    continue
+                if slope_k >= 0.0:
+                    h[r], first[r], pa[k], slope_k = eye, True, -ga[k], -gg_k
+                slope[r], alpha[r], tries[r], eps_f[r] = slope_k, 1.0, 0, _ROUNDOFF * max(1.0, abs(f[r]))
+            p[sel] = pa
+        if results.count(None) < len(ids):
+            live = [r for r, i in enumerate(ids) if results[i] is None]
+            x, g, h, p = x[live], g[live], h[live], p[live]
+            ids, f, it, first, slope, alpha, eps_f, tries = (
+                [v[r] for r in live] for v in (ids, f, it, first, slope, alpha, eps_f, tries))
+        if not ids:
+            return results
+        trial = x + np.array(alpha)[:, None] * p
+        costs, grads = cf._values_and_gradients(trial)
+        acc = []
+        for r, f_new in enumerate(costs.tolist()):
+            if not f_new <= f[r] + _ARMIJO_C * alpha[r] * slope[r]:
+                if not -alpha[r] * slope[r] <= eps_f[r]:
+                    alpha[r] *= _SHRINK
+                    tries[r] += 1
+                    if tries[r] == _MAX_BACKTRACKS:
+                        stop(r, False)
+                    continue
+                # the cost cannot resolve this decrease: judge the step by
+                # the slope at the trial point instead of crawling on
+                dslope = float(grads[r] @ p[r])
+                if not (f_new <= f[r] + eps_f[r]
+                        and _WOLFE_SIGMA * slope[r] <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope[r]):
+                    stop(r, False)
+                    continue
+            acc.append(r)
+            f[r], it[r] = f_new, it[r] + 1
+        if not acc:
+            continue
+        # the BFGS update of the rows that accepted a step
+        if len(acc) == len(ids):
+            sel, s, y, x, g = slice(None), trial - x, grads - g, trial, grads
+        else:
+            sel = np.array(acc)
+            s, y = trial[sel] - x[sel], grads[sel] - g[sel]
+            x[sel], g[sel] = trial[sel], grads[sel]
+        sy_a = np.vecdot(s, y)
+        sy, yy, ss = sy_a.tolist(), np.vecdot(y, y).tolist(), np.vecdot(s, s).tolist()
+        upd = [k for k in range(len(acc)) if sy[k] > 1e-14 * math.sqrt(ss[k]) * math.sqrt(yy[k])]
+        for k in upd:
+            if first[acc[k]]:
+                h[acc[k]], first[acc[k]] = (sy[k] / yy[k]) * eye, False
+        usel = sel
+        if len(upd) < len(acc):
+            usel, s, y, sy_a = np.array(acc)[upd], s[upd], y[upd], sy_a[upd]
+        hu = h[usel]
+        hy = np.matvec(hu, y)
+        rho = 1.0 / sy_a
+        shy = s[:, :, None] * hy[:, None, :]
+        h[usel] = (hu - rho[:, None, None] * (shy + shy.transpose(0, 2, 1))
+                   + (rho * rho * (sy_a + np.vecdot(y, hy)))[:, None, None] * (s[:, :, None] * s[:, None, :]))
 
 
 def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None) -> OptResult:
@@ -329,7 +352,7 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
     at least four qubits the adjoint method's. The result's cost and
     grad_norm are those the stopping test read at the final iterate; its
     params are that iterate's angles reduced to [0, 2*pi). This is the
-    one-start case of _minimize_rows.
+    one-start case of _minimize_rows: a stack one row high.
     """
     return _minimize_rows(cf, np.asarray(theta0, dtype=float)[None], opts)[0]
 

@@ -265,10 +265,13 @@ def loop_gradient(cf: CostFn, x: np.ndarray) -> np.ndarray:
     return cf._values_and_gradients(x[None])[1][0]
 
 
-def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None):
+def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None,
+                     events: list | None = None):
     """The one-start BFGS loop that minimize ran before starts advanced in
     lockstep, costing one point or one gradient per call. Every row of
-    _minimize_rows must match it bit for bit."""
+    _minimize_rows must match it bit for bit. events, if given, collects
+    "reset" at each reset to steepest descent and "backtracks" at each line
+    search that runs out of backtracks."""
     opts = opts or MinimizeOptions()
     x = np.asarray(theta0, dtype=float).copy()
     f = cf.value(x)
@@ -285,6 +288,8 @@ def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | Non
             first_update = True
             p = -g
             slope = -float(g @ g)
+            if events is not None:
+                events.append("reset")
         alpha = 1.0
         g_new = None
         eps_f = _ROUNDOFF_ULPS * np.finfo(float).eps * max(1.0, abs(f))
@@ -302,6 +307,8 @@ def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | Non
                 return _finish(cf, x, f, g, it, False, opts)
             alpha *= _SHRINK
         else:
+            if events is not None:
+                events.append("backtracks")
             return _finish(cf, x, f, g, it, False, opts)
         if g_new is None:
             g_new = loop_gradient(cf, x_new)
@@ -371,6 +378,81 @@ def test_minimize_rows_match_serial_runs_on_four_qubits(kind, monkeypatch, rng):
         assert len({r.iterations for r in got}) > 1
 
 
+class SkewCost:
+    """A stand-in cost for the loop and the oracle: the cost 0.5 |x|^2 paired
+    with the "gradient" M x of a nearly skew M drawn from seed, and three
+    starts. The secant pairs are nearly orthogonal, so roundoff can leave the
+    inverse Hessian indefinite, and many line searches run out of
+    backtracks."""
+
+    def __init__(self, seed: int):
+        rng = np.random.default_rng(seed)
+        self.n_params = int(rng.integers(2, 9))
+        k = rng.normal(size=(self.n_params, self.n_params))
+        self.m = k - k.T + 10.0 ** rng.uniform(-16, -12) * np.eye(self.n_params)
+        self.starts = rng.normal(size=(3, self.n_params))
+
+    def value(self, x):
+        return float(self._values_and_gradients(np.asarray(x)[None])[0][0])
+
+    def _values_and_gradients(self, x):
+        """Row by row, so that a row's bits do not depend on its batch."""
+        return 0.5 * np.vecdot(x, x), np.array([self.m @ r for r in x]).reshape(x.shape)
+
+
+@pytest.mark.parametrize("seed", [102, 149])
+def test_minimize_rows_keep_the_reset_and_the_backtrack_limit(seed):
+    """Rows whose serial runs reset to steepest descent, and rows that run out
+    of backtracks, match those runs in lockstep. No CostFn case in the tests
+    reaches either branch; seeds 102 and 149 are two of the five seeds below
+    300 whose runs reset."""
+    cf = SkewCost(seed)
+    opts = MinimizeOptions(max_iters=100)
+    events: list[str] = []
+    for res, theta0 in zip(_minimize_rows(cf, cf.starts, opts), cf.starts):
+        assert_same_run(res, serial_reference(cf, theta0, opts, events))
+    assert "reset" in events and "backtracks" in events
+
+
+def test_minimize_rows_match_serial_runs_fifteen_wide_on_sixteen_parameters(monkeypatch, rng):
+    """The widest lockstep chunk of optimize_to_target: 15 starts of the
+    4-layer HEA (P = 16) with its options. Every row equals its serial run,
+    and the runs stop in different rounds, so the stack shrinks round by
+    round, not only at the end."""
+    cf = infidelity_cost(build_hea(4), sample_real_haar_state(4, rng))
+    starts = rng.uniform(0.0, 2.0 * np.pi, (15, cf.n_params))
+    opts = MinimizeOptions(max_iters=400, cost_goal=1e-8)
+    sizes: list[int] = []
+    fused = CostFn._values_and_gradients
+    with monkeypatch.context() as m:
+        m.setattr(CostFn, "_values_and_gradients", lambda cf, x: sizes.append(len(x)) or fused(cf, x))
+        got = _minimize_rows(cf, starts, opts)
+    for res, theta0 in zip(got, starts):
+        assert_same_run(res, serial_reference(cf, theta0, opts))
+    assert len(set(sizes)) > 3
+    assert len({r.iterations for r in got}) > 3
+
+
+@pytest.mark.parametrize("n_params", [3, 4, 8, 12, 16, 24])
+def test_stacked_products_have_the_bits_of_their_1d_forms(n_params):
+    """The rules _minimize_rows rests on, for S in {1, 2, 5, 8, 30} rows:
+    np.vecdot rows equal a_i @ b_i, and their square roots np.linalg.norm;
+    np.matvec rows equal h_i @ v_i; a broadcast outer product equals
+    np.outer(a_i, b_i), and its transpose np.outer(b_i, a_i). A numpy that
+    sums in another order fails here instead of silently moving results."""
+    rng = np.random.default_rng(n_params)
+    for s in (1, 2, 5, 8, 30):
+        a, b = rng.normal(size=(2, s, n_params)) * 10.0 ** rng.uniform(-6.0, 2.0, (2, s, n_params))
+        h = rng.normal(size=(s, n_params, n_params))
+        dots, norms, hv = np.vecdot(a, b), np.sqrt(np.vecdot(a, a)), np.matvec(-h, b)
+        outer = a[:, :, None] * b[:, None, :]
+        for i in range(s):
+            assert dots[i] == a[i] @ b[i] and norms[i] == np.linalg.norm(a[i])
+            assert np.array_equal(hv[i], -h[i] @ b[i])
+            assert np.array_equal(outer[i], np.outer(a[i], b[i]))
+            assert np.array_equal(outer[i].T, np.outer(b[i], a[i]))
+
+
 @pytest.mark.parametrize("variant, noise, seed, shape", [
     ("c", None, 2129014521, (8, 4)),
     ("a", NoiseSpec.uniform("amplitude", 0.3, 2), 2, (8, 3)),
@@ -434,23 +516,14 @@ def test_four_qubit_density_runs_take_adjoint_gradients(kind, gamma, monkeypatch
 
 
 class RoundLog:
-    """The kernel calls of a _minimize_rows call, split into rounds: a round's
-    calls come between the requests the runs yield."""
+    """The kernel calls of a _minimize_rows call, split into rounds: a round
+    opens with its CostFn._values_and_gradients call and holds the calls that
+    one makes. It also counts the rows each round costs."""
 
     def __init__(self, monkeypatch):
         self.events: list[str] = []
-        bfgs, values, fused = optimize._bfgs, CostFn.values, CostFn._values_and_gradients
-        adjoint = optimize._expectation_gradients
-
-        def logged_bfgs(x, opts):
-            run, reply = bfgs(x, opts), None
-            while True:
-                try:
-                    req = run.send(reply)
-                except StopIteration as stop:
-                    return stop.value
-                self.events.append("request")
-                reply = yield req
+        self.rows = 0
+        values, fused, adjoint = CostFn.values, CostFn._values_and_gradients, optimize._expectation_gradients
 
         def logged(name, fn):
             def call(*args):
@@ -458,37 +531,43 @@ class RoundLog:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(optimize, "_bfgs", logged_bfgs)
+        def logged_fused(cf, params):
+            self.rows += len(params)
+            return logged("fused", fused)(cf, params)
+
         monkeypatch.setattr(CostFn, "values", logged("values", values))
-        monkeypatch.setattr(CostFn, "_values_and_gradients", logged("fused", fused))
+        monkeypatch.setattr(CostFn, "_values_and_gradients", logged_fused)
         monkeypatch.setattr(optimize, "_expectation_gradients", logged("adjoint", adjoint))
 
     def rounds(self) -> list[list[str]]:
         out: list[list[str]] = []
-        for prev, event in zip(["request"] + self.events, self.events):
-            if event != "request":
-                if prev == "request":
-                    out.append([])
-                out[-1].append(event)
+        for event in self.events:
+            if event == "fused" or not out:
+                out.append([])
+            out[-1].append(event)
         return out
 
 
 @pytest.mark.parametrize("case", ["pure", "2q-density", "4q-density"])
 def test_minimize_rows_make_one_kernel_call_per_round(case, monkeypatch, rng):
-    """Every round answers all pending runs with one _values_and_gradients
+    """Every round costs all running runs' points with one _values_and_gradients
     call, which makes one cf.values call or, on 4-qubit density rows, one
-    adjoint call."""
+    adjoint call. Between them the rounds cost each point the serial runs
+    cost, once."""
     if case == "4q-density":
         spec = NoiseSpec.uniform("amplitude", 0.05, 4)
         cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng), spec)
     else:
         spec = NoiseSpec.uniform("depolarising", 0.2, 2) if case == "2q-density" else None
         cf = energy_cost(build_2q_circuit("c"), H2, spec)
+    starts = rng.uniform(0.0, 2.0 * np.pi, (6, cf.n_params))
+    tried = sum(len(costed_points(monkeypatch, cf, x)) for x in starts)
     log = RoundLog(monkeypatch)
-    got = _minimize_rows(cf, rng.uniform(0.0, 2.0 * np.pi, (6, cf.n_params)))
+    got = _minimize_rows(cf, starts)
     rounds = log.rounds()
     assert len(rounds) >= max(r.iterations for r in got) + 1
     assert all(r == ["fused", "adjoint" if case == "4q-density" else "values"] for r in rounds)
+    assert log.rows == tried
 
 
 @pytest.mark.parametrize("case", ["pure", "2q-density", "4q-density"])
