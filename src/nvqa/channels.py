@@ -41,6 +41,12 @@ class KrausChannel:
         return float(np.abs(acc - I2).max())
 
 
+def _require_kind(kind: str) -> None:
+    """Refuse a channel kind outside CHANNEL_KINDS."""
+    if kind not in CHANNEL_KINDS:
+        raise ValueError(f"unknown channel kind {kind!r}, expected one of {CHANNEL_KINDS}")
+
+
 def make_channel(kind: str, gamma: float) -> KrausChannel:
     """Build a channel of the given kind and strength.
 
@@ -50,8 +56,7 @@ def make_channel(kind: str, gamma: float) -> KrausChannel:
     gamma : float
         Strength in [0, 1]. gamma = 0 is the identity channel.
     """
-    if kind not in CHANNEL_KINDS:
-        raise ValueError(f"unknown channel kind {kind!r}, expected one of {CHANNEL_KINDS}")
+    _require_kind(kind)
     gamma = float(gamma)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
@@ -78,8 +83,7 @@ def channel_superop(kind: str, gamma: float) -> np.ndarray:
     accepted for gamma in (-1, 1], which central finite differences around
     gamma = 0 rely on.
     """
-    if kind not in CHANNEL_KINDS:
-        raise ValueError(f"unknown channel kind {kind!r}, expected one of {CHANNEL_KINDS}")
+    _require_kind(kind)
     gamma = float(gamma)
     if not -1.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (-1, 1], got {gamma}")
@@ -107,8 +111,7 @@ def _apply_noise(data: np.ndarray, kind: str, gammas) -> np.ndarray:
     only splits the last two axes, so it is always a view. data must be
     writable; it is updated in place and returned.
     """
-    if kind not in CHANNEL_KINDS:
-        raise ValueError(f"unknown channel kind {kind!r}, expected one of {CHANNEL_KINDS}")
+    _require_kind(kind)
     dim = 2 ** len(gammas)
     lead = data.shape[:-2]
     for q, g in enumerate(gammas):
@@ -136,23 +139,15 @@ def _apply_noise(data: np.ndarray, kind: str, gammas) -> np.ndarray:
     return data
 
 
-def _superop_from_kraus(kraus) -> np.ndarray:
-    return sum(np.kron(e, e.conj()) for e in kraus)
-
-
-def _apply_superop_raw(data: np.ndarray, sup: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply a 4x4 single-qubit superoperator to raw (dim, dim) data."""
-    t = data.reshape((2,) * (2 * n))
-    t = _contract(t, sup, (qubit, n + qubit))
-    return t.reshape(data.shape)
-
-
 def apply_channel_one_qubit(rho: DensityMatrix, ch: KrausChannel, qubit: int) -> DensityMatrix:
-    """sum_k E_k rho E_k^dagger with the channel acting on one qubit."""
-    if not 0 <= qubit < rho.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {rho.n_qubits} qubits")
-    sup = _superop_from_kraus(ch.kraus)
-    return DensityMatrix(rho.n_qubits, _apply_superop_raw(rho.data, sup, qubit, rho.n_qubits))
+    """sum_k E_k rho E_k^dagger with the channel acting on one qubit, as its
+    superoperator sum_k E_k (x) conj(E_k) contracted with the qubit's axes."""
+    n = rho.n_qubits
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    sup = sum(np.kron(e, e.conj()) for e in ch.kraus)
+    t = _contract(rho.data.reshape((2,) * (2 * n)), sup, (qubit, n + qubit))
+    return DensityMatrix(n, t.reshape(rho.data.shape))
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,8 @@ class DegeneracyMap:
 
     def compose(self, other: "DegeneracyMap") -> "DegeneracyMap":
         """The map sending theta to self.apply(other.apply(theta))."""
+        if other.n_params != self.n_params:
+            raise ValueError(f"cannot compose maps of {self.n_params} and {other.n_params} parameters")
         signs = tuple(a * b for a, b in zip(self.signs, other.signs))
         shifts = tuple((a + b) % 2 for a, b in zip(self.shifts, other.shifts))
         return DegeneracyMap(signs, shifts)
@@ -120,8 +122,11 @@ def generate_degeneracy_maps(circuit: Circuit, cap: int = 2 ** 16) -> list[Degen
     The group is the GF(2) span of the per-gate generators. When its size
     exceeds cap, only the subgroup spanned by the first generators is
     enumerated and a warning is issued. Each map is verified on
-    _VERIFY_POINTS random angle vectors at zero noise.
+    _VERIFY_POINTS random angle vectors at zero noise. The maps are in the
+    order of their shift bits, the first parameter's most significant.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap!r}")
     ops = [op for op in circuit.ops if not isinstance(op, NoiseMark)]
     n = circuit.n_params
     gens = [_candidate_generator(ops, k, circuit.n_qubits, n)
@@ -141,8 +146,9 @@ def generate_degeneracy_maps(circuit: Circuit, cap: int = 2 ** 16) -> list[Degen
     # mod 256, which keeps their parity
     masks = (np.arange(2 ** rank)[:, None] >> np.arange(rank) & 1).astype(np.uint8)
     span = masks @ np.array(basis, dtype=np.uint8).reshape(rank, 2 * n) & 1
-    # lexsort's last key is primary: by shifts, then by signs, -1 (sign bit 1) first
-    span = span[np.lexsort(np.hstack([span[:, n:], span[:, :n] ^ 1])[:, ::-1].T)]
+    if rank:  # one map needs no order, and lexsort refuses the empty key list of n = 0
+        # lexsort's last key is primary; no two maps of a span share their shifts
+        span = span[np.lexsort(span[:, n:][:, ::-1].T)]
     signs = 1 - 2 * span[:, :n].astype(np.int8)
     maps = [DegeneracyMap(tuple(s.tolist()), tuple(b.tolist())) for s, b in zip(signs, span[:, n:])]
     _verify_maps(circuit, maps)
@@ -150,14 +156,18 @@ def generate_degeneracy_maps(circuit: Circuit, cap: int = 2 ** 16) -> list[Degen
 
 
 def _map_arrays(maps: list[DegeneracyMap], n_params: int) -> tuple[np.ndarray, np.ndarray]:
-    """The maps' signs (int8) and shifts (bool) as (len(maps), n_params) arrays."""
-    signs = np.array([m.signs for m in maps], dtype=np.int8).reshape(-1, n_params)
+    """The maps' signs (int8) and shifts (bool) as (len(maps), n_params) arrays;
+    maps of another width fail the reshape."""
+    signs = np.array([m.signs for m in maps], dtype=np.int8).reshape(len(maps), n_params)
     return signs, np.array([m.shifts for m in maps], dtype=bool).reshape(signs.shape)
 
 
 def _images(signs: np.ndarray, shifts: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The images of a finite theta under the maps of _map_arrays, as rows in map order, built in place."""
-    out = np.multiply(signs, _require_finite(theta, "theta"))
+    theta = _require_finite(theta, "theta")
+    if theta.shape != signs.shape[-1:]:
+        raise ValueError(f"theta must have shape ({signs.shape[-1]},), got {theta.shape}")
+    out = np.multiply(signs, theta)
     np.add(out, np.pi, out=out, where=shifts)
     return np.mod(out, 2.0 * np.pi, out=out)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import CHANNEL_KINDS, NoiseSpec, make_channel
+from .channels import CHANNEL_KINDS, NoiseSpec, _require_kind, make_channel
 from .circuits import (
     Circuit,
     build_2q_circuit,
@@ -73,8 +73,7 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
             )
         for k in self.kinds:
-            if k not in CHANNEL_KINDS:
-                raise ValueError(f"unknown channel kind {k!r}")
+            _require_kind(k)
         if self.mode not in ("track", "restart"):
             raise ValueError(f"mode must be 'track' or 'restart', got {self.mode!r}")
         # a JSON true is no strength, though Python compares it as 1
@@ -121,8 +120,6 @@ def default_config(experiment: str, **overrides) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

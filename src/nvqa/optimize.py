@@ -17,7 +17,8 @@ _ADJOINT_QUBITS qubits one reverse-mode pass (circuits._expectation_gradients,
 after Jones and Gacon, arXiv:2009.02823) that also returns the cost. Each run
 takes its line-search decisions alone, and the runs that accept a step update
 together, in stacked products with the bits of their 1-D forms. So each
-result is bit for bit that of the same run made alone.
+result is bit for bit that of the same run made alone, and it is built
+where the run stops, from the values the loop read there.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class CostFn:
     """Scalar cost of a parameter vector for one circuit under one noise spec.
 
     Exactly one of hamiltonian (energy objective) or target (infidelity
-    objective, pure reference) is set.
+    objective) is set; a target whose purity is below 1 - 1e-8 is refused.
     """
 
     circuit: Circuit
@@ -86,6 +87,8 @@ class CostFn:
         if self.hamiltonian is not None and self.hamiltonian.n_qubits != self.circuit.n_qubits:
             raise ValueError("hamiltonian qubit count does not match circuit")
         _check_width(self.circuit, self.noise)
+        if self.target is not None:
+            _require_pure(self.target)
 
     @cached_property
     def _obs_matrix(self) -> np.ndarray:
@@ -107,6 +110,11 @@ class CostFn:
     def n_params(self) -> int:
         return self.circuit.n_params
 
+    @cached_property
+    def _takes_adjoint(self) -> bool:
+        """The loop's gradient rule: adjoint on density rows of at least _ADJOINT_QUBITS qubits."""
+        return self.circuit.n_qubits >= _ADJOINT_QUBITS and _row_noise(self.circuit, self.noise) is not None
+
     def value(self, params: np.ndarray) -> float:
         return float(self._costs(np.asarray(params, dtype=float)[None])[0])
 
@@ -120,10 +128,10 @@ class CostFn:
 
     def _values_and_gradients(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Costs, with the bits of values, and gradients at every row of an
-        (m, n_params) array, from one kernel call. Density rows of at least
-        _ADJOINT_QUBITS qubits take one forward and one reverse pass; every
-        other row is costed with its 2P shift rows, with gradient's bits."""
-        if self.circuit.n_qubits >= _ADJOINT_QUBITS and _row_noise(self.circuit, self.noise) is not None:
+        (m, n_params) array, from one kernel call. Where _takes_adjoint, that
+        is one forward and one reverse pass; otherwise each row is costed with
+        its 2P shift rows, with gradient's bits."""
+        if self._takes_adjoint:
             v, g = _expectation_gradients(self.circuit, params, self.noise, self._obs_matrix)
             return (v, g) if self.hamiltonian is not None else (1.0 - v, -g)
         vals = self.values(_shift_rows(params)).reshape(len(params), 2 * self.n_params + 1)
@@ -156,7 +164,6 @@ def energy_cost(circuit: Circuit, hamiltonian: PauliSum, noise: NoiseSpec | None
 
 
 def infidelity_cost(circuit: Circuit, target: DensityMatrix, noise: NoiseSpec | None = None) -> CostFn:
-    _require_pure(target)
     return CostFn(circuit=circuit, noise=noise, target=target)
 
 
@@ -221,22 +228,6 @@ def _canonical(params: np.ndarray) -> np.ndarray:
     return np.mod(params, TWO_PI)
 
 
-def _finish(cf: CostFn, x: np.ndarray, f: float, g: np.ndarray, iterations: int,
-            line_search_ok: bool, opts: MinimizeOptions) -> OptResult:
-    """Result of a run that stops at the iterate x, whose cost f and gradient g
-    the loop already holds; params are x reduced to [0, 2*pi). Evaluates nothing."""
-    gnorm = float(np.linalg.norm(g))
-    hit_goal = opts.cost_goal is not None and f <= opts.cost_goal
-    return OptResult(
-        params=_canonical(x),
-        cost=f,
-        grad_norm=gnorm,
-        iterations=iterations,
-        converged=line_search_ok and (gnorm <= _GRAD_TOL or hit_goal),
-        cost_fn=cf,
-    )
-
-
 def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None = None) -> list[OptResult]:
     """One independent BFGS run from each row of an (S, n_params) array, in lockstep.
 
@@ -258,12 +249,13 @@ def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None 
     x, h, p = starts.copy(), np.repeat(eye[None], n, axis=0), np.empty_like(starts)
     costs, g = cf._values_and_gradients(x)
     f, it, first = costs.tolist(), [0] * n, [True] * n
-    slope, alpha, eps_f, tries = [0.0] * n, [1.0] * n, [0.0] * n, [0] * n
+    slope, alpha, tries = [0.0] * n, [1.0] * n, [0] * n
     ids, results = list(range(n)), [None] * n
     acc, sel = list(range(n)), slice(None)  # the rows at a new iterate
 
-    def stop(r, line_search_ok):
-        results[ids[r]] = _finish(cf, x[r], f[r], g[r], it[r], line_search_ok, opts)
+    def stop(r, grad_norm, converged):  # run r's result at its iterate, from what the loop read there
+        results[ids[r]] = OptResult(params=_canonical(x[r]), cost=f[r], grad_norm=grad_norm,
+                                    iterations=it[r], converged=converged, cost_fn=cf)
 
     while True:
         if acc:  # the stop test, then the next direction
@@ -271,19 +263,20 @@ def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None 
             gg = np.vecdot(ga, ga)
             pa = np.matvec(-h[sel], ga)
             for k, (r, gg_k, slope_k) in enumerate(zip(acc, gg.tolist(), np.vecdot(ga, pa).tolist())):
-                if (it[r] == opts.max_iters or math.sqrt(gg_k) <= _GRAD_TOL
-                        or (opts.cost_goal is not None and f[r] <= opts.cost_goal)):
-                    stop(r, True)
+                grad_norm = math.sqrt(gg_k)
+                converged = grad_norm <= _GRAD_TOL or (opts.cost_goal is not None and f[r] <= opts.cost_goal)
+                if converged or it[r] == opts.max_iters:
+                    stop(r, grad_norm, converged)
                     continue
                 if slope_k >= 0.0:
                     h[r], first[r], pa[k], slope_k = eye, True, -ga[k], -gg_k
-                slope[r], alpha[r], tries[r], eps_f[r] = slope_k, 1.0, 0, _ROUNDOFF * max(1.0, abs(f[r]))
+                slope[r], alpha[r], tries[r] = slope_k, 1.0, 0
             p[sel] = pa
         if results.count(None) < len(ids):
             live = [r for r, i in enumerate(ids) if results[i] is None]
             x, g, h, p = x[live], g[live], h[live], p[live]
-            ids, f, it, first, slope, alpha, eps_f, tries = (
-                [v[r] for r in live] for v in (ids, f, it, first, slope, alpha, eps_f, tries))
+            ids, f, it, first, slope, alpha, tries = (
+                [v[r] for r in live] for v in (ids, f, it, first, slope, alpha, tries))
         if not ids:
             return results
         trial = x + np.array(alpha)[:, None] * p
@@ -291,18 +284,19 @@ def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None 
         acc = []
         for r, f_new in enumerate(costs.tolist()):
             if not f_new <= f[r] + _ARMIJO_C * alpha[r] * slope[r]:
-                if not -alpha[r] * slope[r] <= eps_f[r]:
+                roundoff = _ROUNDOFF * max(1.0, abs(f[r]))
+                if not -alpha[r] * slope[r] <= roundoff:
                     alpha[r] *= _SHRINK
                     tries[r] += 1
                     if tries[r] == _MAX_BACKTRACKS:
-                        stop(r, False)
+                        stop(r, math.sqrt(g[r] @ g[r]), False)
                     continue
                 # the cost cannot resolve this decrease: judge the step by
                 # the slope at the trial point instead of crawling on
                 dslope = float(grads[r] @ p[r])
-                if not (f_new <= f[r] + eps_f[r]
+                if not (f_new <= f[r] + roundoff
                         and _WOLFE_SIGMA * slope[r] <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope[r]):
-                    stop(r, False)
+                    stop(r, math.sqrt(g[r] @ g[r]), False)
                     continue
             acc.append(r)
             f[r], it[r] = f_new, it[r] + 1
@@ -349,10 +343,11 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
 
     Every point the run tries, the start and each trial point, takes its cost
     and gradient from one kernel call, the shift rule's or on density rows of
-    at least four qubits the adjoint method's. The result's cost and
-    grad_norm are those the stopping test read at the final iterate; its
-    params are that iterate's angles reduced to [0, 2*pi). This is the
-    one-start case of _minimize_rows: a stack one row high.
+    at least four qubits the adjoint method's. The result's cost, grad_norm
+    and converged flag are the values the loop read where the run stopped,
+    at the final iterate; nothing is evaluated or decided again. Its params
+    are that iterate's angles reduced to [0, 2*pi). This is the one-start
+    case of _minimize_rows: a stack one row high.
     """
     return _minimize_rows(cf, np.asarray(theta0, dtype=float)[None], opts)[0]
 

@@ -15,7 +15,7 @@ from .channels import (
 from .circuits import (CX_MATRIX, Cx, Ry, _simulate, build_2q_circuit, build_4q_vqe, build_hea, evaluate,
                        ry_matrix)
 from .noisemodel import apply_global_depol, global_depol_infidelity
-from .optimize import _ADJOINT_QUBITS, energy_cost, gradient, infidelity_cost
+from .optimize import energy_cost, gradient, infidelity_cost
 from .pauli import vqe_hamiltonian_2q, vqe_hamiltonian_4q
 from .qstate import DensityMatrix, pure_state
 from .randstates import sample_real_haar_state
@@ -124,8 +124,8 @@ def check_gradient(n_cases: int = 6) -> float:
 def check_loop_costs_and_gradients() -> float:
     """The BFGS loop's one entry point, CostFn._values_and_gradients, noiseless
     and under each kind: costs equal cf.values exactly, and gradients equal the
-    parameter-shift rule exactly on shift rows and to the defect on adjoint
-    rows (density rows of at least _ADJOINT_QUBITS qubits)."""
+    parameter-shift rule exactly on shift rows and to the defect on the rows
+    where the loop takes the adjoint (CostFn._takes_adjoint)."""
     gen = np.random.default_rng(16)
     worst = 0.0
     for circuit, h in ((build_2q_circuit("c"), vqe_hamiltonian_2q()), (build_hea(2), vqe_hamiltonian_4q()),
@@ -137,8 +137,8 @@ def check_loop_costs_and_gradients() -> float:
                 theta = gen.uniform(0.0, 2.0 * np.pi, (2, circuit.n_params))
                 want = np.array([gradient(cf, t) for t in theta])
                 costs, grads = cf._values_and_gradients(theta)
-                exact = n < _ADJOINT_QUBITS or noise is None  # shift rows
-                if not np.array_equal(costs, cf.values(theta)) or exact and not np.array_equal(grads, want):
+                if (not np.array_equal(costs, cf.values(theta))
+                        or not cf._takes_adjoint and not np.array_equal(grads, want)):
                     raise AssertionError("loop costs or shift-row gradients differ from values and gradient")
                 worst = max(worst, float(np.abs(grads - want).max()))
     return worst

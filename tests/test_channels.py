@@ -35,6 +35,19 @@ def test_make_channel_guards():
         make_channel("bitflip", 0.1)
 
 
+def test_every_entry_refuses_an_unknown_kind_alike():
+    """The channel builders, the block update and an experiment config share
+    one kind check and its message."""
+    from nvqa.harness import default_config
+
+    calls = (lambda: make_channel("bitflip", 0.1), lambda: channel_superop("bitflip", 0.1),
+             lambda: _apply_noise(np.eye(2), "bitflip", (0.1,)),
+             lambda: default_config("valley_demo", kinds=("bitflip",)))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^unknown channel kind 'bitflip', expected one of \("):
+            call()
+
+
 def test_gamma_zero_is_identity(rng):
     rho = random_mixed_state(1, rng)
     for kind in CHANNEL_KINDS:

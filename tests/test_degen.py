@@ -1,6 +1,7 @@
 """Parameter degeneracy maps: construction, group structure and noise splits."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from nvqa import circuits, degen
 from nvqa.channels import NoiseSpec
 from nvqa.circuits import (
+    Circuit,
+    Cx,
+    Ry,
     build_2q_circuit,
     build_4q_vqe,
     build_hea,
@@ -350,3 +354,69 @@ def test_split_refuses_a_zero_strength_spec_of_the_wrong_width(rng):
     with pytest.raises(ValueError, match="noise spec covers 2 qubits"):
         degeneracy_split(c, theta, generate_degeneracy_maps(c), NoiseSpec.uniform("phase", 0.0, 2),
                          _targets(rng)["real"])
+
+
+def _random_circuit(gen) -> Circuit:
+    """A random Ry/CX circuit of 1-4 qubits and up to 12 gates, possibly with no Ry."""
+    n = int(gen.integers(1, 5))
+    ops = []
+    for _ in range(int(gen.integers(0, 13))):
+        if n == 1 or gen.random() < 0.6:
+            ops.append(Ry(sum(isinstance(op, Ry) for op in ops), int(gen.integers(n))))
+        else:
+            control, target = gen.choice(n, 2, replace=False)
+            ops.append(Cx(int(control), int(target)))
+    return Circuit(n, tuple(ops), sum(isinstance(op, Ry) for op in ops))
+
+
+def test_span_shift_rows_are_distinct_and_ordered():
+    """Each generator sets its own gate's shift bit and otherwise only bits of
+    earlier gates, so no two maps of a group, or of a capped subgroup, share
+    their shifts. generate_degeneracy_maps orders the maps by shifts alone,
+    which therefore decides every tie."""
+    gen = np.random.default_rng(18)
+    cases = [(c, {}) for c, _ in _ORACLE_CASES.values()] + [(_random_circuit(gen), {}) for _ in range(300)]
+    cases += [(build_hea(4), {"cap": 16}), (build_hea(5), {"cap": 256})]
+    for circuit, kwargs in cases:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "degeneracy group", RuntimeWarning)
+            shifts = [m.shifts for m in generate_degeneracy_maps(circuit, **kwargs)]
+        assert len(set(shifts)) == len(shifts)
+        assert shifts == sorted(shifts)
+
+
+def test_a_circuit_without_parameters_has_the_identity_map_only():
+    maps = generate_degeneracy_maps(Circuit(1, (), 0))
+    assert maps == [DegeneracyMap((), ())]
+    assert np.array_equal(maps[0].apply(np.zeros(0)), np.zeros(0))
+    assert generate_degeneracy_maps(Circuit(2, (Cx(0, 1),), 0)) == maps
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_a_cap_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        generate_degeneracy_maps(build_hea(2), cap=cap)
+
+
+def test_a_theta_of_the_wrong_length_is_refused(rng):
+    c = build_hea(2)
+    maps = generate_degeneracy_maps(c)
+    target = pure_state(evaluate_pure(c, rng.uniform(0.0, TWO_PI, c.n_params)))
+    for theta in ([0.3], np.zeros(9), np.zeros((1, 8))):
+        with pytest.raises(ValueError, match="theta must have shape"):
+            degeneracy_split(c, theta, maps[:3], NoiseSpec.uniform("amplitude", 0.1, 4), target)
+        with pytest.raises(ValueError, match="theta must have shape"):
+            maps[5].apply(theta)
+
+
+def test_maps_of_another_width_are_refused(rng):
+    c = build_hea(2)
+    target = pure_state(evaluate_pure(c, rng.uniform(0.0, TWO_PI, c.n_params)))
+    maps = generate_degeneracy_maps(build_2q_circuit("c"))  # 4 maps on 4 parameters, 16 entries
+    with pytest.raises(ValueError, match="cannot reshape"):
+        degeneracy_split(c, np.zeros(c.n_params), maps, None, target)
+
+
+def test_compose_refuses_maps_of_different_lengths():
+    with pytest.raises(ValueError, match="cannot compose"):
+        DegeneracyMap((1, -1), (0, 1)).compose(DegeneracyMap((-1,), (1,)))

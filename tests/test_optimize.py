@@ -8,6 +8,7 @@ from nvqa.circuits import (build_2q_circuit, build_4q_vqe, build_hea, build_vall
                            evaluate_pure)
 from nvqa.degen import DegeneracyMap, degeneracy_split, generate_degeneracy_maps
 from nvqa.measures import ground_truth
+from nvqa.qstate import DensityMatrix
 from nvqa import optimize
 from nvqa.optimize import (
     CostFn,
@@ -20,7 +21,6 @@ from nvqa.optimize import (
     _SHRINK,
     _WOLFE_DELTA,
     _WOLFE_SIGMA,
-    _finish,
     _minimize_rows,
     energy_cost,
     gradient,
@@ -64,6 +64,31 @@ def test_costfn_checks_qubit_counts():
         CostFn(circuit=build_hea(1), target=ground_truth(H2).state)
     with pytest.raises(ValueError, match="noise spec"):
         energy_cost(build_hea(1), vqe_hamiltonian_4q(), NoiseSpec.uniform("phase", 0.1, 2))
+
+
+def test_costfn_refuses_a_mixed_target():
+    """A mixed reference would be costed as 1 - Tr[target rho] and reported as
+    a fidelity it is not; every CostFn refuses it, not only infidelity_cost."""
+    mixed = DensityMatrix(2, np.eye(4) / 4.0)
+    with pytest.raises(ValueError, match="not pure"):
+        CostFn(build_2q_circuit("a"), target=mixed)
+    with pytest.raises(ValueError, match="not pure"):
+        infidelity_cost(build_2q_circuit("a"), mixed)
+
+
+@pytest.mark.parametrize("circuit", [build_2q_circuit("c"), build_hea(2)], ids=["2q-c", "hea-2"])
+@pytest.mark.parametrize("gamma", [None, 0.0, 0.1])
+def test_takes_adjoint_names_the_gradient_the_loop_takes(circuit, gamma, monkeypatch):
+    """The loop's rule, one predicate: the adjoint method on density rows of
+    at least four qubits, the shift rows everywhere else."""
+    n = circuit.n_qubits
+    noise = None if gamma is None else NoiseSpec.uniform("amplitude", gamma, n)
+    cf = energy_cost(circuit, H2 if n == 2 else vqe_hamiltonian_4q(), noise)
+    log = ValuesLog(monkeypatch)
+    cf._values_and_gradients(np.zeros((2, cf.n_params)))
+    assert cf._takes_adjoint == (n >= 4 and gamma == 0.1)
+    assert (log.adjoint_sizes, log.values_sizes) == (([2], []) if cf._takes_adjoint
+                                                     else ([], [2 * (2 * cf.n_params + 1)]))
 
 
 def test_energy_value_matches_quality(rng):
@@ -265,6 +290,18 @@ def loop_gradient(cf: CostFn, x: np.ndarray) -> np.ndarray:
     return cf._values_and_gradients(x[None])[1][0]
 
 
+def result_reference(cf: CostFn, x: np.ndarray, f: float, g: np.ndarray, iterations: int,
+                     line_search_ok: bool, opts: MinimizeOptions) -> OptResult:
+    """The result of a reference run that stops at x with cost f and gradient
+    g, its converged flag derived afresh from the gradient's norm, the goal
+    test and whether the line search held. The loop decides where it stops,
+    and every result of it must equal this one."""
+    grad_norm = float(np.linalg.norm(g))
+    hit_goal = opts.cost_goal is not None and f <= opts.cost_goal
+    return OptResult(params=np.mod(x, 2.0 * np.pi), cost=f, grad_norm=grad_norm, iterations=iterations,
+                     converged=line_search_ok and (grad_norm <= _GRAD_TOL or hit_goal), cost_fn=cf)
+
+
 def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None,
                      events: list | None = None):
     """The one-start BFGS loop that minimize ran before starts advanced in
@@ -280,7 +317,7 @@ def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | Non
     first_update = True
     for it in range(opts.max_iters):
         if np.linalg.norm(g) <= _GRAD_TOL or (opts.cost_goal is not None and f <= opts.cost_goal):
-            return _finish(cf, x, f, g, it, True, opts)
+            return result_reference(cf, x, f, g, it, True, opts)
         p = -h @ g
         slope = float(g @ p)
         if slope >= 0.0:
@@ -304,12 +341,12 @@ def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | Non
                 if (f_new <= f + eps_f
                         and _WOLFE_SIGMA * slope <= dslope <= (2.0 * _WOLFE_DELTA - 1.0) * slope):
                     break
-                return _finish(cf, x, f, g, it, False, opts)
+                return result_reference(cf, x, f, g, it, False, opts)
             alpha *= _SHRINK
         else:
             if events is not None:
                 events.append("backtracks")
-            return _finish(cf, x, f, g, it, False, opts)
+            return result_reference(cf, x, f, g, it, False, opts)
         if g_new is None:
             g_new = loop_gradient(cf, x_new)
         s = x_new - x
@@ -324,7 +361,7 @@ def serial_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | Non
             h = h - rho_ * (np.outer(s, hy) + np.outer(hy, s)) \
                 + rho_ * rho_ * (sy + float(y @ hy)) * np.outer(s, s)
         x, f, g = x_new, f_new, g_new
-    return _finish(cf, x, f, g, opts.max_iters, True, opts)
+    return result_reference(cf, x, f, g, opts.max_iters, True, opts)
 
 
 def assert_same_run(got: OptResult, want: OptResult):
@@ -681,13 +718,13 @@ def armijo_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions):
     x = np.asarray(theta0, dtype=float).copy()
     f = cf.value(x)
     if opts.cost_goal is not None and f <= opts.cost_goal:
-        return _finish(cf, x, f, loop_gradient(cf, x), 0, True, opts)
+        return result_reference(cf, x, f, loop_gradient(cf, x), 0, True, opts)
     g = loop_gradient(cf, x)
     h = np.eye(x.size)
     first_update = True
     for it in range(opts.max_iters):
         if np.linalg.norm(g) <= _GRAD_TOL:
-            return _finish(cf, x, f, g, it, True, opts)
+            return result_reference(cf, x, f, g, it, True, opts)
         p = -h @ g
         slope = float(g @ p)
         if slope >= 0.0:
@@ -706,9 +743,9 @@ def armijo_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions):
                 return None
             alpha *= _SHRINK
         else:
-            return _finish(cf, x, f, g, it, False, opts)
+            return result_reference(cf, x, f, g, it, False, opts)
         if opts.cost_goal is not None and f_new <= opts.cost_goal:
-            return _finish(cf, x_new, f_new, loop_gradient(cf, x_new), it + 1, True, opts)
+            return result_reference(cf, x_new, f_new, loop_gradient(cf, x_new), it + 1, True, opts)
         g_new = loop_gradient(cf, x_new)
         s = x_new - x
         y = g_new - g
@@ -722,7 +759,7 @@ def armijo_reference(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions):
             h = h - rho_ * (np.outer(s, hy) + np.outer(hy, s)) \
                 + rho_ * rho_ * (sy + float(y @ hy)) * np.outer(s, s)
         x, f, g = x_new, f_new, g_new
-    return _finish(cf, x, f, g, opts.max_iters, True, opts)
+    return result_reference(cf, x, f, g, opts.max_iters, True, opts)
 
 
 @pytest.mark.parametrize("kind", [None, "phase", "amplitude", "depolarising"])
@@ -915,8 +952,8 @@ def frozen_reference(cf: CostFn, theta_star: np.ndarray) -> OptResult:
     """The frozen result reoptimize_from built before it was a zero-iteration
     minimize run: one cf.value and one gradient at the reduced angles."""
     theta_star = np.mod(np.asarray(theta_star, dtype=float), 2.0 * np.pi)
-    return _finish(cf, theta_star, cf.value(theta_star), loop_gradient(cf, theta_star), 0, True,
-                   MinimizeOptions())
+    return result_reference(cf, theta_star, cf.value(theta_star), loop_gradient(cf, theta_star), 0, True,
+                            MinimizeOptions())
 
 
 @pytest.mark.parametrize("kind", ["phase", "amplitude", "depolarising"])
