@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .channels import NoiseSpec, _apply_noise
-from .qstate import DensityMatrix, MAX_QUBITS, _require_ints
+from .qstate import DensityMatrix, _qubit_count, _require_ints
 
 _CHUNK_FLOATS = 2 ** 13  # output-state floats per _simulate call in _expectations
 # widest circuit with density rows: a spec's blocks take dim^3 floats per fixed group
@@ -91,9 +91,8 @@ class Circuit:
     n_params: int
 
     def __post_init__(self):
-        _require_ints(self, "n_qubits", "n_params")
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
+        object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
+        _require_ints(self, "n_params")
         object.__setattr__(self, "ops", tuple(self.ops))
         seen = []
         for op in self.ops:

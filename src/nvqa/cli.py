@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .harness import EXPERIMENTS, default_config, run_and_write
@@ -87,14 +89,25 @@ def _cmd_list() -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _dispatch(args) -> int:
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "list":
         return _cmd_list()
-    ok = run_verification()
-    return 0 if ok else 2
+    return 0 if run_verification(partial(print, flush=True)) else 2
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (`nvqa verify | head -1`): point stdout at
+        # devnull so the flush at exit cannot raise again, and fail quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

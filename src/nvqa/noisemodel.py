@@ -10,8 +10,10 @@ beta are the mean and variance over targets rho_T of
 The derivative is taken by central differences, which needs the channel
 slightly below gamma = 0. The 2x2 block form of the channels
 (channels._apply_noise) is analytic in gamma and provides that extension to
-(-1, 1], in agreement with channel_superop. The Monte Carlo differentiates
-stacks of _BLOCK samples, drawn in order. Global depolarising noise admits
+(-1, 1], in agreement with channel_superop. The Monte Carlo draws its
+samples in blocks of _BLOCK amplitude rows, one sampler call each, and
+differentiates each block as one stack of |v><v|; the estimates equal those
+of a per-sample loop bit for bit. Global depolarising noise admits
 the exact closed form (1 - (1-gamma)^d) (1 - 2^-N) regardless of the circuit.
 """
 
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _apply_noise
-from .qstate import DensityMatrix
-from .randstates import RngStream, _as_generator, sample_product_state, sample_real_haar_state
+from .qstate import DensityMatrix, _as_int, _qubit_count, _require_unit_norms
+from .randstates import RngStream, _as_generator, product_rows, real_haar_rows
 
 _BLOCK = 32
 
@@ -51,8 +53,9 @@ def global_depol_infidelity(gamma: float, d: int, n_qubits: int,
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    if d < 0:
+    if _as_int(d, "d") < 0:
         raise ValueError("d must be >= 0")
+    n_qubits = _qubit_count(n_qubits)
     scale = 1.0 - 2.0 ** (-n_qubits)
     if first_order:
         return scale * d * gamma
@@ -83,26 +86,34 @@ def linear_action_overlap_derivative(kind: str, rho_t: DensityMatrix,
 
 
 def estimate_alpha_beta(kind: str, n_qubits: int, n_samples: int, rng,
-                        sampler=None) -> ModelParams:
-    """Monte Carlo alpha and beta over an ensemble of target states.
+                        sampler=real_haar_rows) -> ModelParams:
+    """Monte Carlo alpha and beta over an ensemble of pure target states.
 
     Parameters
     ----------
     kind : channel kind
-    n_qubits : int
-    n_samples : int
+    n_qubits : int in [1, MAX_QUBITS]
+    n_samples : int, at least 2
     rng : RngStream or numpy Generator
-    sampler : callable (n_qubits, generator) -> DensityMatrix, optional
-        Defaults to real-amplitude Haar states.
+    sampler : callable (n_qubits, generator, k) -> (k, 2**n_qubits) array
+        k amplitude rows of unit norm, drawn in order; called once per
+        block of _BLOCK samples. Defaults to real Haar rows
+        (randstates.real_haar_rows); randstates.product_rows draws product
+        states.
     """
+    n_qubits = _qubit_count(n_qubits)
+    n_samples = _as_int(n_samples, "n_samples")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     gen = _as_generator(rng)
-    draw = sampler or sample_real_haar_state
     derivs = np.empty(n_samples)
     for start in range(0, n_samples, _BLOCK):
-        stack = np.array([draw(n_qubits, gen).data for _ in range(min(_BLOCK, n_samples - start))])
-        derivs[start:start + len(stack)] = -_overlap_derivatives(kind, stack, n_qubits)
+        k = min(_BLOCK, n_samples - start)
+        v = np.asarray(sampler(n_qubits, gen, k), dtype=complex)
+        if v.shape != (k, 2 ** n_qubits):
+            raise ValueError(f"sampler rows have shape {v.shape}, expected {(k, 2 ** n_qubits)}")
+        _require_unit_norms(v)
+        derivs[start:start + k] = -_overlap_derivatives(kind, v[:, :, None] * v[:, None, :].conj(), n_qubits)
     alpha = float(derivs.mean())
     beta = float(derivs.var(ddof=1))
     centered = derivs - alpha
@@ -147,6 +158,6 @@ def alpha_scaling_check(kind: str, qubit_counts, n_samples: int, seed: int = 0):
     out = []
     for i, n in enumerate(qubit_counts):
         rng = RngStream(seed, stream_id=i)
-        params = estimate_alpha_beta(kind, n, n_samples, rng, sampler=sample_product_state)
-        out.append((int(n), params.alpha))
+        params = estimate_alpha_beta(kind, n, n_samples, rng, sampler=product_rows)
+        out.append((params.n_qubits, params.alpha))
     return out

@@ -21,14 +21,36 @@ EIGVAL_TOL = 1e-10
 PURITY_TOL = 1e-10
 
 
+def _as_int(value, name: str) -> int:
+    """value as an int; bools, which Python makes ints, and non-integers are
+    refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require_ints(obj, *names: str) -> None:
-    """Store the named fields as ints; bools, which Python makes ints, and
-    non-integers are refused."""
+    """Store the named fields as ints, by _as_int's rule."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
+        object.__setattr__(obj, name, _as_int(getattr(obj, name), name))
+
+
+def _qubit_count(n_qubits) -> int:
+    """n_qubits as an int in [1, MAX_QUBITS]; anything else is refused."""
+    n = _as_int(n_qubits, "n_qubits")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
+    return n
+
+
+def _require_unit_norms(rows: np.ndarray) -> None:
+    """Refuse amplitude vectors, along the last axis, whose norm differs from
+    1 by more than 1e-10."""
+    with np.errstate(all="ignore"):  # an infinite amplitude makes a NaN norm
+        nrm = np.ravel(np.linalg.norm(rows, axis=-1))
+    bad = ~(np.abs(nrm - 1.0) <= 1e-10)  # a NaN norm fails too
+    if bad.any():
+        raise ValueError(f"vector norm {nrm[bad][0]} differs from 1")
 
 
 @dataclass(frozen=True)
@@ -44,9 +66,7 @@ class DensityMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        _require_ints(self, "n_qubits")
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
         dim = 2 ** self.n_qubits
         arr = np.asarray(self.data, dtype=complex)
         if arr.shape != (dim, dim):
@@ -83,9 +103,7 @@ class DensityMatrix:
 
 def zero_state(n_qubits: int) -> DensityMatrix:
     """The computational all-zeros state |0...0><0...0|."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    dim = 2 ** n_qubits
+    dim = 2 ** _qubit_count(n_qubits)
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     return DensityMatrix(n_qubits, rho)
@@ -97,9 +115,7 @@ def pure_state(amplitudes: np.ndarray) -> DensityMatrix:
     n = v.size.bit_length() - 1
     if 2 ** n != v.size:
         raise ValueError(f"vector length {v.size} is not a power of two")
-    nrm = np.linalg.norm(v)
-    if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
-        raise ValueError(f"vector norm {nrm} differs from 1")
+    _require_unit_norms(v)
     return DensityMatrix(n, np.outer(v, v.conj()))
 
 

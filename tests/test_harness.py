@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nvqa
 from nvqa.channels import NoiseSpec
 from nvqa.circuits import build_valley_demo, evaluate
 from nvqa.cli import main
@@ -345,6 +350,26 @@ def test_cli_verify(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["list", "verify"])
+def test_cli_exits_quietly_when_the_reader_is_gone(command, buffered):
+    """`nvqa verify | head -1`: once stdout's reader has closed, the command
+    exits with status 1 and writes nothing to stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(nvqa.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nvqa.cli", command], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def serial_restarts(circuit, target, seed: int):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import product_reference, real_haar_reference
 from nvqa.channels import NoiseSpec, _apply_noise
 from nvqa.circuits import build_hea, evaluate, evaluate_pure
 from nvqa.noisemodel import (
@@ -16,8 +17,8 @@ from nvqa.noisemodel import (
     predict,
     slope_through_origin,
 )
-from nvqa.qstate import pure_state, zero_state
-from nvqa.randstates import RngStream, sample_product_state, sample_real_haar_state
+from nvqa.qstate import MAX_QUBITS, pure_state, zero_state
+from nvqa.randstates import RngStream, product_rows, real_haar_rows, sample_real_haar_state
 
 # exact first-moment coefficients for real Haar states on 4 qubits,
 # from E[<A>^2] = 2 Tr[A^2] / (D (D + 2)) with D = 16
@@ -38,8 +39,9 @@ def overlap_derivative_reference(kind, rho, eps=1e-5):
     return (hi - lo) / (2.0 * eps)
 
 
-def alpha_beta_reference(kind, n_qubits, n_samples, gen, sampler=sample_real_haar_state):
-    """The per-sample loop estimate_alpha_beta replaced."""
+def alpha_beta_reference(kind, n_qubits, n_samples, gen, sampler=real_haar_reference):
+    """The per-sample loop estimate_alpha_beta replaced, over per-draw oracle
+    states."""
     derivs = np.empty(n_samples)
     for i in range(n_samples):
         derivs[i] = -overlap_derivative_reference(kind, sampler(n_qubits, gen))
@@ -158,13 +160,13 @@ def test_model_tracks_a_real_circuit_at_low_noise(rng):
 
 @pytest.mark.parametrize("kind", sorted(ALPHA_TRUE))
 def test_estimate_alpha_beta_matches_the_per_sample_loop(kind):
-    """Stacked derivatives give bit-identical alpha and beta, for both
-    samplers and a sample count that leaves a partial last stack."""
+    """Stacked draws and derivatives give bit-identical alpha and beta, for
+    both samplers and a sample count that leaves a partial last stack."""
     n = 2 * _BLOCK + 7
     assert estimate_alpha_beta(kind, 4, n, RngStream(5, 3)) == alpha_beta_reference(
         kind, 4, n, RngStream(5, 3).generator())
-    assert estimate_alpha_beta(kind, 3, n, RngStream(6, 1), sampler=sample_product_state) == \
-        alpha_beta_reference(kind, 3, n, RngStream(6, 1).generator(), sample_product_state)
+    assert estimate_alpha_beta(kind, 3, n, RngStream(6, 1), sampler=product_rows) == \
+        alpha_beta_reference(kind, 3, n, RngStream(6, 1).generator(), product_reference)
 
 
 @pytest.mark.parametrize("kind", sorted(ALPHA_TRUE))
@@ -174,3 +176,41 @@ def test_overlap_derivative_matches_the_one_state_reference(kind, rng):
         for eps in (1e-5, 1e-3):
             assert linear_action_overlap_derivative(kind, rho, eps=eps) == \
                 overlap_derivative_reference(kind, rho, eps)
+
+
+def test_alpha_scaling_check_matches_the_per_sample_product_loop():
+    got = alpha_scaling_check("amplitude", (1, 2, 4), 40, seed=2)
+    assert got == [(n, alpha_beta_reference("amplitude", n, 40, RngStream(2, i).generator(),
+                                            product_reference).alpha)
+                   for i, n in enumerate((1, 2, 4))]
+
+
+def never_drawn(n_qubits, gen, k):
+    raise AssertionError("a refused count reached the sampler")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_alpha_beta("phase", True, 40, RngStream(0), sampler=never_drawn),
+    lambda: estimate_alpha_beta("phase", 0, 40, RngStream(0), sampler=never_drawn),
+    lambda: estimate_alpha_beta("phase", MAX_QUBITS + 1, 40, RngStream(0), sampler=never_drawn),
+    lambda: estimate_alpha_beta("phase", 2, 40.0, RngStream(0), sampler=never_drawn),
+    lambda: alpha_scaling_check("phase", [0], 40),
+    lambda: global_depol_infidelity(0.1, 1.5, 2),
+    lambda: global_depol_infidelity(0.1, 2, 0),
+], ids=["bool-qubits", "0-qubits", "too-wide", "float-samples", "scaling-0-qubits",
+        "depol-float-d", "depol-0-qubits"])
+def test_bad_counts_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("rows", [
+    lambda n, gen, k: real_haar_rows(n, gen, k)[:, :-1],
+    lambda n, gen, k: real_haar_rows(n, gen, k)[:1],
+    lambda n, gen, k: real_haar_rows(n + 1, gen, k),
+    lambda n, gen, k: 1.001 * real_haar_rows(n, gen, k),
+    lambda n, gen, k: np.full((k, 2 ** n), np.nan),
+], ids=["short-rows", "too-few-rows", "too-wide-rows", "not-unit", "nan"])
+def test_a_samplers_bad_rows_are_refused(rows):
+    with pytest.raises(ValueError):
+        estimate_alpha_beta("phase", 2, 40, RngStream(0), sampler=rows)

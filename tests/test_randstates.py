@@ -1,15 +1,32 @@
 """Seeded random state sampling."""
 
-import numpy as np
+from functools import reduce
 
+import numpy as np
+import pytest
+
+from conftest import haar_orthogonal_reference, product_reference, real_haar_reference
 from nvqa.measures import concurrence
+from nvqa.qstate import MAX_QUBITS
 from nvqa.randstates import (
     RngStream,
     _child_seed,
     haar_orthogonal,
+    haar_orthogonals,
+    product_rows,
+    real_haar_rows,
     sample_product_state,
     sample_real_haar_state,
 )
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_position(a: np.random.Generator, b: np.random.Generator) -> None:
+    assert same_bits(a.standard_normal(4), b.standard_normal(4))
 
 
 def test_child_seed_is_one_draw_of_the_spawned_seed_sequence():
@@ -79,3 +96,55 @@ def test_rng_streams_are_independent_of_creation_order():
     RngStream(11, 1).generator().uniform(size=100)
     again = RngStream(11, 0).generator().uniform(size=3)
     assert np.array_equal(first, again)
+
+
+@pytest.mark.parametrize("dim", (2, 4, 8, 16))
+@pytest.mark.parametrize("k", (1, 2, 31, 32, 33))
+def test_stacked_draws_equal_k_per_draw_oracle_draws(k, dim):
+    """One (k, dim, dim) normal draw and one stacked QR give the bits of k
+    draws in turn, and leave the stream where they would."""
+    seed = 1000 * k + dim
+    a, b, c = (np.random.default_rng(seed) for _ in range(3))
+    want = np.array([haar_orthogonal_reference(dim, b) for _ in range(k)])
+    assert same_bits(haar_orthogonals(dim, a, k), want)
+    assert same_bits(real_haar_rows(dim.bit_length() - 1, c, k), want[:, :, 0])
+    tail = b.standard_normal(4)
+    assert same_bits(a.standard_normal(4), tail) and same_bits(c.standard_normal(4), tail)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_product_rows_equal_the_kron_of_per_draw_columns(n):
+    for k in (1, 5, 33):
+        a, b = np.random.default_rng(n + k), np.random.default_rng(n + k)
+        want = [reduce(np.kron, [haar_orthogonal_reference(2, b)[:, 0] for _ in range(n)])
+                for _ in range(k)]
+        assert same_bits(product_rows(n, a, k), np.array(want))
+        assert_same_position(a, b)
+
+
+def test_single_draws_are_the_stacked_k1_case():
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    for i in range(24):
+        n = 1 + i % 4
+        assert same_bits(haar_orthogonal(n + 1, a), haar_orthogonal_reference(n + 1, b))
+        draw, oracle = ((sample_real_haar_state, real_haar_reference) if i % 3
+                        else (sample_product_state, product_reference))
+        assert same_bits(draw(n, a).data, oracle(n, b).data)
+    assert_same_position(a, b)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: haar_orthogonal(0, g),
+    lambda g: haar_orthogonal(2.0, g),
+    lambda g: haar_orthogonals(2, g, 0),
+    lambda g: sample_product_state(0, g),
+    lambda g: sample_real_haar_state(True, g),
+    lambda g: real_haar_rows(MAX_QUBITS + 1, g, 1),
+    lambda g: product_rows(2, g, 1.0),
+], ids=["dim-0", "dim-float", "k-0", "product-0-qubits", "haar-bool-qubits",
+        "haar-too-wide", "product-float-k"])
+def test_bad_counts_are_refused_before_any_draw(call):
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    with pytest.raises(ValueError):
+        call(a)
+    assert_same_position(a, b)
