@@ -13,7 +13,7 @@ sequence, optionally rescaling gamma per qubit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,11 +29,14 @@ _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A single-qubit channel as an explicit list of 2x2 Kraus operators."""
+    """A single-qubit channel as an explicit list of 2x2 Kraus operators.
+
+    Channels compare and hash by kind and gamma, which make_channel derives
+    the operators from."""
 
     kind: str
     gamma: float
-    kraus: tuple[np.ndarray, ...]
+    kraus: tuple[np.ndarray, ...] = field(compare=False)
 
     def completeness_defect(self) -> float:
         """Max-abs deviation of sum_k E_k^dagger E_k from the identity."""

@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .channels import NoiseSpec, _apply_noise
-from .qstate import DensityMatrix, _qubit_count, _require_ints
+from .qstate import DensityMatrix, _as_int, _qubit_count, _require_ints
 
 _CHUNK_FLOATS = 2 ** 13  # output-state floats per _simulate call in _expectations
 # widest circuit with density rows: a spec's blocks take dim^3 floats per fixed group
@@ -212,6 +212,7 @@ def build_hea(layers: int, n_qubits: int = 4) -> Circuit:
     """
     if n_qubits != 4:
         raise ValueError("the hardware-efficient ansatz is defined on 4 qubits")
+    layers = _as_int(layers, "layers")
     if layers < 1:
         raise ValueError("layers must be >= 1")
     ops: list[CircuitOp] = []

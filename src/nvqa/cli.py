@@ -58,9 +58,6 @@ def _cmd_run(args) -> int:
         overrides["n_targets"] = args.targets
     if args.out is not None:
         overrides["output_dir"] = str(args.out)
-    for key, value in overrides.items():
-        if isinstance(value, list):
-            overrides[key] = tuple(value)
     try:
         config = default_config(args.experiment, **overrides)
     except (TypeError, ValueError) as exc:

@@ -1,11 +1,13 @@
 """Experiment harness: canned studies, deterministic CSV output, resume.
 
-Every experiment takes one ExperimentConfig, runs deterministically from its
-seed, and produces a CSV of plain rows plus a JSON sidecar holding the full
-config, its hash, the package version, the row count, the wall-clock time
-and the CSV's sha256. Reruns with an unchanged config are skipped unless
-forced or the CSV no longer matches its recorded hash; the CSV bytes for a
-given config are reproducible.
+Every experiment takes one ExperimentConfig and runs deterministically from
+its seed. Its study runner returns the CSV columns and rows; run_experiment
+alone times the runner and builds the ResultRecord, which writes the CSV of
+plain rows plus a JSON sidecar holding the full config, its hash, the
+package version, the row count, the wall-clock time and the CSV's sha256.
+Reruns with an unchanged config are skipped unless forced or the CSV no
+longer matches its recorded hash; the CSV bytes for a given config are
+reproducible.
 """
 
 from __future__ import annotations
@@ -189,61 +191,53 @@ def is_complete(config: ExperimentConfig, out_dir: str | Path | None = None) -> 
             and side.get("csv_sha256") == hashlib.sha256(csv_bytes).hexdigest())
 
 
-_MINIMA_COLS = ("gamma", "minimum_index", "cost", "energy", "fidelity", "concurrence",
+_Table = tuple[tuple[str, ...], list[tuple]]  # what a study runner returns: CSV columns, rows
+
+_MINIMA_COLS = ("kind", "gamma", "minimum_index", "cost", "energy", "fidelity", "concurrence",
                 "grad_norm", "converged")
 
 
 def _sweep_rows(config: ExperimentConfig, prefix: tuple, circuit: Circuit, h: PauliSum,
-                kind: str, scales: tuple[float, ...], n_starts: int,
-                seed_path: tuple[int, ...]) -> list[tuple]:
-    """Energy minima along config.gamma_grid for one circuit and channel kind,
-    as rows prefix + _MINIMA_COLS."""
-    def cost_at(g):
-        return energy_cost(circuit, h, NoiseSpec(make_channel(kind, g), scales))
-    per_gamma = sweep_gamma(cost_at, config.gamma_grid, mode=config.mode,
-                            n_starts=n_starts, seed=_child_seed(config.seed, *seed_path))
+                scales: tuple[float, ...], n_starts: int, seed_path: tuple[int, ...]) -> list[tuple]:
+    """Energy minima along config.gamma_grid for one circuit under each kind of
+    config.kinds, as rows prefix + _MINIMA_COLS. Kind ki sweeps from the child
+    seed of seed_path + (ki,)."""
     rows = []
-    for g, minima in zip(config.gamma_grid, per_gamma):
-        for idx, r in enumerate(minima):
-            q = r.quality
-            rows.append(prefix + (g, idx, r.cost, q.energy, q.fidelity, q.concurrence,
-                                  r.grad_norm, int(r.converged)))
+    for ki, kind in enumerate(config.kinds):
+        def cost_at(g):
+            return energy_cost(circuit, h, NoiseSpec(make_channel(kind, g), scales))
+        per_gamma = sweep_gamma(cost_at, config.gamma_grid, mode=config.mode,
+                                n_starts=n_starts, seed=_child_seed(config.seed, *seed_path, ki))
+        for g, minima in zip(config.gamma_grid, per_gamma):
+            for idx, r in enumerate(minima):
+                q = r.quality
+                rows.append(prefix + (kind, g, idx, r.cost, q.energy, q.fidelity, q.concurrence,
+                                      r.grad_norm, int(r.converged)))
     return rows
 
 
-def run_vqe2q(config: ExperimentConfig) -> ResultRecord:
+def run_vqe2q(config: ExperimentConfig) -> _Table:
     """Two-qubit VQE for each ansatz variant, channel kind, and gamma."""
     h = vqe_hamiltonian_2q()
-    rows = []
-    for vi, variant in enumerate(config.variants):
-        circuit = build_2q_circuit(variant)
-        for ki, kind in enumerate(config.kinds):
-            rows += _sweep_rows(config, (variant, kind), circuit, h, kind, (1.0, 1.0),
-                                config.n_starts_2q, (vi, ki))
-    return ResultRecord(config.experiment, config, ("variant", "kind") + _MINIMA_COLS, rows)
+    rows = [row for vi, variant in enumerate(config.variants)
+            for row in _sweep_rows(config, (variant,), build_2q_circuit(variant), h, (1.0, 1.0),
+                                   config.n_starts_2q, (vi,))]
+    return ("variant",) + _MINIMA_COLS, rows
 
 
-def run_vqe4q(config: ExperimentConfig) -> ResultRecord:
+def run_vqe4q(config: ExperimentConfig) -> _Table:
     """Four-qubit VQE across channel kinds and gammas."""
-    h = vqe_hamiltonian_4q()
-    circuit = build_4q_vqe()
-    rows = []
-    for ki, kind in enumerate(config.kinds):
-        rows += _sweep_rows(config, (kind,), circuit, h, kind, (1.0,) * 4, config.n_starts_4q, (ki,))
-    return ResultRecord(config.experiment, config, ("kind",) + _MINIMA_COLS, rows)
+    return _MINIMA_COLS, _sweep_rows(config, (), build_4q_vqe(), vqe_hamiltonian_4q(), (1.0,) * 4,
+                                     config.n_starts_4q, ())
 
 
-def run_vqe_unequal(config: ExperimentConfig) -> ResultRecord:
+def run_vqe_unequal(config: ExperimentConfig) -> _Table:
     """Two-qubit VQE with noise applied unequally to the two qubits."""
     h = vqe_hamiltonian_2q()
     circuit = build_2q_circuit("c")
-    rows = []
-    for si, scales in enumerate(((1.0, 0.1), (0.1, 1.0))):
-        for ki, kind in enumerate(config.kinds):
-            rows += _sweep_rows(config, scales + (kind,), circuit, h, kind, scales,
-                                config.n_starts_2q, (si, ki))
-    return ResultRecord(config.experiment, config,
-                        ("scale_q0", "scale_q1", "kind") + _MINIMA_COLS, rows)
+    rows = [row for si, scales in enumerate(((1.0, 0.1), (0.1, 1.0)))
+            for row in _sweep_rows(config, scales, circuit, h, scales, config.n_starts_2q, (si,))]
+    return ("scale_q0", "scale_q1") + _MINIMA_COLS, rows
 
 
 _INFIDELITY_GOAL = 1e-6
@@ -279,7 +273,7 @@ def optimize_to_target(circuit: Circuit, target, seed: int) -> OptResult:
     return best
 
 
-def run_target_fidelity(config: ExperimentConfig) -> ResultRecord:
+def run_target_fidelity(config: ExperimentConfig) -> _Table:
     """Noiseless optimum per target, then noisy evaluation and reoptimization.
 
     For every layer count and random pure target the ansatz is first
@@ -301,12 +295,11 @@ def run_target_fidelity(config: ExperimentConfig) -> ResultRecord:
                         q = r.quality
                         rows.append((kind, layers, g, t, flag, residual, r.cost,
                                      q.fidelity, q.concurrence, int(r.converged)))
-    cols = ("kind", "layers", "gamma", "target_index", "reopt", "residual_id",
-            "infidelity", "fidelity", "concurrence", "converged")
-    return ResultRecord(config.experiment, config, cols, rows)
+    return ("kind", "layers", "gamma", "target_index", "reopt", "residual_id",
+            "infidelity", "fidelity", "concurrence", "converged"), rows
 
 
-def run_degeneracy_hist(config: ExperimentConfig) -> ResultRecord:
+def run_degeneracy_hist(config: ExperimentConfig) -> _Table:
     """Fidelity of every degenerate optimum image under each channel kind."""
     layers = config.layers[0]
     gamma = config.gamma_grid[0]
@@ -319,8 +312,7 @@ def run_degeneracy_hist(config: ExperimentConfig) -> ResultRecord:
         noise = NoiseSpec.uniform(kind, gamma, 4)
         fids = degeneracy_split(circuit, base.params, maps, noise, target)
         rows.extend((kind, gamma, i, f) for i, f in enumerate(fids))
-    return ResultRecord(config.experiment, config,
-                        ("kind", "gamma", "map_index", "fidelity"), rows)
+    return ("kind", "gamma", "map_index", "fidelity"), rows
 
 
 def _wrapped_jump(a: np.ndarray, b: np.ndarray) -> float:
@@ -328,7 +320,7 @@ def _wrapped_jump(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(d).max())
 
 
-def run_transition_scan(config: ExperimentConfig) -> ResultRecord:
+def run_transition_scan(config: ExperimentConfig) -> _Table:
     """Warm-started gamma scan tracking one optimum per target.
 
     Records noisy and noiseless quality at the tracked optimum plus four
@@ -361,14 +353,13 @@ def run_transition_scan(config: ExperimentConfig) -> ResultRecord:
                          clean.fidelity, clean.concurrence,
                          res.params[0], res.params[1], res.params[2], res.params[3],
                          jump, flagged))
-    cols = ("target_index", "kind", "layers", "gamma",
+    return ("target_index", "kind", "layers", "gamma",
             "fidelity_noisy", "concurrence_noisy", "fidelity_clean",
             "concurrence_clean", "theta0", "theta1", "theta2", "theta3",
-            "jump", "flagged")
-    return ResultRecord(config.experiment, config, cols, rows)
+            "jump", "flagged"), rows
 
 
-def run_alpha_beta_table(config: ExperimentConfig) -> ResultRecord:
+def run_alpha_beta_table(config: ExperimentConfig) -> _Table:
     """Monte Carlo alpha/beta for each channel kind on 4-qubit Haar states."""
     rows = []
     for kind in config.kinds:
@@ -376,12 +367,11 @@ def run_alpha_beta_table(config: ExperimentConfig) -> ResultRecord:
                                      RngStream(config.seed, stream_id=0))
         rows.append((kind, params.n_qubits, params.n_samples, params.alpha,
                      params.beta, params.stderr_alpha, params.stderr_beta))
-    cols = ("kind", "n_qubits", "n_samples", "alpha", "beta",
-            "stderr_alpha", "stderr_beta")
-    return ResultRecord(config.experiment, config, cols, rows)
+    return ("kind", "n_qubits", "n_samples", "alpha", "beta",
+            "stderr_alpha", "stderr_beta"), rows
 
 
-def run_valley_demo(config: ExperimentConfig) -> ResultRecord:
+def run_valley_demo(config: ExperimentConfig) -> _Table:
     """Cost surface of the one-qubit two-rotation circuit on a 101^2 grid, one batch per gamma."""
     circuit = build_valley_demo()
     kind = config.kinds[0]
@@ -392,8 +382,7 @@ def run_valley_demo(config: ExperimentConfig) -> ResultRecord:
         costs = _expectations(circuit, pairs, NoiseSpec.uniform(kind, g, 1), np.diag([1.0, 0.0]))
         rows += [(kind, g, k // 101, k % 101, t0, t1, c)
                  for k, ((t0, t1), c) in enumerate(zip(pairs, costs))]
-    return ResultRecord(config.experiment, config,
-                        ("kind", "gamma", "i", "j", "theta0", "theta1", "cost"), rows)
+    return ("kind", "gamma", "i", "j", "theta0", "theta1", "cost"), rows
 
 
 EXPERIMENTS = {
@@ -446,12 +435,11 @@ EXPERIMENTS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ResultRecord:
-    """Dispatch to the experiment runner and time it."""
-    runner = EXPERIMENTS[config.experiment]["runner"]
+    """Run the experiment's study, timed, and build its record from the
+    columns and rows the study returns."""
     t0 = time.perf_counter()
-    record = runner(config)
-    record.elapsed_seconds = time.perf_counter() - t0
-    return record
+    columns, rows = EXPERIMENTS[config.experiment]["runner"](config)
+    return ResultRecord(config.experiment, config, columns, rows, time.perf_counter() - t0)
 
 
 def run_and_write(config: ExperimentConfig, out_dir: str | Path | None = None,

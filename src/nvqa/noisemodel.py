@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _apply_noise
+from .channels import _apply_noise, _require_kind
 from .qstate import DensityMatrix, _as_int, _qubit_count, _require_unit_norms
 from .randstates import RngStream, _as_generator, product_rows, real_haar_rows
 
@@ -101,6 +101,7 @@ def estimate_alpha_beta(kind: str, n_qubits: int, n_samples: int, rng,
         (randstates.real_haar_rows); randstates.product_rows draws product
         states.
     """
+    _require_kind(kind)  # before any draw moves the caller's generator
     n_qubits = _qubit_count(n_qubits)
     n_samples = _as_int(n_samples, "n_samples")
     if n_samples < 2:

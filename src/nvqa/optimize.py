@@ -35,7 +35,7 @@ from .circuits import (Circuit, _as_density_matrix, _check_width, _expectation_g
                        _reduce, _require_finite, _row_noise, _simulate, evaluate)
 from .measures import QualityRecord, _require_pure, ground_truth, max_pairwise_concurrence
 from .pauli import PauliSum
-from .qstate import DensityMatrix, _require_ints
+from .qstate import DensityMatrix, _as_int, _require_ints
 from .randstates import _child_seed
 
 TWO_PI = 2.0 * np.pi
@@ -198,21 +198,24 @@ class MinimizeOptions:
         _require_ints(self, "max_iters")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
-        if self.cost_goal is not None and not np.isfinite(self.cost_goal):
-            raise ValueError(f"cost_goal must be None or finite, got {self.cost_goal!r}")
+        # a bool is no goal, though Python compares True as 1.0
+        if self.cost_goal is not None and (isinstance(self.cost_goal, (bool, np.bool_))
+                                           or not np.isfinite(self.cost_goal)):
+            raise ValueError(f"cost_goal must be None or a finite number, got {self.cost_goal!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptResult:
-    """End point of one BFGS run of cost_fn. Its quality is computed on first
-    read and kept, so the results deduplication drops never evaluate one."""
+    """End point of one BFGS run of cost_fn, equal only to itself. Its quality
+    is computed on first read and kept, so the results deduplication drops
+    never evaluate one."""
 
     params: np.ndarray
     cost: float
     grad_norm: float
     iterations: int
     converged: bool
-    cost_fn: CostFn = field(repr=False, compare=False)
+    cost_fn: CostFn = field(repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.params, dtype=float).copy()
@@ -381,7 +384,7 @@ def multistart(cf: CostFn, n_starts: int, seed: int) -> list[OptResult]:
     by at most 1e-6 and their output states overlap within 1e-6. The
     survivors are returned sorted by cost.
     """
-    if n_starts < 1:
+    if _as_int(n_starts, "n_starts") < 1:
         raise ValueError("n_starts must be >= 1")
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, TWO_PI, size=(n_starts, cf.n_params))

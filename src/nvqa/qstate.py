@@ -53,9 +53,9 @@ def _require_unit_norms(rows: np.ndarray) -> None:
         raise ValueError(f"vector norm {nrm[bad][0]} differs from 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Immutable n-qubit mixed state.
+    """Immutable n-qubit mixed state, equal only to itself.
 
     The underlying array is marked read-only on construction. Validation of
     the physical invariants (Hermitian, unit trace, positive, purity range)

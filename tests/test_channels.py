@@ -48,6 +48,28 @@ def test_every_entry_refuses_an_unknown_kind_alike():
             call()
 
 
+def test_specs_compare_and_hash_by_kind_strength_and_scales():
+    """Channels compare by kind and gamma, the Kraus operators being derived
+    from them, so specs and the cost functions holding them compare and hash."""
+    a, b = NoiseSpec.uniform("phase", 0.1, 2), NoiseSpec.uniform("phase", 0.1, 2)
+    assert a == b and a in [b] and hash(a) == hash(b) and len({a, b}) == 1
+    assert make_channel("amplitude", 0.3) == make_channel("amplitude", 0.3)
+    for other in (NoiseSpec.uniform("amplitude", 0.1, 2), NoiseSpec.uniform("phase", 0.2, 2),
+                  NoiseSpec.uniform("phase", 0.1, 3), NoiseSpec(make_channel("phase", 0.1), (1.0, 0.5))):
+        assert a != other and other not in [a]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: apply_channel_one_qubit(zero_state(2), make_channel("phase", 0.1), 2),
+    lambda: apply_channel_one_qubit(zero_state(2), make_channel("phase", 0.1), -1),
+    lambda: apply_product_channel(zero_state(2), NoiseSpec.uniform("phase", 0.1, 3)),
+    lambda: apply_product_channel(zero_state(2), NoiseSpec.uniform("phase", 0.1, 1)),
+], ids=["qubit-too-high", "qubit-negative", "spec-too-wide", "spec-too-narrow"])
+def test_a_channel_is_refused_on_qubits_the_state_lacks(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_gamma_zero_is_identity(rng):
     rho = random_mixed_state(1, rng)
     for kind in CHANNEL_KINDS:

@@ -380,6 +380,29 @@ def test_hea_rejects_bad_arguments():
         build_hea(2, n_qubits=3)
 
 
+@pytest.mark.parametrize("layers", [2.0, True, "2"], ids=["float", "bool", "str"])
+def test_hea_refuses_a_layer_count_that_is_no_integer(layers):
+    """build_hea(2.0) failed inside range and build_hea(True) built one layer."""
+    with pytest.raises(ValueError, match="layers must be an integer"):
+        build_hea(layers)
+    assert build_hea(np.int64(2)) == build_hea(2)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: Circuit(2, (Ry(0, 2),), 1), ValueError),
+    (lambda: Circuit(2, (Ry(0, -1),), 1), ValueError),
+    (lambda: Circuit(1, (Ry(1, 0),), 1), ValueError),
+    (lambda: Circuit(1, (Ry(0, 0), "H"), 1), TypeError),
+    (lambda: evaluate(build_2q_circuit("a"), np.zeros(4)), ValueError),
+    (lambda: evaluate(build_2q_circuit("a"), np.zeros((1, 3)), NoiseSpec.uniform("phase", 0.1, 2)), ValueError),
+    (lambda: evaluate_pure(build_2q_circuit("a"), np.zeros(2)), ValueError),
+], ids=["ry-qubit-too-high", "ry-qubit-negative", "param-index-out-of-range", "foreign-op",
+        "evaluate-long-theta", "evaluate-2d-theta", "evaluate-pure-short-theta"])
+def test_malformed_circuits_and_angle_vectors_are_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_4q_vqe_builder_shape():
     c = build_4q_vqe()
     assert c.n_qubits == 4

@@ -258,6 +258,46 @@ def test_sidecar_contents(tmp_path):
     assert side["csv_sha256"] == hashlib.sha256(csv_path.read_bytes()).hexdigest()
 
 
+def test_run_experiment_builds_and_times_the_record():
+    """A runner returns its columns and rows; run_experiment alone builds the
+    record, from the config it ran, and times the runner."""
+    cfg = tiny_config("alpha_beta_table")
+    rec = run_experiment(cfg)
+    assert rec.experiment == cfg.experiment and rec.config is cfg
+    assert rec.columns == COLUMNS["alpha_beta_table"] and len(rec.rows) == len(cfg.kinds)
+    assert rec.elapsed_seconds > 0.0
+
+
+def test_a_runner_row_of_the_wrong_width_is_refused(monkeypatch, tmp_path):
+    monkeypatch.setitem(EXPERIMENTS["valley_demo"], "runner",
+                        lambda config: (("kind", "gamma"), [("phase", 0.0), ("phase",)]))
+    rec = run_experiment(tiny_config("valley_demo"))
+    with pytest.raises(ValueError, match="row width"):
+        rec.csv_text()
+    with pytest.raises(ValueError, match="row width"):
+        rec.write(tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_takes_json_lists_as_tuples():
+    """The CLI passes a JSON config's lists through; the config stores them as
+    tuples, with the hash of the tuple form."""
+    listed = default_config("vqe2q", kinds=["phase"], gamma_grid=[0, 0.2], variants=["a"])
+    tupled = default_config("vqe2q", kinds=("phase",), gamma_grid=(0.0, 0.2), variants=("a",))
+    assert listed == tupled and listed.config_hash() == tupled.config_hash()
+    assert all(type(getattr(listed, f)) is tuple for f in ("kinds", "gamma_grid", "layers", "variants"))
+
+
+@pytest.mark.parametrize("fields", [
+    dict(experiment="nope", gamma_grid=(0.0,)),
+    dict(experiment="vqe2q", gamma_grid=(0.0,), layers=(0,)),
+    dict(experiment="vqe2q", gamma_grid=(0.0,), layers=(2, -1)),
+], ids=["unknown-experiment", "zero-layers", "negative-layers"])
+def test_a_config_built_directly_is_checked(fields):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**fields)
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

@@ -59,6 +59,17 @@ def test_fidelity_requires_a_pure_reference(rng):
         fidelity(sig, rho)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: fidelity(zero_state(1), zero_state(2)),
+    lambda: concurrence(zero_state(1)),
+    lambda: concurrence(zero_state(3)),
+    lambda: max_pairwise_concurrence(zero_state(1)),
+], ids=["fidelity-widths", "concurrence-1q", "concurrence-3q", "pairwise-1q"])
+def test_measures_refuse_states_of_the_wrong_width(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_concurrence_of_bell_and_product_states():
     assert abs(concurrence(bell_state()) - 1.0) < 1e-7
     assert concurrence(zero_state(2)) < 1e-7

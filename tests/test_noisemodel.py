@@ -197,11 +197,37 @@ def never_drawn(n_qubits, gen, k):
     lambda: alpha_scaling_check("phase", [0], 40),
     lambda: global_depol_infidelity(0.1, 1.5, 2),
     lambda: global_depol_infidelity(0.1, 2, 0),
+    lambda: global_depol_infidelity(0.1, -1, 2),
+    lambda: estimate_alpha_beta("phase", 2, 1, RngStream(0), sampler=never_drawn),
 ], ids=["bool-qubits", "0-qubits", "too-wide", "float-samples", "scaling-0-qubits",
-        "depol-float-d", "depol-0-qubits"])
+        "depol-float-d", "depol-0-qubits", "depol-negative-d", "one-sample"])
 def test_bad_counts_are_refused(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: global_depol_infidelity(-0.1, 2, 2),
+    lambda: global_depol_infidelity(1.1, 2, 2),
+    lambda: apply_global_depol(zero_state(2), -0.1),
+    lambda: apply_global_depol(zero_state(2), 1.1),
+    lambda: slope_through_origin([0.0, 0.0], [1.0, 2.0]),
+    lambda: slope_through_origin([], []),
+], ids=["depol-gamma-below-0", "depol-gamma-above-1", "global-gamma-below-0",
+        "global-gamma-above-1", "zero-abscissa", "no-abscissa"])
+def test_values_outside_the_model_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_an_unknown_kind_is_refused_before_any_draw():
+    """The kind is checked first, so a refused call leaves the caller's
+    generator where it was."""
+    gen = np.random.default_rng(3)
+    before = gen.bit_generator.state
+    with pytest.raises(ValueError, match="unknown channel kind 'bogus'"):
+        estimate_alpha_beta("bogus", 2, 40, gen)
+    assert gen.bit_generator.state == before
 
 
 @pytest.mark.parametrize("rows", [

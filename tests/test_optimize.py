@@ -814,15 +814,44 @@ def test_minimize_does_not_stall_on_the_roundoff_floor(variant, noise, seed, sha
 @pytest.mark.parametrize("bad", [
     dict(max_iters=-1), dict(max_iters=True), dict(max_iters=False), dict(max_iters=2.0),
     dict(cost_goal=float("nan")), dict(cost_goal=float("inf")), dict(cost_goal=-np.inf),
-], ids=["negative", "true", "false", "float", "nan-goal", "inf-goal", "minus-inf-goal"])
+    dict(cost_goal=True), dict(cost_goal=np.True_),
+], ids=["negative", "true", "false", "float", "nan-goal", "inf-goal", "minus-inf-goal",
+        "true-goal", "numpy-true-goal"])
 def test_minimize_options_refuse_values_that_read_as_results(bad):
-    """max_iters=-1 or True came back as iterations=-1 or True, and a NaN
-    cost_goal was silently ignored."""
+    """max_iters=-1 or True came back as iterations=-1 or True, a NaN
+    cost_goal was silently ignored, and a cost_goal of True read as 1.0."""
     with pytest.raises(ValueError):
         MinimizeOptions(**bad)
     iters = MinimizeOptions(max_iters=np.int64(3), cost_goal=np.float64(-1.0)).max_iters
     assert iters == 3 and type(iters) is int
     assert MinimizeOptions(max_iters=0, cost_goal=None).max_iters == 0
+
+
+@pytest.mark.parametrize("n_starts", [2.5, True, np.float64(3.0), 0, -1],
+                         ids=["float", "bool", "numpy-float", "zero", "negative"])
+def test_start_counts_are_refused_unless_positive_integers(n_starts):
+    """A float or bool count failed in numpy with a TypeError, or ran one start."""
+    cf = energy_cost(build_2q_circuit("a"), H2)
+    for call in (lambda: multistart(cf, n_starts, 0),
+                 lambda: sweep_gamma(lambda g: cf, [0.0], n_starts=n_starts),
+                 lambda: reoptimize_pair(cf, n_starts=n_starts)):
+        with pytest.raises(ValueError, match="n_starts"):
+            call()
+
+
+def test_results_equal_only_themselves_and_cost_functions_hash():
+    """Results compare by identity; cost functions compare and hash by their
+    circuit, noise spec and objective."""
+    spec = NoiseSpec.uniform("phase", 0.1, 2)
+    cf = energy_cost(build_2q_circuit("a"), H2, spec)
+    twin = energy_cost(build_2q_circuit("a"), H2, NoiseSpec.uniform("phase", 0.1, 2))
+    assert cf == twin and hash(cf) == hash(twin)
+    assert cf != energy_cost(build_2q_circuit("a"), H2, NoiseSpec.uniform("phase", 0.2, 2))
+    a, b = minimize(cf, np.zeros(3)), minimize(cf, np.zeros(3))
+    assert a == a and a != b and a in [a] and b not in [a] and len({a, b}) == 2
+    target = sample_real_haar_state(2, RngStream(0))
+    icf = infidelity_cost(build_2q_circuit("a"), target)
+    assert hash(icf) == hash(infidelity_cost(build_2q_circuit("a"), target))
 
 
 def test_minimize_result_is_frozen():

@@ -42,6 +42,12 @@ def test_pauli_sum_matches_kron_oracle():
     assert np.allclose(h.to_matrix(), want)
 
 
+@pytest.mark.parametrize("word", ["XQ", "xI", "Z1", "I "])
+def test_pauli_sum_rejects_letters_outside_ixyz(word):
+    with pytest.raises(ValueError, match="invalid Pauli word"):
+        PauliSum(2, ((1.0, word),))
+
+
 def test_pauli_sum_rejects_wrong_length():
     with pytest.raises(ValueError):
         PauliSum(2, ((1.0, "XXX"),))

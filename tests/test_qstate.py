@@ -54,6 +54,25 @@ def test_density_matrix_refuses_a_non_integer_qubit_count(n_qubits):
     assert type(DensityMatrix(np.int64(1), np.eye(2) / 2).n_qubits) is int
 
 
+def test_states_are_equal_only_to_themselves():
+    a, b = zero_state(1), zero_state(1)
+    assert a == a and a != b and a in [a] and b not in [a]
+    assert len({a, b}) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DensityMatrix(1, np.eye(4)),
+    lambda: DensityMatrix(2, np.eye(4)[:, :2]),
+    lambda: partial_trace(zero_state(2), []),
+    lambda: partial_trace(zero_state(2), [0, 0]),
+    lambda: partial_trace(zero_state(2), [2]),
+    lambda: partial_trace(zero_state(2), [-1]),
+], ids=["too-wide", "not-square", "keep-none", "keep-repeated", "keep-too-high", "keep-negative"])
+def test_malformed_states_and_keep_lists_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_data_is_read_only():
     rho = zero_state(1)
     with pytest.raises(ValueError):

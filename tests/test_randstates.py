@@ -133,6 +133,15 @@ def test_single_draws_are_the_stacked_k1_case():
     assert_same_position(a, b)
 
 
+@pytest.mark.parametrize("rng", [7, None, np.random.RandomState(7), np.random.PCG64(7)],
+                         ids=["int", "none", "legacy-random-state", "bit-generator"])
+def test_an_rng_that_is_no_stream_or_generator_is_refused(rng):
+    for call in (lambda: sample_real_haar_state(2, rng), lambda: real_haar_rows(2, rng, 3),
+                 lambda: haar_orthogonal(4, rng)):
+        with pytest.raises(TypeError, match="expected RngStream or numpy Generator"):
+            call()
+
+
 @pytest.mark.parametrize("call", [
     lambda g: haar_orthogonal(0, g),
     lambda g: haar_orthogonal(2.0, g),
