@@ -13,6 +13,7 @@ sequence, optionally rescaling gamma per qubit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,6 +51,13 @@ def _require_kind(kind: str) -> None:
         raise ValueError(f"unknown channel kind {kind!r}, expected one of {CHANNEL_KINDS}")
 
 
+def _as_strength(value, name: str) -> float:
+    """value as a float in [0, 1]; a bool, a string or anything not real is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
+        raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
+    return float(value)
+
+
 def make_channel(kind: str, gamma: float) -> KrausChannel:
     """Build a channel of the given kind and strength.
 
@@ -60,9 +68,7 @@ def make_channel(kind: str, gamma: float) -> KrausChannel:
         Strength in [0, 1]. gamma = 0 is the identity channel.
     """
     _require_kind(kind)
-    gamma = float(gamma)
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    gamma = _as_strength(gamma, "gamma")
     s = np.sqrt(1.0 - gamma)
     if kind == "phase":
         kraus = (np.diag([1.0, s]).astype(complex), np.sqrt(gamma) * _P1)
@@ -165,10 +171,8 @@ class NoiseSpec:
     per_qubit_scale: tuple[float, ...]
 
     def __post_init__(self):
-        scales = tuple(float(s) for s in self.per_qubit_scale)
-        if any(not 0.0 <= s <= 1.0 for s in scales):
-            raise ValueError(f"per-qubit scales must lie in [0, 1], got {scales}")
-        object.__setattr__(self, "per_qubit_scale", scales)
+        object.__setattr__(self, "per_qubit_scale", tuple(
+            _as_strength(s, "per_qubit_scale entry") for s in self.per_qubit_scale))
 
     @classmethod
     def uniform(cls, kind: str, gamma: float, n_qubits: int) -> "NoiseSpec":

@@ -203,15 +203,13 @@ def build_2q_circuit(variant: str) -> Circuit:
     raise ValueError(f"unknown variant {variant!r}, expected 'a', 'b' or 'c'")
 
 
-def build_hea(layers: int, n_qubits: int = 4) -> Circuit:
+def build_hea(layers: int) -> Circuit:
     """Hardware-efficient ansatz on four qubits.
 
     Each layer is an Ry on every qubit, the parallel pair CX(0->1), CX(2->3)
     followed by a noise point, then CX(1->2) followed by a second noise
     point. L layers use 4L parameters and 2L noise points.
     """
-    if n_qubits != 4:
-        raise ValueError("the hardware-efficient ansatz is defined on 4 qubits")
     layers = _as_int(layers, "layers")
     if layers < 1:
         raise ValueError("layers must be >= 1")

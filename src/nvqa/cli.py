@@ -30,7 +30,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--targets", type=int, default=None,
                      help="override the number of random targets")
-    run.add_argument("--out", type=Path, default=None, help="output directory")
+    run.add_argument("--out", type=Path, default=None, help="output directory (default: results)")
     run.add_argument("--force", action="store_true",
                      help="rerun even when output for this config exists")
 
@@ -50,21 +50,20 @@ def _cmd_run(args) -> int:
         if not isinstance(loaded, dict):
             print("nvqa: config file must hold a JSON object", file=sys.stderr)
             return 1
-        loaded.pop("experiment", None)
         overrides.update(loaded)
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.targets is not None:
         overrides["n_targets"] = args.targets
-    if args.out is not None:
-        overrides["output_dir"] = str(args.out)
     try:
+        if (named := overrides.pop("experiment", args.experiment)) != args.experiment:
+            raise ValueError(f"{args.config} is a config of {named!r}, not {args.experiment!r}")
         config = default_config(args.experiment, **overrides)
     except (TypeError, ValueError) as exc:
         print(f"nvqa: invalid config: {exc}", file=sys.stderr)
         return 1
     try:
-        record, (csv_path, json_path) = run_and_write(config, force=args.force)
+        record, (csv_path, json_path) = run_and_write(config, args.out, force=args.force)
     except Exception as exc:
         print(f"nvqa: run failed: {exc}", file=sys.stderr)
         return 2

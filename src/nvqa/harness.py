@@ -1,13 +1,14 @@
 """Experiment harness: canned studies, deterministic CSV output, resume.
 
-Every experiment takes one ExperimentConfig and runs deterministically from
-its seed. Its study runner returns the CSV columns and rows; run_experiment
-alone times the runner and builds the ResultRecord, which writes the CSV of
-plain rows plus a JSON sidecar holding the full config, its hash, the
-package version, the row count, the wall-clock time and the CSV's sha256.
-Reruns with an unchanged config are skipped unless forced or the CSV no
-longer matches its recorded hash; the CSV bytes for a given config are
-reproducible.
+Every experiment takes one ExperimentConfig, which holds only the study's
+inputs, and runs deterministically from its seed. Its study runner returns
+the CSV columns and rows; run_experiment alone times the runner and builds
+the ResultRecord. That writes, to the out_dir given (default results/), the
+CSV of plain rows plus a JSON sidecar holding the config (a valid `nvqa run
+--config` file), its hash, the package version, the row count, the
+wall-clock time and the CSV's sha256. Reruns with an unchanged config are
+skipped unless forced or the CSV no longer matches its recorded hash; the
+CSV bytes for a given config are reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import CHANNEL_KINDS, NoiseSpec, _require_kind, make_channel
+from .channels import CHANNEL_KINDS, NoiseSpec, _as_strength, _require_kind, make_channel
 from .circuits import (
     Circuit,
     build_2q_circuit,
@@ -45,7 +46,7 @@ from .optimize import (
     _minimize_rows,
 )
 from .pauli import PauliSum, vqe_hamiltonian_2q, vqe_hamiltonian_4q
-from .qstate import _require_ints
+from .qstate import _as_int, _require_ints
 from .randstates import RngStream, _child_seed, sample_real_haar_state
 
 
@@ -62,14 +63,11 @@ class ExperimentConfig:
     n_starts_2q: int = 100
     n_starts_4q: int = 300
     mode: str = "restart"
-    output_dir: str = "results"
 
     def __post_init__(self):
         _require_ints(self, "seed", "n_starts_2q", "n_starts_4q", "n_targets", "n_samples")
-        # bool is refused too: a JSON true is no count, though Python makes it an int
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in self.layers):
-            raise ValueError(f"layers must be integers, got {self.layers!r}")
-        object.__setattr__(self, "layers", tuple(map(int, self.layers)))
+        object.__setattr__(self, "layers", tuple(_as_int(l, "layers") for l in self.layers))
+        object.__setattr__(self, "gamma_grid", tuple(_as_strength(g, "gamma_grid") for g in self.gamma_grid))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
@@ -78,11 +76,6 @@ class ExperimentConfig:
             _require_kind(k)
         if self.mode not in ("track", "restart"):
             raise ValueError(f"mode must be 'track' or 'restart', got {self.mode!r}")
-        # a JSON true is no strength, though Python compares it as 1
-        if any(isinstance(g, (bool, np.bool_)) or not 0.0 <= g <= 1.0 for g in self.gamma_grid):
-            raise ValueError(f"gamma grid entries must be numbers in [0, 1], got {self.gamma_grid!r}")
-        if any(l < 1 for l in self.layers):
-            raise ValueError("layer counts must be >= 1")
         if self.n_targets < 1 or self.n_samples < 2:
             raise ValueError("n_targets must be >= 1 and n_samples >= 2")
         if self.n_starts_2q < 1 or self.n_starts_4q < 1:
@@ -91,12 +84,13 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         if not (self.kinds and self.layers and self.variants):
             raise ValueError("kinds, layers and variants must not be empty")
+        if min(self.layers) < 1:
+            raise ValueError("layer counts must be >= 1")
         for v in self.variants:
             build_2q_circuit(v)  # raises on an unknown variant
         if not self.gamma_grid and self.experiment != "alpha_beta_table":
             raise ValueError(f"{self.experiment} needs a non-empty gamma_grid")
         object.__setattr__(self, "kinds", tuple(self.kinds))
-        object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
         object.__setattr__(self, "variants", tuple(self.variants))
         for name in EXPERIMENTS[self.experiment].get("single", ()):  # more would go unread
             if len(getattr(self, name)) != 1:
@@ -166,8 +160,8 @@ class ResultRecord:
 
 
 def _output_paths(config: ExperimentConfig, out_dir: str | Path | None) -> tuple[Path, Path]:
-    """CSV and sidecar paths of an experiment; out_dir defaults to config.output_dir."""
-    out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
+    """CSV and sidecar paths of an experiment in out_dir (default results/)."""
+    out = Path("results" if out_dir is None else out_dir)
     return out / f"{config.experiment}.csv", out / f"{config.experiment}.json"
 
 

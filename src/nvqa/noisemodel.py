@@ -13,8 +13,10 @@ slightly below gamma = 0. The 2x2 block form of the channels
 (-1, 1], in agreement with channel_superop. The Monte Carlo draws its
 samples in blocks of _BLOCK amplitude rows, one sampler call each, and
 differentiates each block as one stack of |v><v|; the estimates equal those
-of a per-sample loop bit for bit. Global depolarising noise admits
-the exact closed form (1 - (1-gamma)^d) (1 - 2^-N) regardless of the circuit.
+of a per-sample loop bit for bit. Rows are taken in double precision but stay
+real if they are: both samplers here give real rows, and complex rows get
+|v><v| through the conjugate. Global depolarising noise admits the exact
+closed form (1 - (1-gamma)^d) (1 - 2^-N) regardless of the circuit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _apply_noise, _require_kind
+from .channels import _apply_noise, _as_strength, _require_kind
 from .qstate import DensityMatrix, _as_int, _qubit_count, _require_unit_norms
 from .randstates import RngStream, _as_generator, product_rows, real_haar_rows
 
@@ -51,8 +53,7 @@ def global_depol_infidelity(gamma: float, d: int, n_qubits: int,
     Exact: (1 - (1-gamma)^d) (1 - 2^-n). With first_order=True the
     linearization (1 - 2^-n) d gamma is returned instead.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    gamma = _as_strength(gamma, "gamma")
     if _as_int(d, "d") < 0:
         raise ValueError("d must be >= 0")
     n_qubits = _qubit_count(n_qubits)
@@ -64,8 +65,7 @@ def global_depol_infidelity(gamma: float, d: int, n_qubits: int,
 
 def apply_global_depol(rho: DensityMatrix, gamma: float) -> DensityMatrix:
     """(1-gamma) rho + gamma I / 2^n."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    gamma = _as_strength(gamma, "gamma")
     dim = rho.dim
     data = (1.0 - gamma) * rho.data + gamma / dim * np.eye(dim)
     return DensityMatrix(rho.n_qubits, data)
@@ -110,7 +110,8 @@ def estimate_alpha_beta(kind: str, n_qubits: int, n_samples: int, rng,
     derivs = np.empty(n_samples)
     for start in range(0, n_samples, _BLOCK):
         k = min(_BLOCK, n_samples - start)
-        v = np.asarray(sampler(n_qubits, gen, k), dtype=complex)
+        v = np.asarray(sampler(n_qubits, gen, k))
+        v = v.astype(np.result_type(v, np.float64), copy=False)
         if v.shape != (k, 2 ** n_qubits):
             raise ValueError(f"sampler rows have shape {v.shape}, expected {(k, 2 ** n_qubits)}")
         _require_unit_norms(v)
@@ -130,6 +131,9 @@ def predict(params: ModelParams, gamma: float, d: int) -> tuple[float, float]:
     Valid in the weak-noise regime; a warning is raised when the predicted
     mean leaves it.
     """
+    gamma = _as_strength(gamma, "gamma")
+    if _as_int(d, "d") < 0:
+        raise ValueError("d must be >= 0")
     mean = params.alpha * gamma * d
     spread = float(np.sqrt(max(params.beta, 0.0)) * gamma * d)
     if mean > 0.5:

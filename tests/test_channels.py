@@ -13,6 +13,8 @@ from nvqa.channels import (
     ptm_from_channel,
     _apply_noise,
 )
+from nvqa.harness import default_config
+from nvqa.noisemodel import ModelParams, apply_global_depol, global_depol_infidelity, predict
 from nvqa.pauli import I2, SX, SY, SZ
 from nvqa.qstate import DensityMatrix, zero_state
 from conftest import random_mixed_state
@@ -38,8 +40,6 @@ def test_make_channel_guards():
 def test_every_entry_refuses_an_unknown_kind_alike():
     """The channel builders, the block update and an experiment config share
     one kind check and its message."""
-    from nvqa.harness import default_config
-
     calls = (lambda: make_channel("bitflip", 0.1), lambda: channel_superop("bitflip", 0.1),
              lambda: _apply_noise(np.eye(2), "bitflip", (0.1,)),
              lambda: default_config("valley_demo", kinds=("bitflip",)))
@@ -57,6 +57,47 @@ def test_specs_compare_and_hash_by_kind_strength_and_scales():
     for other in (NoiseSpec.uniform("amplitude", 0.1, 2), NoiseSpec.uniform("phase", 0.2, 2),
                   NoiseSpec.uniform("phase", 0.1, 3), NoiseSpec(make_channel("phase", 0.1), (1.0, 0.5))):
         assert a != other and other not in [a]
+
+
+_STRENGTH = r"must be a real number in \[0, 1\], got "
+_PARAMS = ModelParams("phase", 2, 0.5, 0.1, 0.01, 0.01, 100)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_channel("phase", True), "gamma " + _STRENGTH + "True"),
+    (lambda: make_channel("phase", np.True_), "gamma " + _STRENGTH + "np.True_"),
+    (lambda: make_channel("phase", "0.5"), "gamma " + _STRENGTH + "'0.5'"),
+    (lambda: make_channel("phase", float("nan")), "gamma " + _STRENGTH + "nan"),
+    (lambda: NoiseSpec.uniform("phase", True, 2), "gamma " + _STRENGTH),
+    (lambda: NoiseSpec(make_channel("phase", 0.1), (True, 1.0)), "per_qubit_scale entry " + _STRENGTH),
+    (lambda: NoiseSpec(make_channel("phase", 0.1), (1.0, "1")), "per_qubit_scale entry " + _STRENGTH),
+    (lambda: global_depol_infidelity(True, 2, 2), "gamma " + _STRENGTH),
+    (lambda: apply_global_depol(zero_state(2), True), "gamma " + _STRENGTH),
+    (lambda: predict(_PARAMS, True, 2), "gamma " + _STRENGTH),
+    (lambda: predict(_PARAMS, -0.1, 2), "gamma " + _STRENGTH),
+    (lambda: predict(_PARAMS, 0.1, -1), "d must be >= 0"),
+    (lambda: predict(_PARAMS, 0.1, 2.5), "d must be an integer"),
+    (lambda: predict(_PARAMS, 0.1, True), "d must be an integer"),
+    (lambda: default_config("valley_demo", gamma_grid=(np.True_,)), "gamma_grid " + _STRENGTH),
+    (lambda: default_config("valley_demo", gamma_grid=("0.5",)), "gamma_grid " + _STRENGTH),
+], ids=["bool", "numpy-bool", "string", "nan", "uniform-bool", "bool-scale", "string-scale",
+        "depol-bool", "global-depol-bool", "predict-bool", "predict-negative",
+        "predict-negative-d", "predict-fractional-d", "predict-bool-d", "config-numpy-bool",
+        "config-string"])
+def test_every_strength_passes_one_rule(call, message):
+    """Each gamma and per-qubit scale is a real number in [0, 1] by one rule:
+    a bool, which Python compares as 0 or 1, and a string are refused, where
+    several of these built gamma = 1 or 0.5, or returned a number. predict's
+    noise-site count d is a count >= 0."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_strength_keeps_the_value_of_a_real_number():
+    gamma = make_channel("phase", 1).gamma
+    assert gamma == 1.0 and type(gamma) is float
+    assert make_channel("phase", np.float32(0.5)).gamma == 0.5
+    assert NoiseSpec(make_channel("phase", 0.1), (np.int64(1), 0.25)).per_qubit_scale == (1.0, 0.25)
 
 
 @pytest.mark.parametrize("call", [

@@ -376,8 +376,6 @@ def test_hea_layer_structure():
 def test_hea_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_hea(0)
-    with pytest.raises(ValueError):
-        build_hea(2, n_qubits=3)
 
 
 @pytest.mark.parametrize("layers", [2.0, True, "2"], ids=["float", "bool", "str"])

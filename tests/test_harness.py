@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -188,14 +189,13 @@ def test_valley_demo_matches_the_per_point_loop(kind):
         assert rec.rows[k] == valley_reference_row(kind, g, i, j)
 
 
-def test_target_fidelity_smoke(tmp_path):
+def test_target_fidelity_smoke():
     cfg = default_config(
         "target_fidelity",
         kinds=("amplitude",),
         gamma_grid=(1e-3,),
         layers=(2,),
         n_targets=2,
-        output_dir=str(tmp_path),
     )
     rec = run_experiment(cfg)
     cols = rec.columns
@@ -215,41 +215,41 @@ def test_target_fidelity_smoke(tmp_path):
 
 
 def test_write_resume_and_force(tmp_path):
-    cfg = tiny_config(output_dir=str(tmp_path))
-    rec, (csv_path, json_path) = run_and_write(cfg)
+    cfg = tiny_config()
+    rec, (csv_path, json_path) = run_and_write(cfg, tmp_path)
     assert rec is not None
     assert csv_path.exists() and json_path.exists()
-    assert is_complete(cfg)
+    assert is_complete(cfg, tmp_path)
 
     first_bytes = csv_path.read_bytes()
-    again, _ = run_and_write(cfg)
+    again, _ = run_and_write(cfg, tmp_path)
     assert again is None  # resumed, nothing recomputed
     assert csv_path.read_bytes() == first_bytes
 
-    forced, _ = run_and_write(cfg, force=True)
+    forced, _ = run_and_write(cfg, tmp_path, force=True)
     assert forced is not None
     assert csv_path.read_bytes() == first_bytes  # byte-identical rerun
 
-    bumped = tiny_config(output_dir=str(tmp_path), seed=123)
-    assert not is_complete(bumped)
+    bumped = tiny_config(seed=123)
+    assert not is_complete(bumped, tmp_path)
 
 
 def test_truncated_csv_is_rerun(tmp_path):
-    cfg = tiny_config(output_dir=str(tmp_path))
-    _, (csv_path, json_path) = run_and_write(cfg)
+    cfg = tiny_config()
+    _, (csv_path, json_path) = run_and_write(cfg, tmp_path)
     first_bytes = csv_path.read_bytes()
     csv_path.write_bytes(first_bytes[: len(first_bytes) // 2])
-    assert not is_complete(cfg)
-    rerun, _ = run_and_write(cfg)
+    assert not is_complete(cfg, tmp_path)
+    rerun, _ = run_and_write(cfg, tmp_path)
     assert rerun is not None
     assert csv_path.read_bytes() == first_bytes
-    assert is_complete(cfg)
+    assert is_complete(cfg, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [csv_path.name, json_path.name]
 
 
 def test_sidecar_contents(tmp_path):
-    cfg = tiny_config(output_dir=str(tmp_path))
-    rec, (csv_path, json_path) = run_and_write(cfg)
+    cfg = tiny_config()
+    rec, (csv_path, json_path) = run_and_write(cfg, tmp_path)
     side = json.loads(json_path.read_text())
     assert side["experiment"] == "vqe2q"
     assert side["config_hash"] == cfg.config_hash()
@@ -311,19 +311,19 @@ def test_cli_run_with_config_file(tmp_path, capsys):
         "gamma_grid": [0.0, 0.2],
         "variants": ["a"],
         "n_starts_2q": 8,
-        "output_dir": str(tmp_path / "res"),
     }))
-    assert main(["run", "vqe2q", "--config", str(cfg_file)]) == 0
+    out_args = ["--out", str(tmp_path / "res")]
+    assert main(["run", "vqe2q", "--config", str(cfg_file)] + out_args) == 0
     out = capsys.readouterr().out
     assert "wrote" in out
     assert (tmp_path / "res" / "vqe2q.csv").exists()
 
     # identical invocation resumes instead of recomputing
-    assert main(["run", "vqe2q", "--config", str(cfg_file)]) == 0
+    assert main(["run", "vqe2q", "--config", str(cfg_file)] + out_args) == 0
     assert "up to date" in capsys.readouterr().out
 
     # --force reruns
-    assert main(["run", "vqe2q", "--config", str(cfg_file), "--force"]) == 0
+    assert main(["run", "vqe2q", "--config", str(cfg_file), "--force"] + out_args) == 0
     assert "wrote" in capsys.readouterr().out
 
 
@@ -372,18 +372,47 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     ("transition_scan", {"layers": [2, 3], "n_targets": 1}, []),
     ("degeneracy_hist", {"layers": [2, 4]}, []),
     ("degeneracy_hist", {"gamma_grid": [0.01, 0.02]}, []),
+    ("valley_demo", {"gamma_grid": [0.0], "output_dir": "elsewhere"}, []),
+    ("valley_demo", {"gamma_grid": [0.0], "output_dir": 3}, []),
+    ("vqe2q", {"experiment": "vqe4q", "gamma_grid": [0.0], "variants": ["a"], "n_starts_2q": 1}, []),
 ], ids=["empty-gamma-grid", "empty-kinds", "empty-layers", "zero-starts", "negative-seed",
         "empty-variants", "float-seed", "float-starts", "float-layers", "unknown-variant",
         "bool-gamma", "valley-two-kinds", "scan-two-kinds", "scan-two-layers",
-        "hist-two-layers", "hist-two-gammas"])
+        "hist-two-layers", "hist-two-gammas", "output-dir", "output-dir-int",
+        "another-experiment"])
 def test_cli_rejects_configs_that_cannot_run(experiment, payload, args, tmp_path, capsys):
     """Configs that used to fail mid-run, write an empty CSV, or run only the
     first of several kinds, layer counts or gammas are refused before any
-    work starts."""
-    payload = dict(payload, output_dir=str(tmp_path / "res"))
-    assert main(["run", experiment, "--config", _write_cfg(tmp_path, payload)] + args) == 1
+    work starts. So are a results directory, which is no input of a study,
+    and a config file of another experiment, which used to run as the
+    commanded one."""
+    assert main(["run", experiment, "--config", _write_cfg(tmp_path, payload),
+                 "--out", str(tmp_path / "res")] + args) == 1
     assert "invalid config" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
+
+
+def test_a_moved_results_directory_resumes(tmp_path, capsys):
+    """The config, and so its hash, holds no directory: a copied results
+    directory is up to date under --out, where the hash once covered the
+    directory and the copy was recomputed."""
+    first, moved = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "valley_demo", "--out", str(first)]) == 0
+    assert "wrote" in capsys.readouterr().out
+    shutil.copytree(first, moved)
+    assert main(["run", "valley_demo", "--out", str(moved)]) == 0
+    assert capsys.readouterr().out.startswith(f"up to date: {moved / 'valley_demo.csv'}")
+    assert default_config("valley_demo").config_hash() == \
+        json.loads((moved / "valley_demo.json").read_text())["config_hash"]
+
+
+def test_a_sidecar_config_is_a_config_file_of_its_study(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "res")]
+    assert main(["run", "valley_demo", "--config", _write_cfg(tmp_path, {"gamma_grid": [0.0]})] + out) == 0
+    assert "wrote" in capsys.readouterr().out
+    side = json.loads((tmp_path / "res" / "valley_demo.json").read_text())
+    assert main(["run", "valley_demo", "--config", _write_cfg(tmp_path, side["config"])] + out) == 0
+    assert "up to date" in capsys.readouterr().out
 
 
 def test_cli_verify(capsys):

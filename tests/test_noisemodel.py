@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import product_reference, real_haar_reference
-from nvqa.channels import NoiseSpec, _apply_noise
+from nvqa.channels import CHANNEL_KINDS, NoiseSpec, _apply_noise
 from nvqa.circuits import build_hea, evaluate, evaluate_pure
 from nvqa.noisemodel import (
     _BLOCK,
@@ -228,6 +228,25 @@ def test_an_unknown_kind_is_refused_before_any_draw():
     with pytest.raises(ValueError, match="unknown channel kind 'bogus'"):
         estimate_alpha_beta("bogus", 2, 40, gen)
     assert gen.bit_generator.state == before
+
+
+def basis_rows(n_qubits, gen, k):
+    return np.eye(2 ** n_qubits)[gen.integers(0, 2 ** n_qubits, k)]
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("sampler, given", [
+    (basis_rows, lambda n, gen, k: basis_rows(n, gen, k).astype(int)),
+    (basis_rows, lambda n, gen, k: basis_rows(n, gen, k).astype(np.float32)),
+    (real_haar_rows, lambda n, gen, k: 1j * real_haar_rows(n, gen, k)),
+    (lambda n, gen, k: np.full((k, 2), np.sqrt(0.5)), lambda n, gen, k: np.tile([1.0, 1j], (k, 1)) / np.sqrt(2)),
+], ids=["int", "float32", "global-phase", "plus-i"])
+def test_sampler_rows_of_any_dtype_give_the_estimate_of_the_same_state(kind, sampler, given):
+    """Rows are taken in double precision, real rows stay real, and complex
+    rows get |v><v| through the conjugate: |+i> is damped as |+> is, where
+    v v^T would flip the sign of alpha."""
+    want = estimate_alpha_beta(kind, 1, 40, RngStream(0), sampler=sampler)
+    assert estimate_alpha_beta(kind, 1, 40, RngStream(0), sampler=given) == want
 
 
 @pytest.mark.parametrize("rows", [
