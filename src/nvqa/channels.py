@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import I2, SX, SY, SZ
-from .qstate import DensityMatrix, _contract
+from .qstate import DensityMatrix, _contract, _qubit_count
 
 CHANNEL_KINDS = ("phase", "amplitude", "depolarising")
 
@@ -173,10 +173,11 @@ class NoiseSpec:
     def __post_init__(self):
         object.__setattr__(self, "per_qubit_scale", tuple(
             _as_strength(s, "per_qubit_scale entry") for s in self.per_qubit_scale))
+        _qubit_count(len(self.per_qubit_scale))
 
     @classmethod
     def uniform(cls, kind: str, gamma: float, n_qubits: int) -> "NoiseSpec":
-        return cls(make_channel(kind, gamma), (1.0,) * n_qubits)
+        return cls(make_channel(kind, gamma), (1.0,) * _qubit_count(n_qubits))
 
     @property
     def n_qubits(self) -> int:

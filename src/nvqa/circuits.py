@@ -3,12 +3,12 @@
 A circuit is a flat list of operations: Ry rotations referencing a parameter
 slot, CX gates, and NOISE markers. Every evaluation runs through one batched
 kernel, _simulate, over the circuit's ops compiled once into groups: runs of
-Ry gates on distinct qubits, and the CX gates and noise marks between them.
-Statevector rows run with the batch innermost: each Ry is two products on
-contiguous rows and each fixed group one gather. Density rows apply each
-rotation group as one U rho U^T and each fixed group, with the product noise
-channel at its markers, as one product with blocks composed once per noise
-spec; _reduce alone turns the rows into Tr[O rho].
+Ry gates on distinct qubits, each with its qubit's flip arrays, and the CX
+gates and noise marks between them. Statevector rows run with the batch
+innermost, each Ry two products on contiguous rows and each fixed group one
+gather. Density rows, from gathers built on the first of them, take each
+rotation group as one U rho U^T and each fixed group, noise included, as one
+product with blocks composed once per spec; _reduce turns rows into Tr[O rho].
 _expectation_gradients gives Tr[O rho] and d Tr[O rho] / d theta of density
 rows from one forward pass and the adjoint of each group in reverse. The
 blocks grow as 8^n floats, so noisy evaluation stops at MAX_DENSITY_QUBITS
@@ -118,9 +118,11 @@ class Circuit:
 
         One (ops, perm) pair per group. Consecutive Ry gates on distinct
         qubits form a rotation group (rys, None): rys lists (param_index,
-        qubit) in op order. The CX gates and noise marks between two rotation
-        groups form a fixed group (ops, perm), perm being the basis gather of
-        its CX gates composed.
+        qubit, partner, sign) per Ry in op order, partner[i] = i ^ w and
+        sign[i] -1 where bit w of i is clear, +1 where set, w = dim // 2^(q+1)
+        the qubit's bit weight; every Ry on one qubit shares these arrays. The
+        CX gates and noise marks between two rotation groups form a fixed
+        group (ops, perm), perm the basis gather of its CX gates composed.
         """
         runs: list[list[CircuitOp]] = []
         for op in self.ops:
@@ -131,10 +133,12 @@ class Circuit:
             else:
                 runs.append([op])
         dim = 2 ** self.n_qubits
+        idx = np.arange(dim)
+        flips = [(idx ^ w, np.where(idx & w, 1.0, -1.0)) for w in dim >> np.arange(1, self.n_qubits + 1)]
         groups = []
         for run in runs:
             if isinstance(run[0], Ry):
-                groups.append((tuple((r.param_index, r.qubit) for r in run), None))
+                groups.append((tuple((r.param_index, r.qubit, *flips[r.qubit]) for r in run), None))
             else:
                 perm = np.arange(dim)
                 for op in run:
@@ -144,42 +148,39 @@ class Circuit:
         return tuple(groups)
 
     @cached_property
-    def _rotation_entries(self) -> tuple[np.ndarray, ...]:
-        """For each rotation group, entries[q, i, j] indexes the (c, -s, s, c)
-        table of _simulate at the entry (i_q, j_q) of qubit q's rotation, the
-        identity where the group leaves q alone. Density rows alone read them.
+    def _density_plan(self) -> tuple[tuple, ...]:
+        """Density rows' gathers, one entry per group, built on the first density row.
+
+        A rotation group gets (entries, slots, trace_entries, signs):
+        entries[q, i, j] indexes _simulate's (c, -s, s, c) table at the entry
+        (i_q, j_q) of qubit q's rotation, the identity where the group leaves
+        q alone; for _expectation_gradients, per Ry, its slot and the flat
+        entries (partner[i], i) of rho lambda whose sum signed by sign is
+        Tr[2 K_q rho lambda]. A fixed group gets (src, back, back_inv,
+        src_inv): src lists the flat entries (k, k ^ perm[y]) in (y, k) order
+        for its blocks (_channel_blocks), back gathers their product into
+        row-major order, and the transpose takes the inverse gathers back_inv
+        and src_inv; identical groups share one entry.
         """
         n, dim = self.n_qubits, 2 ** self.n_qubits
-        bits = np.arange(dim) >> np.arange(n - 1, -1, -1)[:, None] & 1  # bits[q, i]: qubit q of i
-        out = []
-        for rys, perm in self._groups:
-            if perm is None:
-                slots = np.full(n, self.n_params)
-                for p, q in rys:
-                    slots[q] = p
-                out.append(4 * slots[:, None, None] + 2 * bits[:, :, None] + bits[:, None, :])
-        return tuple(out)
-
-    @cached_property
-    def _flips(self) -> tuple[tuple, ...]:
-        """For each qubit q, of bit weight w = dim // 2^(q+1), (i ^ w, sign):
-        the basis index that an Ry on q mixes with i, and sign[i] = -1 where
-        bit w of i is clear, +1 where it is set."""
-        idx = np.arange(2 ** self.n_qubits)
-        weights = 2 ** self.n_qubits >> np.arange(1, self.n_qubits + 1)
-        return tuple((idx ^ w, np.where(idx & w, 1.0, -1.0)) for w in weights)
-
-    @cached_property
-    def _rotation_traces(self) -> tuple[tuple, ...]:
-        """For each rotation group, (slots, entries, signs) for the reverse pass
-        of _expectation_gradients: the group's parameter slots and, per Ry on
-        qubit q, the flat entries (i ^ w, i) of a product rho lambda whose sum
-        signed by _flips is Tr[2 K_q rho lambda]."""
-        dim = 2 ** self.n_qubits
         idx = np.arange(dim)
-        return tuple((np.array([p for p, _ in rys]), np.array([self._flips[q][0] * dim + idx for _, q in rys]),
-                      np.array([self._flips[q][1] for _, q in rys]))
-                     for rys, perm in self._groups if perm is None)
+        bits = idx >> np.arange(n - 1, -1, -1)[:, None] & 1  # bits[q, i]: qubit q of i
+        back = (idx[:, None] ^ idx) * dim + idx[:, None]
+        back_inv = np.argsort(back.ravel()).reshape(back.shape)
+        srcs = {ops: idx * dim + (idx ^ perm[:, None]) for ops, perm in self._groups if perm is not None}
+        fixed = {ops: (src, back, back_inv, np.argsort(src.ravel()).reshape(src.shape))
+                 for ops, src in srcs.items()}
+        plan = []
+        for ops, perm in self._groups:
+            if perm is None:
+                ps, qs, partners, signs = zip(*ops)
+                slots = np.full(n, self.n_params)
+                slots[list(qs)] = ps
+                plan.append((4 * slots[:, None, None] + 2 * bits[:, :, None] + bits[:, None, :], np.array(ps),
+                             np.array(partners) * dim + idx, np.array(signs)))
+            else:
+                plan.append(fixed[ops])
+        return tuple(plan)
 
     @cached_property
     def _channel_cache(self) -> dict:
@@ -256,18 +257,18 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
 
     Both paths walk the circuit's groups (Circuit._groups). Statevectors are
     held as one (2^n, m) array, the batch innermost, and returned C-ordered as
-    (m, 2^n). An Ry of slot p on qubit q is psi <- cos_p psi + sin_p sign *
-    psi[i ^ w], taking (i ^ w, sign) from Circuit._flips, in op order; a
-    fixed group is one gather of its basis indices. Each entry is cos * x0 +
-    (-sin) * x1 or cos * x1 + sin * x0, the bits of the per-op kernel's
-    c x0 - s x1 and s x0 + c x1. A density row takes a rotation group as one rho <- U rho U^T, U
-    the Kronecker product of the group's rotations, and a fixed group as one
-    product with its precomposed blocks (_channel_blocks). Every product is
-    a stacked per-row matmul, so no BLAS call spans rows and a row's bits do
-    not depend on its batch. Density rows are refused above
+    (m, 2^n). Each Ry, in op order, is psi <- cos_p psi + sin_p sign *
+    psi[partner] with its own partner and sign: amplitudes x0, x1 whose bit
+    of the Ry's qubit is clear, set become cos * x0 - sin * x1 and cos * x1 +
+    sin * x0. A fixed group is one gather of its basis indices. Density rows
+    read Circuit._density_plan beside the groups: a rotation group is one
+    rho <- U rho U^T, U the Kronecker product of the group's rotations, and a
+    fixed group one product with its blocks (_channel_blocks). Every product
+    is a stacked per-row matmul, so no BLAS call spans rows and a row's bits
+    do not depend on its batch. Density rows are refused above
     MAX_DENSITY_QUBITS qubits. A tape list, given with density rows, is
-    appended (rho, U) before each rotation group, for the reverse
-    pass of _expectation_gradients. A NaN or infinite angle is refused.
+    appended (rho, U) before each rotation group, for the reverse pass of
+    _expectation_gradients. A NaN or infinite angle is refused.
     """
     params = _require_finite(params)
     if params.ndim != 2 or params.shape[1] != circuit.n_params:
@@ -283,8 +284,7 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
         state[0] = 1.0
         for ops, perm in circuit._groups:
             if perm is None:
-                for p, q in ops:
-                    partner, sign = circuit._flips[q]
+                for p, _, partner, sign in ops:
                     flip = state[partner]
                     flip *= sign[:, None] * sin[p]
                     state *= cos[p]
@@ -302,13 +302,12 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
     table[:, :n_params, 0, 1] = -sin
     table[:, n_params] = np.eye(2)
     table = table.reshape(m, -1)
-    rotations = iter(circuit._rotation_entries)
     blocks = iter(_channel_blocks(circuit, noise))
     rho = np.zeros((m, dim, dim))
     rho[:, 0, 0] = 1.0
-    for _, perm in circuit._groups:
+    for (_, perm), plan in zip(circuit._groups, circuit._density_plan):
         if perm is None:
-            f = table[:, next(rotations)]
+            f = table[:, plan[0]]
             u = f[:, 0]
             for q in range(1, circuit.n_qubits):
                 u = u * f[:, q]  # the Kronecker product of the rotations, qubit 0 first
@@ -316,8 +315,8 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
                 tape.append((rho, u))
             rho = u @ rho @ u.transpose(0, 2, 1)
         else:
-            src, blk, back, _ = next(blocks)
-            rho = _fixed(rho, src, blk, back)
+            src, back, _, _ = plan
+            rho = _fixed(rho, src, next(blocks), back)
     return rho
 
 
@@ -335,8 +334,9 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: NoiseSpe
 
     The forward pass is _simulate's, keeping rho before each rotation group;
     _reduce takes the value from its final rho, with _expectations' bits.
-    lambda = Re(obs) then runs back through a fixed group's transpose
-    (_channel_blocks) and through a rotation group as lambda <- U^T lambda U.
+    lambda = Re(obs) then walks the groups and Circuit._density_plan in
+    reverse: back through a fixed group's transposed blocks (_channel_blocks)
+    and inverse gathers, and through a rotation group as lambda <- U^T lambda U.
     With dU/dtheta = U K_q, K_q = [[0, -1], [1, 0]] / 2 on the Ry's qubit q,
     dC/dtheta = Tr[2 K_q rho lambda'], lambda' the updated lambda. Rows run in
     _expectations' chunks, so a row has the same bits in any batch.
@@ -354,17 +354,17 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: NoiseSpe
         vals[start:start + len(chunk)] = _reduce(_simulate(circuit, chunk, noise, tape), obs)
         lam = np.repeat(obs[None], len(chunk), axis=0)
         blocks = reversed(_channel_blocks(circuit, noise))
-        for _, perm in reversed(circuit._groups):
+        for (_, perm), plan in zip(reversed(circuit._groups), reversed(circuit._density_plan)):
             if perm is None:
                 rho, u = tape.pop()
                 lam = u.transpose(0, 2, 1) @ lam @ u
-                slots, entries, signs = circuit._rotation_traces[len(tape)]
+                _, slots, entries, signs = plan
                 # the gather leaves rows innermost; the C-ordered copy fixes each row's order
                 prod = np.ascontiguousarray((rho @ lam).reshape(len(chunk), -1)[:, entries])
                 out[start:start + len(chunk), slots] = np.einsum("mki,ki->mk", prod, signs)
             else:
-                _, blk, _, (back_inv, src_inv) = next(blocks)
-                lam = _fixed(lam, back_inv, blk.transpose(0, 2, 1), src_inv)
+                _, _, back_inv, src_inv = plan
+                lam = _fixed(lam, back_inv, next(blocks).transpose(0, 2, 1), src_inv)
     return vals, out
 
 
@@ -375,35 +375,25 @@ def _cx_perm(n_qubits: int, op: Cx) -> np.ndarray:
     return np.where(cbit == 1, idx ^ (1 << (n_qubits - 1 - op.target)), idx)
 
 
-def _channel_blocks(circuit: Circuit, noise: NoiseSpec) -> tuple[tuple, ...]:
-    """(src, blocks, back, (back_inv, src_inv)) for each fixed group of the
-    circuit under the spec.
+def _channel_blocks(circuit: Circuit, noise: NoiseSpec) -> tuple[np.ndarray, ...]:
+    """The block stack of each fixed group of the circuit under the spec.
 
     Every channel keeps the coherence pattern y = i ^ j of an entry rho[i, j],
     and a CX maps patterns linearly: output pattern y is fed by input pattern
     perm[y] alone. So a fixed group's map splits into one dim x dim block per
     pattern, all read off one (dim, dim, dim) compose (_pattern_blocks).
-    rho.reshape(m, -1)[:, src] lists the entries (k, k ^ perm[y]) in (y, k)
-    order, blocks[y] maps them to the entries (i, i ^ y), and back gathers the
-    result into row-major order; the transpose takes the inverse gathers
-    back_inv and src_inv. Identical groups are composed once, and a circuit
-    keeps its last (kind, gammas) only.
+    blocks[y] maps the entries (k, k ^ perm[y]), which the group's src
+    gathers (Circuit._density_plan), to the entries (i, i ^ y). Identical
+    groups are composed once, and a circuit keeps its last (kind, gammas)
+    only.
     """
     key = (noise.channel.kind, noise._gammas)
     cache = circuit._channel_cache
     if key not in cache:
         cache.clear()
-        n = circuit.n_qubits
-        idx = np.arange(2 ** n)
-        back = (idx[:, None] ^ idx) * 2 ** n + idx[:, None]
-        back_inv = np.argsort(back.ravel()).reshape(back.shape)
-        composed: dict[tuple, tuple] = {}
-        for ops, perm in circuit._groups:
-            if perm is not None and ops not in composed:
-                blocks = _pattern_blocks(n, ops, *key)
-                src = idx * 2 ** n + (idx ^ perm[:, None])
-                composed[ops] = (src, blocks, back, (back_inv, np.argsort(src.ravel()).reshape(src.shape)))
-        cache[key] = tuple(composed[ops] for ops, perm in circuit._groups if perm is not None)
+        fixed = [ops for ops, perm in circuit._groups if perm is not None]
+        composed = {ops: _pattern_blocks(circuit.n_qubits, ops, *key) for ops in dict.fromkeys(fixed)}
+        cache[key] = tuple(composed[ops] for ops in fixed)
     return cache[key]
 
 

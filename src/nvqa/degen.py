@@ -37,7 +37,7 @@ import numpy as np
 from .channels import NoiseSpec
 from .circuits import Circuit, Cx, NoiseMark, Ry, _expectations, _require_finite, _simulate
 from .measures import _require_pure
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, _as_int
 
 _VERIFY_TOL = 1e-10
 _VERIFY_POINTS = 3
@@ -125,6 +125,7 @@ def generate_degeneracy_maps(circuit: Circuit, cap: int = 2 ** 16) -> list[Degen
     _VERIFY_POINTS random angle vectors at zero noise. The maps are in the
     order of their shift bits, the first parameter's most significant.
     """
+    cap = _as_int(cap, "cap")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap!r}")
     ops = [op for op in circuit.ops if not isinstance(op, NoiseMark)]

@@ -66,6 +66,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _require_ints(self, "seed", "n_starts_2q", "n_starts_4q", "n_targets", "n_samples")
+        for name in ("kinds", "variants", "layers", "gamma_grid"):
+            grid = getattr(self, name)
+            if isinstance(grid, str):  # would be split into its characters
+                raise ValueError(f"{name} must be a list, got the string {grid!r}")
+            object.__setattr__(self, name, tuple(grid))  # so the checks below drain no iterator
         object.__setattr__(self, "layers", tuple(_as_int(l, "layers") for l in self.layers))
         object.__setattr__(self, "gamma_grid", tuple(_as_strength(g, "gamma_grid") for g in self.gamma_grid))
         if self.experiment not in EXPERIMENTS:
@@ -90,8 +95,6 @@ class ExperimentConfig:
             build_2q_circuit(v)  # raises on an unknown variant
         if not self.gamma_grid and self.experiment != "alpha_beta_table":
             raise ValueError(f"{self.experiment} needs a non-empty gamma_grid")
-        object.__setattr__(self, "kinds", tuple(self.kinds))
-        object.__setattr__(self, "variants", tuple(self.variants))
         for name in EXPERIMENTS[self.experiment].get("single", ()):  # more would go unread
             if len(getattr(self, name)) != 1:
                 raise ValueError(f"{self.experiment} runs one entry of {name}, got {getattr(self, name)!r}")

@@ -401,7 +401,7 @@ def sweep_gamma(make_cost: Callable[[float], CostFn], gammas, mode: str = "track
     The warm starts of one point run in lockstep, each with the result of a
     serial minimize run from that start.
     """
-    gammas = [float(g) for g in gammas]
+    gammas = list(gammas)
     if mode not in ("track", "restart"):
         raise ValueError(f"unknown sweep mode {mode!r}")
     out: list[list[OptResult]] = []

@@ -43,7 +43,9 @@ class PauliSum:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple((float(c), str(w)) for c, w in self.terms))
-        for _, word in self.terms:
+        for coeff, word in self.terms:
+            if not np.isfinite(coeff):
+                raise ValueError(f"coefficient of {word!r} must be finite, got {coeff}")
             if len(word) != self.n_qubits:
                 raise ValueError(f"word {word!r} does not act on {self.n_qubits} qubits")
             if any(c not in PAULI for c in word):

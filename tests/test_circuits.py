@@ -219,7 +219,7 @@ def test_noisy_evaluation_stops_at_max_density_qubits(rng):
     rho = evaluate(wide, params, NoiseSpec.uniform("amplitude", 0.0, wide.n_qubits))
     np.testing.assert_array_equal(rho.data, evaluate(wide, params).data)
     np.testing.assert_array_equal(_simulate(wide, params[None]), step_reference(wide, params[None]))
-    assert "_rotation_entries" not in vars(wide) and "_channel_cache" not in vars(wide)
+    assert "_density_plan" not in vars(wide) and "_channel_cache" not in vars(wide)
 
 
 def random_hamiltonian(n_qubits: int, rng):
@@ -312,11 +312,36 @@ def test_channel_blocks_equal_the_full_tensor_compose_bit_for_bit(name, kind, ga
     fixed = [(ops, perm) for ops, perm in circuit._groups if perm is not None]
     got = _channel_blocks(circuit, spec)
     assert len(got) == len(fixed)
-    for (ops, perm), (_, blocks, _, _) in zip(fixed, got):
+    for (ops, perm), blocks in zip(fixed, got):
         want = np.stack([pattern_block_reference(n, ops, x, y, kind, spec._gammas)
                          for y, x in enumerate(perm)])
         assert blocks.flags.c_contiguous
         np.testing.assert_array_equal(blocks, want)
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("name", ["ry-repeat", "fixed-ends", "4q-vqe"])
+def test_a_second_spec_composes_only_its_blocks(name, kind, rng):
+    """A new spec on a circuit keeps the circuit's density plan, holds only
+    its own blocks, and gives the rows of a freshly built circuit bit for
+    bit; every Ry on one qubit reads the same partner and sign arrays."""
+    circuit = KERNEL_CASES[name]
+    fresh = Circuit(circuit.n_qubits, circuit.ops, circuit.n_params)
+    n = circuit.n_qubits
+    obs = random_hamiltonian(n, rng).to_matrix()
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(5, circuit.n_params))
+    _simulate(circuit, thetas, NoiseSpec.uniform(kind, 0.3, n))
+    second = NoiseSpec(make_channel(kind, 0.1), tuple(rng.uniform(0.0, 1.0, n)))
+    plan = circuit._density_plan
+    got = _simulate(circuit, thetas, second), _expectation_gradients(circuit, thetas, second, obs)
+    assert circuit._density_plan is plan
+    assert list(circuit._channel_cache) == [(kind, second._gammas)]
+    np.testing.assert_array_equal(got[0], _simulate(fresh, thetas, second))
+    for a, b in zip(got[1], _expectation_gradients(fresh, thetas, second, obs)):
+        np.testing.assert_array_equal(a, b)
+    rys = [ry for ops, perm in circuit._groups if perm is None for ry in ops]
+    for (_, q, partner, sign), (_, r, other_partner, other_sign) in product(rys, rys):
+        assert (partner is other_partner and sign is other_sign) == (q == r)
 
 
 def test_ry_matrix_basics():

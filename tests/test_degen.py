@@ -392,9 +392,10 @@ def test_a_circuit_without_parameters_has_the_identity_map_only():
     assert generate_degeneracy_maps(Circuit(2, (Cx(0, 1),), 0)) == maps
 
 
-@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("cap", [0, -1, True, 2.5, "8"])
 def test_a_cap_below_one_is_refused(cap):
-    with pytest.raises(ValueError, match="cap must be >= 1"):
+    """A bool or a fractional cap once ran as a cap, and a string one raised TypeError."""
+    with pytest.raises(ValueError, match="cap must be (>= 1|an integer)"):
         generate_degeneracy_maps(build_hea(2), cap=cap)
 
 

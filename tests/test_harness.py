@@ -288,6 +288,19 @@ def test_config_takes_json_lists_as_tuples():
     assert all(type(getattr(listed, f)) is tuple for f in ("kinds", "gamma_grid", "layers", "variants"))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("variants", "ab"), ("kinds", "phase"), ("layers", "24"), ("gamma_grid", "0.1"),
+])
+def test_a_grid_given_as_a_string_is_refused(field, value):
+    """A string grid was split into its characters: variants "ab" ran
+    ("a", "b") and kinds "phase" failed as the unknown kind 'p'. Lists,
+    tuples and other iterables are still taken."""
+    with pytest.raises(ValueError, match=f"{field} must be a list"):
+        default_config("vqe2q", **{field: value})
+    taken = default_config("vqe2q", variants=iter("ab"), kinds=["phase"], gamma_grid=(0.1,))
+    assert taken.variants == ("a", "b") and taken.kinds == ("phase",)
+
+
 @pytest.mark.parametrize("fields", [
     dict(experiment="nope", gamma_grid=(0.0,)),
     dict(experiment="vqe2q", gamma_grid=(0.0,), layers=(0,)),
@@ -375,11 +388,13 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     ("valley_demo", {"gamma_grid": [0.0], "output_dir": "elsewhere"}, []),
     ("valley_demo", {"gamma_grid": [0.0], "output_dir": 3}, []),
     ("vqe2q", {"experiment": "vqe4q", "gamma_grid": [0.0], "variants": ["a"], "n_starts_2q": 1}, []),
+    ("vqe2q", {"variants": "ab", "gamma_grid": [0.0], "n_starts_2q": 1}, []),
+    ("valley_demo", {"kinds": "phase", "gamma_grid": [0.0]}, []),
 ], ids=["empty-gamma-grid", "empty-kinds", "empty-layers", "zero-starts", "negative-seed",
         "empty-variants", "float-seed", "float-starts", "float-layers", "unknown-variant",
         "bool-gamma", "valley-two-kinds", "scan-two-kinds", "scan-two-layers",
         "hist-two-layers", "hist-two-gammas", "output-dir", "output-dir-int",
-        "another-experiment"])
+        "another-experiment", "string-variants", "string-kinds"])
 def test_cli_rejects_configs_that_cannot_run(experiment, payload, args, tmp_path, capsys):
     """Configs that used to fail mid-run, write an empty CSV, or run only the
     first of several kinds, layer counts or gammas are refused before any

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import product_reference, real_haar_reference
-from nvqa.channels import CHANNEL_KINDS, NoiseSpec, _apply_noise
+from nvqa.channels import CHANNEL_KINDS, NoiseSpec, _apply_noise, make_channel
 from nvqa.circuits import build_hea, evaluate, evaluate_pure
 from nvqa.noisemodel import (
     _BLOCK,
@@ -199,8 +199,12 @@ def never_drawn(n_qubits, gen, k):
     lambda: global_depol_infidelity(0.1, 2, 0),
     lambda: global_depol_infidelity(0.1, -1, 2),
     lambda: estimate_alpha_beta("phase", 2, 1, RngStream(0), sampler=never_drawn),
+    lambda: NoiseSpec.uniform("phase", 0.1, -1),
+    lambda: NoiseSpec.uniform("phase", 0.1, 2.5),
+    lambda: NoiseSpec(make_channel("phase", 0.1), ()),
 ], ids=["bool-qubits", "0-qubits", "too-wide", "float-samples", "scaling-0-qubits",
-        "depol-float-d", "depol-0-qubits", "depol-negative-d", "one-sample"])
+        "depol-float-d", "depol-0-qubits", "depol-negative-d", "one-sample",
+        "spec-negative-qubits", "spec-float-qubits", "spec-no-qubits"])
 def test_bad_counts_are_refused(call):
     with pytest.raises(ValueError):
         call()

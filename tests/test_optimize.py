@@ -944,6 +944,21 @@ def test_multistart_equals_serial_runs(monkeypatch):
     assert len(res) == 2
 
 
+@pytest.mark.parametrize("gamma", [True, "0.1"], ids=["bool", "str"])
+def test_sweep_gamma_hands_each_gamma_to_the_cost_as_given(gamma):
+    """float() once turned True into 1.0 and "0.1" into 0.1 before the cost
+    saw them; the channel's strength rule now refuses both, and any other
+    gamma reaches the cost as it was given."""
+    def cost_at(g):
+        return energy_cost(build_2q_circuit("a"), H2, NoiseSpec.uniform("phase", g, 2))
+
+    with pytest.raises(ValueError, match="gamma must be a real number"):
+        sweep_gamma(cost_at, [gamma], n_starts=1)
+    seen = []
+    sweep_gamma(lambda g: seen.append(g) or cost_at(g), iter([0, np.float32(0.5)]), n_starts=1)
+    assert [type(g) for g in seen] == [int, np.float32]
+
+
 def test_sweep_gamma_track_equals_serial_runs(monkeypatch):
     """The first point's multistart and every later point's warm starts
     equal serial runs from the same starts."""

@@ -42,10 +42,18 @@ def test_pauli_sum_matches_kron_oracle():
     assert np.allclose(h.to_matrix(), want)
 
 
-@pytest.mark.parametrize("word", ["XQ", "xI", "Z1", "I "])
-def test_pauli_sum_rejects_letters_outside_ixyz(word):
-    with pytest.raises(ValueError, match="invalid Pauli word"):
-        PauliSum(2, ((1.0, word),))
+@pytest.mark.parametrize("coeff, word, match", [
+    (1.0, "XQ", "invalid Pauli word"), (1.0, "xI", "invalid Pauli word"),
+    (1.0, "Z1", "invalid Pauli word"), (1.0, "I ", "invalid Pauli word"),
+    (float("nan"), "ZZ", "coefficient of 'ZZ' must be finite"),
+    (float("inf"), "XI", "coefficient of 'XI' must be finite"),
+    (-np.inf, "IX", "coefficient of 'IX' must be finite"),
+], ids=["XQ", "xI", "Z1", "I ", "nan", "inf", "-inf"])
+def test_pauli_sum_rejects_letters_outside_ixyz(coeff, word, match):
+    """A NaN or infinite coefficient once passed, to come back as a NaN
+    ground energy or as "params must be finite", blaming the angles."""
+    with pytest.raises(ValueError, match=match):
+        PauliSum(2, ((0.5, "ZZ"), (coeff, word)))
 
 
 def test_pauli_sum_rejects_wrong_length():
