@@ -7,14 +7,15 @@ gamma in [0, 1]:
 - ``amplitude``:    diag(1, sqrt(1-gamma)) and sqrt(gamma) |0><1|
 - ``depolarising``: sqrt(1-3g/4) I and sqrt(g/4) {X, Y, Z}
 
-A product channel applies the same single-qubit channel to every qubit in
+A channel is its kind and strength; its Kraus operators are derived. A
+product channel applies the same single-qubit channel to every qubit in
 sequence, optionally rescaling gamma per qubit.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,23 +27,6 @@ CHANNEL_KINDS = ("phase", "amplitude", "depolarising")
 
 _P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """A single-qubit channel as an explicit list of 2x2 Kraus operators.
-
-    Channels compare and hash by kind and gamma, which make_channel derives
-    the operators from."""
-
-    kind: str
-    gamma: float
-    kraus: tuple[np.ndarray, ...] = field(compare=False)
-
-    def completeness_defect(self) -> float:
-        """Max-abs deviation of sum_k E_k^dagger E_k from the identity."""
-        acc = sum(e.conj().T @ e for e in self.kraus)
-        return float(np.abs(acc - I2).max())
 
 
 def _require_kind(kind: str) -> None:
@@ -58,30 +42,37 @@ def _as_strength(value, name: str) -> float:
     return float(value)
 
 
-def make_channel(kind: str, gamma: float) -> KrausChannel:
-    """Build a channel of the given kind and strength.
+@dataclass(frozen=True)
+class KrausChannel:
+    """A single-qubit channel, compared and hashed by its kind and its gamma in
+    [0, 1]; its 2x2 Kraus operators are derived from the two on first read."""
 
-    Parameters
-    ----------
-    kind : {"phase", "amplitude", "depolarising"}
-    gamma : float
-        Strength in [0, 1]. gamma = 0 is the identity channel.
-    """
-    _require_kind(kind)
-    gamma = _as_strength(gamma, "gamma")
-    s = np.sqrt(1.0 - gamma)
-    if kind == "phase":
-        kraus = (np.diag([1.0, s]).astype(complex), np.sqrt(gamma) * _P1)
-    elif kind == "amplitude":
-        kraus = (np.diag([1.0, s]).astype(complex), np.sqrt(gamma) * _LOWER)
-    else:
-        kraus = (
-            np.sqrt(1.0 - 0.75 * gamma) * I2,
-            np.sqrt(0.25 * gamma) * SX,
-            np.sqrt(0.25 * gamma) * SY,
-            np.sqrt(0.25 * gamma) * SZ,
-        )
-    return KrausChannel(kind, gamma, kraus)
+    kind: str
+    gamma: float
+
+    def __post_init__(self):
+        _require_kind(self.kind)
+        object.__setattr__(self, "gamma", _as_strength(self.gamma, "gamma"))
+
+    @cached_property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        """The operators of the module docstring's table for this kind and gamma."""
+        g = self.gamma
+        if self.kind == "depolarising":
+            return (np.sqrt(1.0 - 0.75 * g) * I2, *(np.sqrt(0.25 * g) * p for p in (SX, SY, SZ)))
+        jump = _P1 if self.kind == "phase" else _LOWER
+        return (np.diag([1.0, np.sqrt(1.0 - g)]).astype(complex), np.sqrt(g) * jump)
+
+    def completeness_defect(self) -> float:
+        """Max-abs deviation of sum_k E_k^dagger E_k from the identity."""
+        acc = sum(e.conj().T @ e for e in self.kraus)
+        return float(np.abs(acc - I2).max())
+
+
+def make_channel(kind: str, gamma: float) -> KrausChannel:
+    """The channel of a kind in CHANNEL_KINDS and a strength gamma in [0, 1];
+    gamma = 0 is the identity channel."""
+    return KrausChannel(kind, gamma)
 
 
 def channel_superop(kind: str, gamma: float) -> np.ndarray:
@@ -156,7 +147,7 @@ def apply_channel_one_qubit(rho: DensityMatrix, ch: KrausChannel, qubit: int) ->
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     sup = sum(np.kron(e, e.conj()) for e in ch.kraus)
     t = _contract(rho.data.reshape((2,) * (2 * n)), sup, (qubit, n + qubit))
-    return DensityMatrix(n, t.reshape(rho.data.shape))
+    return DensityMatrix(t.reshape(rho.data.shape))
 
 
 @dataclass(frozen=True)
@@ -198,8 +189,7 @@ def apply_product_channel(rho: DensityMatrix, spec: NoiseSpec) -> DensityMatrix:
         raise ValueError(
             f"noise spec covers {spec.n_qubits} qubits, state has {rho.n_qubits}"
         )
-    data = _apply_noise(np.array(rho.data), spec.channel.kind, spec._gammas)
-    return DensityMatrix(rho.n_qubits, data)
+    return DensityMatrix(_apply_noise(np.array(rho.data), spec.channel.kind, spec._gammas))
 
 
 def ptm_from_channel(ch: KrausChannel) -> np.ndarray:

@@ -1,24 +1,25 @@
 """Parameterized Ry/CX circuits with explicit noise insertion points.
 
 A circuit is a flat list of operations: Ry rotations referencing a parameter
-slot, CX gates, and NOISE markers. Every evaluation runs through one batched
-kernel, _simulate, over the circuit's ops compiled once into groups: runs of
-Ry gates on distinct qubits, each with its qubit's flip arrays, and the CX
-gates and noise marks between them. Statevector rows run with the batch
-innermost, each Ry two products on contiguous rows and each fixed group one
-gather. Density rows, from gathers built on the first of them, take each
-rotation group as one U rho U^T and each fixed group, noise included, as one
-product with blocks composed once per spec; _reduce turns rows into Tr[O rho].
-_expectation_gradients gives Tr[O rho] and d Tr[O rho] / d theta of density
-rows from one forward pass and the adjoint of each group in reverse. The
-blocks grow as 8^n floats, so noisy evaluation stops at MAX_DENSITY_QUBITS
-qubits; noiseless evaluation runs up to MAX_QUBITS.
+slot, CX gates, and NOISE markers; its parameter count is its number of Ry
+gates. Every evaluation runs through one batched kernel, _simulate, over the
+circuit's ops compiled once into groups: runs of Ry gates on distinct qubits,
+each with its qubit's flip arrays, and the CX gates and noise marks between
+them. Statevector rows run with the batch innermost, each Ry two products on
+contiguous rows and each fixed group one gather. Density rows, from gathers
+built on the first of them, take each rotation group as one U rho U^T and each
+fixed group, noise included, as one product with blocks composed once per
+spec; _reduce turns rows into Tr[O rho]. _expectation_gradients gives
+Tr[O rho] and d Tr[O rho] / d theta of density rows from one forward pass and
+the adjoint of each group in reverse. The blocks grow as 8^n floats, so noisy
+evaluation stops at MAX_DENSITY_QUBITS qubits; noiseless evaluation runs up to
+MAX_QUBITS.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
@@ -80,28 +81,25 @@ def ry_matrix(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An n-qubit op list over n_params parameter slots.
+    """An n-qubit op list; n_params, its number of Ry gates, is derived.
 
-    Every parameter slot must be used by exactly one Ry gate, so circuits and
-    parameter vectors stay in one-to-one correspondence.
+    The Ry gates must use the parameter slots 0..n_params-1, one slot each,
+    so circuits and parameter vectors stay in one-to-one correspondence.
     """
 
     n_qubits: int
     ops: tuple[CircuitOp, ...]
-    n_params: int
+    n_params: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
-        _require_ints(self, "n_params")
         object.__setattr__(self, "ops", tuple(self.ops))
-        seen = []
+        slots = []
         for op in self.ops:
             if isinstance(op, Ry):
                 if not 0 <= op.qubit < self.n_qubits:
                     raise ValueError(f"Ry qubit {op.qubit} out of range")
-                if not 0 <= op.param_index < self.n_params:
-                    raise ValueError(f"parameter index {op.param_index} out of range")
-                seen.append(op.param_index)
+                slots.append(op.param_index)
             elif isinstance(op, Cx):
                 if op.control == op.target:
                     raise ValueError("CX control and target must differ")
@@ -109,8 +107,9 @@ class Circuit:
                     raise ValueError(f"CX qubits ({op.control}, {op.target}) out of range")
             elif not isinstance(op, NoiseMark):
                 raise TypeError(f"unsupported op {op!r}")
-        if sorted(seen) != list(range(self.n_params)):
-            raise ValueError("each parameter slot must be used by exactly one Ry gate")
+        if sorted(slots) != list(range(len(slots))):
+            raise ValueError(f"the Ry gates must use the slots 0..{len(slots) - 1} once each, got {slots}")
+        object.__setattr__(self, "n_params", len(slots))
 
     @cached_property
     def _groups(self) -> tuple[tuple, ...]:
@@ -196,11 +195,11 @@ def build_2q_circuit(variant: str) -> Circuit:
     """
     head = (Ry(0, 0), Ry(1, 1), Cx(0, 1), NOISE)
     if variant == "a":
-        return Circuit(2, head + (Ry(2, 1),), 3)
+        return Circuit(2, head + (Ry(2, 1),))
     if variant == "b":
-        return Circuit(2, head + (Ry(2, 0),), 3)
+        return Circuit(2, head + (Ry(2, 0),))
     if variant == "c":
-        return Circuit(2, head + (Ry(2, 0), Ry(3, 1)), 4)
+        return Circuit(2, head + (Ry(2, 0), Ry(3, 1)))
     raise ValueError(f"unknown variant {variant!r}, expected 'a', 'b' or 'c'")
 
 
@@ -218,7 +217,7 @@ def build_hea(layers: int) -> Circuit:
     for l in range(layers):
         ops += [Ry(4 * l + q, q) for q in range(4)]
         ops += [Cx(0, 1), Cx(2, 3), NOISE, Cx(1, 2), NOISE]
-    return Circuit(4, tuple(ops), 4 * layers)
+    return Circuit(4, tuple(ops))
 
 
 def build_4q_vqe() -> Circuit:
@@ -233,7 +232,7 @@ def build_4q_vqe() -> Circuit:
     for l in range(3):
         ops += [Ry(4 * l + q, q) for q in range(4)]
         ops += [Cx(0, 1), NOISE, Cx(2, 3), NOISE, Cx(1, 2), NOISE]
-    return Circuit(4, tuple(ops), 12)
+    return Circuit(4, tuple(ops))
 
 
 def build_valley_demo() -> Circuit:
@@ -243,7 +242,7 @@ def build_valley_demo() -> Circuit:
     theta0 + theta1 = pi; noise in the middle breaks the valley into
     isolated minima.
     """
-    return Circuit(1, (Ry(0, 0), NOISE, Ry(1, 0)), 2)
+    return Circuit(1, (Ry(0, 0), NOISE, Ry(1, 0)))
 
 
 def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = None,
@@ -463,12 +462,12 @@ def _reduce(state: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return np.einsum("mk,k->m", flat, np.real(obs).ravel())
 
 
-def _as_density_matrix(n_qubits: int, state: np.ndarray) -> DensityMatrix:
+def _as_density_matrix(state: np.ndarray) -> DensityMatrix:
     """The DensityMatrix of one output row of _simulate, a statevector or a density matrix."""
     if state.ndim == 1:
         psi = state.astype(complex)
-        return DensityMatrix(n_qubits, np.outer(psi, psi.conj()))
-    return DensityMatrix(n_qubits, 0.5 * (state + state.T))
+        return DensityMatrix(np.outer(psi, psi.conj()))
+    return DensityMatrix(0.5 * (state + state.T))
 
 
 def evaluate_pure(circuit: Circuit, params: np.ndarray) -> np.ndarray:
@@ -494,10 +493,11 @@ def evaluate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = Non
     if params.shape != (circuit.n_params,):
         raise ValueError(f"expected {circuit.n_params} parameters, got shape {params.shape}")
     noise = _row_noise(circuit, noise)
-    return _as_density_matrix(circuit.n_qubits, _simulate(circuit, params[None], noise)[0])
+    return _as_density_matrix(_simulate(circuit, params[None], noise)[0])
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:
+    """{"n_qubits": n, "ops": [...]}, each op {"ry": {"p", "q"}}, {"cx": {"c", "t"}} or "noise"."""
     ops = []
     for op in circuit.ops:
         if isinstance(op, Ry):
@@ -506,11 +506,12 @@ def circuit_to_dict(circuit: Circuit) -> dict:
             ops.append({"cx": {"c": op.control, "t": op.target}})
         else:
             ops.append("noise")
-    return {"n_qubits": circuit.n_qubits, "ops": ops, "n_params": circuit.n_params}
+    return {"n_qubits": circuit.n_qubits, "ops": ops}
 
 
 def circuit_from_dict(d: dict) -> Circuit:
-    """The circuit circuit_to_dict wrote; every malformed input raises ValueError."""
+    """The circuit circuit_to_dict wrote; every malformed input raises ValueError.
+    An "n_params" key, which older files hold, is ignored: the ops fix it."""
     try:
         ops: list[CircuitOp] = []
         for entry in d["ops"]:
@@ -522,7 +523,7 @@ def circuit_from_dict(d: dict) -> Circuit:
                 ops.append(Cx(entry["cx"]["c"], entry["cx"]["t"]))
             else:
                 raise ValueError(f"unknown op entry {entry!r}")
-        return Circuit(d["n_qubits"], tuple(ops), d["n_params"])
+        return Circuit(d["n_qubits"], tuple(ops))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit: {exc!r}") from exc
 

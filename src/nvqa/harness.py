@@ -128,11 +128,12 @@ def _fmt(value) -> str:
 
 @dataclass
 class ResultRecord:
-    experiment: str
+    """A study's CSV columns and rows, timed, and the config (naming the files) that made them."""
+
     config: ExperimentConfig
     columns: tuple[str, ...]
     rows: list[tuple]
-    elapsed_seconds: float = 0.0
+    elapsed_seconds: float
 
     def csv_text(self) -> str:
         lines = [",".join(self.columns)]
@@ -144,7 +145,7 @@ class ResultRecord:
 
     def sidecar(self) -> dict:
         return {
-            "experiment": self.experiment,
+            "experiment": self.config.experiment,
             "config": self.config.to_dict(),
             "config_hash": self.config.config_hash(),
             "version": __version__,
@@ -436,7 +437,7 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
     columns and rows the study returns."""
     t0 = time.perf_counter()
     columns, rows = EXPERIMENTS[config.experiment]["runner"](config)
-    return ResultRecord(config.experiment, config, columns, rows, time.perf_counter() - t0)
+    return ResultRecord(config, columns, rows, time.perf_counter() - t0)
 
 
 def run_and_write(config: ExperimentConfig, out_dir: str | Path | None = None,

@@ -27,8 +27,8 @@ class QualityRecord:
 
 
 def _require_pure(sigma: DensityMatrix) -> None:
-    """Refuse a reference state whose purity is below 1 - 1e-8."""
-    if sigma.purity() < 1.0 - 1e-8:
+    """Refuse a reference state whose purity is below 1 - 1e-8, or NaN."""
+    if not sigma.purity() >= 1.0 - 1e-8:
         raise ValueError(f"reference state is not pure (purity {sigma.purity()})")
 
 
@@ -105,7 +105,7 @@ def ground_truth(hamiltonian: PauliSum, degeneracy_tol: float = 1e-10) -> Ground
     e0 = float(evals[0])
     degenerate = bool(evals.size > 1 and evals[1] - evals[0] <= degeneracy_tol)
     v = evecs[:, 0]
-    state = DensityMatrix(hamiltonian.n_qubits, np.outer(v, v.conj()))
+    state = DensityMatrix(np.outer(v, v.conj()))
     return GroundTruth(e0, state, degenerate)
 
 

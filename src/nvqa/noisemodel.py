@@ -67,8 +67,7 @@ def apply_global_depol(rho: DensityMatrix, gamma: float) -> DensityMatrix:
     """(1-gamma) rho + gamma I / 2^n."""
     gamma = _as_strength(gamma, "gamma")
     dim = rho.dim
-    data = (1.0 - gamma) * rho.data + gamma / dim * np.eye(dim)
-    return DensityMatrix(rho.n_qubits, data)
+    return DensityMatrix((1.0 - gamma) * rho.data + gamma / dim * np.eye(dim))
 
 
 def _overlap_derivatives(kind: str, data: np.ndarray, n_qubits: int, eps: float = 1e-5) -> np.ndarray:

@@ -24,6 +24,7 @@ where the run stops, from the values the loop read there.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
@@ -154,8 +155,7 @@ class CostFn:
         row = _simulate(self.circuit, np.asarray(params, dtype=float)[None], noise)
         e = float(_reduce(row, self._obs_matrix)[0]) if self.hamiltonian is not None else float("nan")
         f = float(_reduce(row, self._reference_matrix)[0])
-        n = self.circuit.n_qubits
-        c = max_pairwise_concurrence(_as_density_matrix(n, row[0])) if n > 1 else 0.0
+        c = max_pairwise_concurrence(_as_density_matrix(row[0])) if self.circuit.n_qubits > 1 else 0.0
         return QualityRecord(energy=e, fidelity=f, concurrence=c)
 
 
@@ -198,10 +198,11 @@ class MinimizeOptions:
         _require_ints(self, "max_iters")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
-        # a bool is no goal, though Python compares True as 1.0
-        if self.cost_goal is not None and (isinstance(self.cost_goal, (bool, np.bool_))
-                                           or not np.isfinite(self.cost_goal)):
-            raise ValueError(f"cost_goal must be None or a finite number, got {self.cost_goal!r}")
+        # a bool is no goal, though Python compares True as 1.0; nor is a complex or a string
+        goal = self.cost_goal
+        if goal is not None and (isinstance(goal, bool) or not isinstance(goal, numbers.Real)
+                                 or not math.isfinite(goal)):
+            raise ValueError(f"cost_goal must be None or a finite real number, got {goal!r}")
 
 
 @dataclass(frozen=True, eq=False)

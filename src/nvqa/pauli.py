@@ -7,6 +7,8 @@ from functools import reduce
 
 import numpy as np
 
+from .qstate import _qubit_count
+
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -33,7 +35,7 @@ class PauliSum:
     Parameters
     ----------
     n_qubits : int
-        Number of qubits each word acts on.
+        Number of qubits each word acts on, in [1, MAX_QUBITS].
     terms : tuple of (coefficient, word) pairs
         Coefficients must be real so the matrix form is Hermitian.
     """
@@ -42,6 +44,7 @@ class PauliSum:
     terms: tuple[tuple[float, str], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
         object.__setattr__(self, "terms", tuple((float(c), str(w)) for c, w in self.terms))
         for coeff, word in self.terms:
             if not np.isfinite(coeff):

@@ -1,17 +1,19 @@
 """Dense density-matrix states and the tensor algebra used across the package.
 
-States on n qubits are stored as 2**n x 2**n complex matrices. Qubit 0 is the
-leftmost tensor factor, i.e. the most significant bit of the basis index, so
-for two qubits the basis ordering is |00>, |01>, |10>, |11|.
+States on n qubits are stored as 2**n x 2**n complex matrices, n read off the
+side. Qubit 0 is the leftmost tensor factor, i.e. the most significant bit of
+the basis index, so for two qubits the basis ordering is |00>, |01>, |10>, |11|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .pauli import PauliSum
+if TYPE_CHECKING:
+    from .pauli import PauliSum
 
 MAX_QUBITS = 10
 
@@ -57,21 +59,22 @@ def _require_unit_norms(rows: np.ndarray) -> None:
 class DensityMatrix:
     """Immutable n-qubit mixed state, equal only to itself.
 
-    The underlying array is marked read-only on construction. Validation of
-    the physical invariants (Hermitian, unit trace, positive, purity range)
-    is explicit via :meth:`validate` so hot loops stay cheap.
+    Its data, a square array of side 2^n with n in [1, MAX_QUBITS], fixes
+    n_qubits; a read-only copy is kept. Validation of the physical invariants
+    (Hermitian, unit trace, positive, purity range) is explicit via
+    :meth:`validate` so hot loops stay cheap.
     """
 
-    n_qubits: int
     data: np.ndarray
+    n_qubits: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
-        dim = 2 ** self.n_qubits
-        arr = np.asarray(self.data, dtype=complex)
-        if arr.shape != (dim, dim):
-            raise ValueError(f"expected shape {(dim, dim)}, got {arr.shape}")
-        arr = arr.copy()
+        shape = np.shape(self.data)
+        side = shape[0] if len(shape) == 2 else 0
+        if shape != (side, side) or side & (side - 1):
+            raise ValueError(f"expected a square array of side 2^n, got shape {shape}")
+        object.__setattr__(self, "n_qubits", _qubit_count(side.bit_length() - 1))
+        arr = np.array(self.data, dtype=complex)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -84,7 +87,7 @@ class DensityMatrix:
 
     def symmetrized(self) -> "DensityMatrix":
         """Repair Hermiticity drift via (rho + rho^dagger) / 2."""
-        return DensityMatrix(self.n_qubits, 0.5 * (self.data + self.data.conj().T))
+        return DensityMatrix(0.5 * (self.data + self.data.conj().T))
 
     def validate(self) -> None:
         """Raise ValueError if any physical invariant is violated."""
@@ -106,17 +109,14 @@ def zero_state(n_qubits: int) -> DensityMatrix:
     dim = 2 ** _qubit_count(n_qubits)
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
-    return DensityMatrix(n_qubits, rho)
+    return DensityMatrix(rho)
 
 
 def pure_state(amplitudes: np.ndarray) -> DensityMatrix:
     """Density matrix |psi><psi| of a normalized state vector."""
     v = np.asarray(amplitudes, dtype=complex).ravel()
-    n = v.size.bit_length() - 1
-    if 2 ** n != v.size:
-        raise ValueError(f"vector length {v.size} is not a power of two")
     _require_unit_norms(v)
-    return DensityMatrix(n, np.outer(v, v.conj()))
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def _contract(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -157,7 +157,7 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets: list[int] | tuple[
         raise ValueError(f"operator shape {u.shape} does not match {k} target qubits")
     if np.abs(u @ u.conj().T - np.eye(2 ** k)).max() > 1e-12:
         raise ValueError("operator is not unitary within 1e-12")
-    return DensityMatrix(rho.n_qubits, _conjugate_raw(rho.data, u, targets, rho.n_qubits))
+    return DensityMatrix(_conjugate_raw(rho.data, u, targets, rho.n_qubits))
 
 
 def partial_trace(rho: DensityMatrix, keep: list[int] | tuple[int, ...]) -> DensityMatrix:
@@ -175,7 +175,7 @@ def partial_trace(rho: DensityMatrix, keep: list[int] | tuple[int, ...]) -> Dens
     dk = 2 ** len(keep)
     dt = 2 ** len(traced)
     t = t.reshape(dk, dk, dt, dt)
-    return DensityMatrix(len(keep), np.einsum("ijkk->ij", t))
+    return DensityMatrix(np.einsum("ijkk->ij", t))
 
 
 def expectation(rho: DensityMatrix, observable: PauliSum) -> float:

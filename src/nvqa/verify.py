@@ -25,7 +25,7 @@ def _random_mixed(n_qubits: int, gen) -> DensityMatrix:
     dim = 2 ** n_qubits
     a = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
     rho = a @ a.conj().T
-    return DensityMatrix(n_qubits, rho / np.trace(rho))
+    return DensityMatrix(rho / np.trace(rho))
 
 
 def _haar_unitary(dim: int, gen) -> np.ndarray:
@@ -192,7 +192,7 @@ def check_global_depol(n_cases: int = 20) -> float:
         ideal = psi
         for _ in range(d):
             u = _haar_unitary(dim, gen)
-            rho = DensityMatrix(n, u @ rho.data @ u.conj().T)
+            rho = DensityMatrix(u @ rho.data @ u.conj().T)
             rho = apply_global_depol(rho, gamma)
             ideal = u @ ideal
         fid = float(np.vdot(ideal, rho.data @ ideal).real)

@@ -44,7 +44,7 @@ def random_mixed_state(n_qubits: int, rng, rank: int | None = None) -> DensityMa
     lam = np.zeros(dim)
     lam[:r] = probs
     data = (q * lam) @ q.T
-    return DensityMatrix(n_qubits, data.astype(complex))
+    return DensityMatrix(data.astype(complex))
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import pytest
 
 from nvqa.channels import (
     CHANNEL_KINDS,
+    KrausChannel,
     NoiseSpec,
     apply_channel_one_qubit,
     apply_product_channel,
@@ -37,11 +38,45 @@ def test_make_channel_guards():
         make_channel("bitflip", 0.1)
 
 
+def kraus_reference(kind: str, gamma: float) -> tuple:
+    """The Kraus operators written out as make_channel built them when they
+    were passed to KrausChannel beside its kind and gamma."""
+    p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    s = np.sqrt(1.0 - gamma)
+    if kind == "phase":
+        return (np.diag([1.0, s]).astype(complex), np.sqrt(gamma) * p1)
+    if kind == "amplitude":
+        return (np.diag([1.0, s]).astype(complex), np.sqrt(gamma) * lower)
+    return (np.sqrt(1.0 - 0.75 * gamma) * I2, np.sqrt(0.25 * gamma) * SX,
+            np.sqrt(0.25 * gamma) * SY, np.sqrt(0.25 * gamma) * SZ)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.37, 1.0])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_kraus_operators_are_derived_bit_for_bit(kind, gamma):
+    """The derived operators keep the bits of the ones once passed in, and a
+    channel built directly is make_channel's: the one-qubit Kraus path and
+    the block path agree on |+>, where a phase channel given (I,) as its
+    operators read coherence 0.5 against the block path's 0.354."""
+    ch = make_channel(kind, gamma)
+    want = kraus_reference(kind, gamma)
+    assert len(ch.kraus) == len(want) and ch.kraus is ch.kraus
+    for got, ref in zip(ch.kraus, want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert KrausChannel(kind, gamma) == ch and hash(KrausChannel(kind, gamma)) == hash(ch)
+    plus = DensityMatrix(np.full((2, 2), 0.5))
+    one = apply_channel_one_qubit(plus, ch, 0).data
+    block = apply_product_channel(plus, NoiseSpec(ch, (1.0,))).data
+    assert np.abs(one - block).max() <= 1e-15
+
+
 def test_every_entry_refuses_an_unknown_kind_alike():
     """The channel builders, the block update and an experiment config share
-    one kind check and its message."""
+    one kind check and its message; a channel built directly once took any
+    kind and strength."""
     calls = (lambda: make_channel("bitflip", 0.1), lambda: channel_superop("bitflip", 0.1),
-             lambda: _apply_noise(np.eye(2), "bitflip", (0.1,)),
+             lambda: KrausChannel("bitflip", 7.0), lambda: _apply_noise(np.eye(2), "bitflip", (0.1,)),
              lambda: default_config("valley_demo", kinds=("bitflip",)))
     for call in calls:
         with pytest.raises(ValueError, match=r"^unknown channel kind 'bitflip', expected one of \("):
@@ -80,10 +115,12 @@ _PARAMS = ModelParams("phase", 2, 0.5, 0.1, 0.01, 0.01, 100)
     (lambda: predict(_PARAMS, 0.1, True), "d must be an integer"),
     (lambda: default_config("valley_demo", gamma_grid=(np.True_,)), "gamma_grid " + _STRENGTH),
     (lambda: default_config("valley_demo", gamma_grid=("0.5",)), "gamma_grid " + _STRENGTH),
+    (lambda: KrausChannel("phase", 1.5), "gamma " + _STRENGTH + "1.5"),
+    (lambda: KrausChannel("amplitude", True), "gamma " + _STRENGTH + "True"),
 ], ids=["bool", "numpy-bool", "string", "nan", "uniform-bool", "bool-scale", "string-scale",
         "depol-bool", "global-depol-bool", "predict-bool", "predict-negative",
         "predict-negative-d", "predict-fractional-d", "predict-bool-d", "config-numpy-bool",
-        "config-string"])
+        "config-string", "channel-too-strong", "channel-bool"])
 def test_every_strength_passes_one_rule(call, message):
     """Each gamma and per-qubit scale is a real number in [0, 1] by one rule:
     a bool, which Python compares as 0 or 1, and a string are refused, where

@@ -1,5 +1,7 @@
 """Circuit construction, evaluation paths and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -135,10 +137,10 @@ def step_reference(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None
 # circuits whose groups take every shape the kernel compiles
 KERNEL_CASES = {
     # two Ry on one qubit back to back, twice, and a circuit that ends in rotations
-    "ry-repeat": Circuit(2, (Ry(0, 0), Ry(1, 0), Ry(2, 1), Cx(0, 1), NOISE, Ry(3, 1), Ry(4, 1)), 5),
+    "ry-repeat": Circuit(2, (Ry(0, 0), Ry(1, 0), Ry(2, 1), Cx(0, 1), NOISE, Ry(3, 1), Ry(4, 1))),
     # starts with a noise mark and a CX, ends in a fixed group, odd qubit count
     "fixed-ends": Circuit(3, (NOISE, Cx(0, 2), Ry(0, 0), Ry(1, 2), NOISE, Cx(2, 1), Ry(2, 1),
-                              Cx(1, 0), NOISE, Cx(0, 2)), 3),
+                              Cx(1, 0), NOISE, Cx(0, 2))),
     "2q-a": build_2q_circuit("a"),
     "hea-2": build_hea(2),
     "4q-vqe": build_4q_vqe(),  # three noise marks per fixed group
@@ -151,8 +153,7 @@ KERNEL_CASES = {
 PURE_CASES = {**KERNEL_CASES, "wide": Circuit(
     MAX_QUBITS, tuple(Ry(q, q) for q in range(MAX_QUBITS))
     + (Cx(0, 9), Cx(7, 2), Cx(4, 5), NOISE, Ry(MAX_QUBITS, 3), Ry(MAX_QUBITS + 1, 3), Cx(9, 0),
-       Ry(MAX_QUBITS + 2, 6)),
-    MAX_QUBITS + 3)}
+       Ry(MAX_QUBITS + 2, 6)))}
 
 
 @pytest.mark.parametrize("m", [1, 5, 33, 600])
@@ -206,7 +207,7 @@ def test_noisy_evaluation_stops_at_max_density_qubits(rng):
     noiseless rows, and a trivial spec, run at any width without building
     the density tables."""
     def brick(n):
-        return Circuit(n, tuple(Ry(q, q) for q in range(n)) + (Cx(0, 1), NOISE, Ry(n, 1)), n + 1)
+        return Circuit(n, tuple(Ry(q, q) for q in range(n)) + (Cx(0, 1), NOISE, Ry(n, 1)))
 
     widest = brick(MAX_DENSITY_QUBITS)
     spec = NoiseSpec.uniform("amplitude", 0.3, widest.n_qubits)
@@ -326,7 +327,7 @@ def test_a_second_spec_composes_only_its_blocks(name, kind, rng):
     its own blocks, and gives the rows of a freshly built circuit bit for
     bit; every Ry on one qubit reads the same partner and sign arrays."""
     circuit = KERNEL_CASES[name]
-    fresh = Circuit(circuit.n_qubits, circuit.ops, circuit.n_params)
+    fresh = Circuit(circuit.n_qubits, circuit.ops)
     n = circuit.n_qubits
     obs = random_hamiltonian(n, rng).to_matrix()
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(5, circuit.n_params))
@@ -357,14 +358,32 @@ def test_cx_matrix_is_the_standard_permutation():
 
 
 def test_circuit_validates_parameter_usage():
+    for slots in ((0, 0), (0, 2), (1, 1), (1, 2)):  # the Ry slots are 0..k-1, once each
+        with pytest.raises(ValueError, match="Ry gates must use the slots"):
+            Circuit(1, tuple(Ry(p, 0) for p in slots))
     with pytest.raises(ValueError):
-        Circuit(1, (Ry(0, 0), Ry(0, 0)), 1)
+        Circuit(2, (Ry(0, 0), Cx(0, 2)))
     with pytest.raises(ValueError):
-        Circuit(1, (Ry(0, 0),), 2)
-    with pytest.raises(ValueError):
-        Circuit(2, (Ry(0, 0), Cx(0, 2)), 1)
-    with pytest.raises(ValueError):
-        Circuit(2, (Ry(0, 0), Cx(1, 1)), 1)
+        Circuit(2, (Ry(0, 0), Cx(1, 1)))
+
+
+def test_n_params_is_the_ry_count_and_not_an_argument():
+    """n_params is read off the ops; Circuit(1, (), -1) built a circuit of -1
+    parameters that no parameter vector fits."""
+    c = Circuit(2, (Ry(np.int64(2), 1), Cx(0, 1), NOISE, Ry(0, 0), Ry(1, 1)))
+    assert c.n_params == 3 and type(c.n_params) is int
+    assert Circuit(1, ()).n_params == 0 and build_hea(3).n_params == 12
+    with pytest.raises(TypeError):
+        Circuit(1, (), -1)
+
+
+def test_a_dict_written_with_n_params_still_loads():
+    """Files written before n_params was derived hold the key; it is ignored."""
+    old = ('{"n_qubits":2,"ops":[{"ry":{"p":0,"q":0}},{"ry":{"p":1,"q":1}},{"cx":{"c":0,"t":1}},'
+           '"noise",{"ry":{"p":2,"q":0}},{"ry":{"p":3,"q":1}}],"n_params":4}')
+    assert circuit_from_json(old) == build_2q_circuit("c")
+    assert circuit_from_dict(json.loads(old)) == build_2q_circuit("c")
+    assert "n_params" not in circuit_to_dict(build_2q_circuit("c"))
 
 
 @pytest.mark.parametrize("variant, n_params", [("a", 3), ("b", 3), ("c", 4)])
@@ -412,10 +431,10 @@ def test_hea_refuses_a_layer_count_that_is_no_integer(layers):
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: Circuit(2, (Ry(0, 2),), 1), ValueError),
-    (lambda: Circuit(2, (Ry(0, -1),), 1), ValueError),
-    (lambda: Circuit(1, (Ry(1, 0),), 1), ValueError),
-    (lambda: Circuit(1, (Ry(0, 0), "H"), 1), TypeError),
+    (lambda: Circuit(2, (Ry(0, 2),)), ValueError),
+    (lambda: Circuit(2, (Ry(0, -1),)), ValueError),
+    (lambda: Circuit(1, (Ry(1, 0),)), ValueError),
+    (lambda: Circuit(1, (Ry(0, 0), "H")), TypeError),
     (lambda: evaluate(build_2q_circuit("a"), np.zeros(4)), ValueError),
     (lambda: evaluate(build_2q_circuit("a"), np.zeros((1, 3)), NoiseSpec.uniform("phase", 0.1, 2)), ValueError),
     (lambda: evaluate_pure(build_2q_circuit("a"), np.zeros(2)), ValueError),
@@ -568,19 +587,19 @@ def test_serialization_round_trip(circuit):
 
 def test_from_dict_rejects_malformed():
     """Every malformed dict raises ValueError: an unknown op, a missing key, a
-    non-dict entry, and a bool or non-integer field."""
+    non-dict entry, a bool or non-integer field, and a gap in the Ry slots."""
     ry = {"ry": {"p": 0, "q": 0}}
-    for d in ({"n_qubits": 1, "ops": [{"rz": {"p": 0, "q": 0}}], "n_params": 1},
-              {"n_qubits": 1, "ops": [{"ry": {"p": 0}}], "n_params": 1},
-              {"n_qubits": 1, "ops": [ry]},
-              {"ops": [ry], "n_params": 1},
-              {"n_qubits": 1, "ops": [{"ry": 3}], "n_params": 1},
-              {"n_qubits": 1, "ops": [5], "n_params": 1},
-              {"n_qubits": 1, "ops": [{"ry": {"p": 0, "q": "0"}}], "n_params": 1},
-              {"n_qubits": 1, "ops": [{"ry": {"p": True, "q": 0}}], "n_params": 1},
-              {"n_qubits": 2, "ops": [ry, {"cx": {"c": 0, "t": 1.0}}], "n_params": 1},
-              {"n_qubits": 1.0, "ops": [ry], "n_params": 1},
-              {"n_qubits": 1, "ops": [ry], "n_params": True},
+    for d in ({"n_qubits": 1, "ops": [{"rz": {"p": 0, "q": 0}}]},
+              {"n_qubits": 1, "ops": [{"ry": {"p": 0}}]},
+              {"n_qubits": 1},
+              {"ops": [ry]},
+              {"n_qubits": 1, "ops": [{"ry": 3}]},
+              {"n_qubits": 1, "ops": [5]},
+              {"n_qubits": 1, "ops": [{"ry": {"p": 0, "q": "0"}}]},
+              {"n_qubits": 1, "ops": [{"ry": {"p": True, "q": 0}}]},
+              {"n_qubits": 2, "ops": [ry, {"cx": {"c": 0, "t": 1.0}}]},
+              {"n_qubits": 1.0, "ops": [ry]},
+              {"n_qubits": 1, "ops": [{"ry": {"p": 1, "q": 0}}]},
               [ry]):
         with pytest.raises(ValueError):
             circuit_from_dict(d)
@@ -588,8 +607,8 @@ def test_from_dict_rejects_malformed():
 
 def test_circuit_fields_keep_numpy_integers_as_ints():
     """numpy integers are accepted and stored as ints, so the circuit serialises."""
-    c = Circuit(np.int64(2), (Ry(np.int64(0), np.int32(1)), Cx(np.int8(1), 0)), np.int64(1))
-    assert c == Circuit(2, (Ry(0, 1), Cx(1, 0)), 1)
+    c = Circuit(np.int64(2), (Ry(np.int64(0), np.int32(1)), Cx(np.int8(1), 0)))
+    assert c == Circuit(2, (Ry(0, 1), Cx(1, 0)))
     assert circuit_from_json(circuit_to_json(c)) == c
 
 
@@ -605,4 +624,4 @@ def test_as_density_matrix_reads_the_row_rank(noise, rng):
         want = np.outer(psi, psi.conj())
     else:
         want = 0.5 * (row + row.T)
-    assert np.array_equal(_as_density_matrix(4, row).data, want)
+    assert np.array_equal(_as_density_matrix(row).data, want)

@@ -338,7 +338,7 @@ def test_split_keeps_the_input_checks(rng):
     c = build_hea(2)
     maps = generate_degeneracy_maps(c)
     theta = rng.uniform(0.0, TWO_PI, c.n_params)
-    mixed = DensityMatrix(4, np.eye(16) / 16.0)
+    mixed = DensityMatrix(np.eye(16) / 16.0)
     with pytest.raises(ValueError, match="not pure"):
         degeneracy_split(c, theta, maps, None, mixed)
     target = _targets(rng)["real"]
@@ -366,7 +366,7 @@ def _random_circuit(gen) -> Circuit:
         else:
             control, target = gen.choice(n, 2, replace=False)
             ops.append(Cx(int(control), int(target)))
-    return Circuit(n, tuple(ops), sum(isinstance(op, Ry) for op in ops))
+    return Circuit(n, tuple(ops))
 
 
 def test_span_shift_rows_are_distinct_and_ordered():
@@ -386,10 +386,10 @@ def test_span_shift_rows_are_distinct_and_ordered():
 
 
 def test_a_circuit_without_parameters_has_the_identity_map_only():
-    maps = generate_degeneracy_maps(Circuit(1, (), 0))
+    maps = generate_degeneracy_maps(Circuit(1, ()))
     assert maps == [DegeneracyMap((), ())]
     assert np.array_equal(maps[0].apply(np.zeros(0)), np.zeros(0))
-    assert generate_degeneracy_maps(Circuit(2, (Cx(0, 1),), 0)) == maps
+    assert generate_degeneracy_maps(Circuit(2, (Cx(0, 1),))) == maps
 
 
 @pytest.mark.parametrize("cap", [0, -1, True, 2.5, "8"])

@@ -121,7 +121,7 @@ def test_canonical_json_is_stable():
 
 def test_vqe2q_runner_output_shape():
     rec = run_experiment(tiny_config())
-    assert rec.experiment == "vqe2q"
+    assert rec.config.experiment == "vqe2q"
     cols = rec.columns
     for name in ("variant", "gamma", "minimum_index", "cost", "energy", "fidelity", "concurrence"):
         assert name in cols
@@ -263,7 +263,7 @@ def test_run_experiment_builds_and_times_the_record():
     record, from the config it ran, and times the runner."""
     cfg = tiny_config("alpha_beta_table")
     rec = run_experiment(cfg)
-    assert rec.experiment == cfg.experiment and rec.config is cfg
+    assert rec.config is cfg and rec.sidecar()["experiment"] == cfg.experiment
     assert rec.columns == COLUMNS["alpha_beta_table"] and len(rec.rows) == len(cfg.kinds)
     assert rec.elapsed_seconds > 0.0
 

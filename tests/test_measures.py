@@ -12,6 +12,9 @@ from nvqa.measures import (
     infidelity,
     max_pairwise_concurrence,
 )
+from nvqa.circuits import build_hea
+from nvqa.degen import degeneracy_split, generate_degeneracy_maps
+from nvqa.optimize import infidelity_cost
 from nvqa.pauli import vqe_hamiltonian_2q, vqe_hamiltonian_4q
 from nvqa.qstate import DensityMatrix, pure_state, zero_state
 from conftest import random_mixed_state
@@ -23,7 +26,7 @@ def bell_state() -> DensityMatrix:
 
 def werner(p: float) -> DensityMatrix:
     data = p * bell_state().data + (1.0 - p) * np.eye(4) / 4.0
-    return DensityMatrix(2, data.astype(complex))
+    return DensityMatrix(data.astype(complex))
 
 
 def test_energy_of_ground_state_is_minimum():
@@ -59,6 +62,23 @@ def test_fidelity_requires_a_pure_reference(rng):
         fidelity(sig, rho)
 
 
+@pytest.mark.parametrize("entry", ["fidelity", "degeneracy_split", "infidelity_cost"])
+def test_a_nan_reference_is_refused_as_not_pure(entry):
+    """A NaN purity passed the check, as NaN < 1 - 1e-8 is False: fidelity and
+    degeneracy_split returned NaN, and infidelity_cost failed at its first
+    trial point with "params must be finite"."""
+    nan = DensityMatrix(np.full((16, 16), np.nan))
+    circuit = build_hea(1)
+    calls = {
+        "fidelity": lambda: fidelity(nan, zero_state(4)),
+        "degeneracy_split": lambda: degeneracy_split(circuit, np.zeros(4), generate_degeneracy_maps(circuit),
+                                                     None, nan),
+        "infidelity_cost": lambda: infidelity_cost(circuit, nan),
+    }
+    with pytest.raises(ValueError, match="not pure"):
+        calls[entry]()
+
+
 @pytest.mark.parametrize("call", [
     lambda: fidelity(zero_state(1), zero_state(2)),
     lambda: concurrence(zero_state(1)),
@@ -83,7 +103,7 @@ def test_concurrence_of_werner_states(p):
 
 
 def test_concurrence_clips_to_zero(rng):
-    rho = DensityMatrix(2, np.eye(4, dtype=complex) / 4.0)
+    rho = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
     assert concurrence(rho) == 0.0
 
 

@@ -69,7 +69,7 @@ def test_costfn_checks_qubit_counts():
 def test_costfn_refuses_a_mixed_target():
     """A mixed reference would be costed as 1 - Tr[target rho] and reported as
     a fidelity it is not; every CostFn refuses it, not only infidelity_cost."""
-    mixed = DensityMatrix(2, np.eye(4) / 4.0)
+    mixed = DensityMatrix(np.eye(4) / 4.0)
     with pytest.raises(ValueError, match="not pure"):
         CostFn(build_2q_circuit("a"), target=mixed)
     with pytest.raises(ValueError, match="not pure"):
@@ -814,12 +814,16 @@ def test_minimize_does_not_stall_on_the_roundoff_floor(variant, noise, seed, sha
 @pytest.mark.parametrize("bad", [
     dict(max_iters=-1), dict(max_iters=True), dict(max_iters=False), dict(max_iters=2.0),
     dict(cost_goal=float("nan")), dict(cost_goal=float("inf")), dict(cost_goal=-np.inf),
-    dict(cost_goal=True), dict(cost_goal=np.True_),
+    dict(cost_goal=True), dict(cost_goal=np.True_), dict(cost_goal=1j), dict(cost_goal=np.complex128(0.5)),
+    dict(cost_goal="x"), dict(cost_goal="0.5"),
 ], ids=["negative", "true", "false", "float", "nan-goal", "inf-goal", "minus-inf-goal",
-        "true-goal", "numpy-true-goal"])
+        "true-goal", "numpy-true-goal", "complex-goal", "numpy-complex-goal", "string-goal",
+        "numeric-string-goal"])
 def test_minimize_options_refuse_values_that_read_as_results(bad):
     """max_iters=-1 or True came back as iterations=-1 or True, a NaN
-    cost_goal was silently ignored, and a cost_goal of True read as 1.0."""
+    cost_goal was silently ignored, a cost_goal of True read as 1.0, a
+    complex goal failed mid-run on its first comparison, and a string goal
+    raised numpy's TypeError."""
     with pytest.raises(ValueError):
         MinimizeOptions(**bad)
     iters = MinimizeOptions(max_iters=np.int64(3), cost_goal=np.float64(-1.0)).max_iters

@@ -61,6 +61,18 @@ def test_pauli_sum_rejects_wrong_length():
         PauliSum(2, ((1.0, "XXX"),))
 
 
+@pytest.mark.parametrize("n_qubits, match", [
+    (0, r"in \[1, 10\]"), (-1, r"in \[1, 10\]"), (True, "an integer"), (2.5, "an integer"),
+], ids=["zero", "negative", "bool", "float"])
+def test_pauli_sum_refuses_a_width_that_is_no_qubit_count(n_qubits, match):
+    """PauliSum(0, ()) built a 1x1 observable and True built with n_qubits
+    True; -1 and 2.5 built and then failed in to_matrix with a bare TypeError."""
+    with pytest.raises(ValueError, match=match):
+        PauliSum(n_qubits, ())
+    width = PauliSum(np.int64(2), ((1.0, "ZZ"),)).n_qubits
+    assert width == 2 and type(width) is int
+
+
 @pytest.mark.parametrize(
     "ham, n",
     [(vqe_hamiltonian_2q(), 2), (vqe_hamiltonian_4q(), 4)],

@@ -47,11 +47,11 @@ def test_pure_state_refuses_non_finite_and_empty_vectors(amplitudes):
         pure_state(amplitudes)
 
 
-@pytest.mark.parametrize("n_qubits", [True, 1.0, "1"])
-def test_density_matrix_refuses_a_non_integer_qubit_count(n_qubits):
-    with pytest.raises(ValueError, match="integer"):
-        DensityMatrix(n_qubits, np.eye(2) / 2)
-    assert type(DensityMatrix(np.int64(1), np.eye(2) / 2).n_qubits) is int
+@pytest.mark.parametrize("n_qubits", [1, 2, MAX_QUBITS])
+def test_density_matrix_reads_its_width_off_its_data(n_qubits):
+    """A side of 2^n makes an n-qubit state, n an int."""
+    rho = DensityMatrix(np.broadcast_to(0.0, (2 ** n_qubits,) * 2))
+    assert rho.n_qubits == n_qubits and type(rho.n_qubits) is int and rho.dim == 2 ** n_qubits
 
 
 def test_states_are_equal_only_to_themselves():
@@ -61,13 +61,19 @@ def test_states_are_equal_only_to_themselves():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: DensityMatrix(1, np.eye(4)),
-    lambda: DensityMatrix(2, np.eye(4)[:, :2]),
+    lambda: DensityMatrix(np.broadcast_to(0.0, (2 ** (MAX_QUBITS + 1),) * 2)),
+    lambda: DensityMatrix(np.eye(4)[:, :2]),
+    lambda: DensityMatrix(np.eye(3) / 3),
+    lambda: DensityMatrix(np.eye(1)),
+    lambda: DensityMatrix(np.zeros((0, 0))),
+    lambda: DensityMatrix(np.ones(4) / 4),
+    lambda: DensityMatrix(np.zeros((2, 2, 2))),
     lambda: partial_trace(zero_state(2), []),
     lambda: partial_trace(zero_state(2), [0, 0]),
     lambda: partial_trace(zero_state(2), [2]),
     lambda: partial_trace(zero_state(2), [-1]),
-], ids=["too-wide", "not-square", "keep-none", "keep-repeated", "keep-too-high", "keep-negative"])
+], ids=["too-wide", "not-square", "not-power-of-two", "one-by-one", "empty", "vector", "stack",
+        "keep-none", "keep-repeated", "keep-too-high", "keep-negative"])
 def test_malformed_states_and_keep_lists_are_refused(call):
     with pytest.raises(ValueError):
         call()
@@ -87,14 +93,14 @@ def test_qubit_count_bounds():
 
 
 def test_validate_flags_bad_trace():
-    rho = DensityMatrix(1, np.diag([0.7, 0.7]).astype(complex))
+    rho = DensityMatrix(np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ValueError):
         rho.validate()
 
 
 def test_symmetrized_repairs_hermiticity():
     data = np.array([[0.5, 0.1 + 1e-9j], [0.1, 0.5]], dtype=complex)
-    rho = DensityMatrix(1, data).symmetrized()
+    rho = DensityMatrix(data).symmetrized()
     assert np.allclose(rho.data, rho.data.conj().T)
 
 
@@ -132,7 +138,7 @@ def test_apply_unitary_rejects_repeated_targets():
 def test_partial_trace_of_product_state(rng):
     a = random_mixed_state(1, rng)
     b = random_mixed_state(1, rng)
-    ab = DensityMatrix(2, np.kron(a.data, b.data))
+    ab = DensityMatrix(np.kron(a.data, b.data))
     assert np.allclose(partial_trace(ab, (0,)).data, a.data, atol=1e-13)
     assert np.allclose(partial_trace(ab, (1,)).data, b.data, atol=1e-13)
 
