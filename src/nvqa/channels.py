@@ -81,9 +81,11 @@ def channel_superop(kind: str, gamma: float) -> np.ndarray:
     The matrix acts on row-major vec(rho) and equals sum_k E_k (x) conj(E_k)
     for gamma in [0, 1]. Unlike the Kraus form it is analytic in gamma and is
     accepted for gamma in (-1, 1], which central finite differences around
-    gamma = 0 rely on.
+    gamma = 0 rely on. A bool, a string or anything not real is refused.
     """
     _require_kind(kind)
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real):
+        raise ValueError(f"gamma must be a real number, got {gamma!r}")
     gamma = float(gamma)
     if not -1.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (-1, 1], got {gamma}")

@@ -11,9 +11,18 @@ built on the first of them, take each rotation group as one U rho U^T and each
 fixed group, noise included, as one product with blocks composed once per
 spec; _reduce turns rows into Tr[O rho]. _expectation_gradients gives
 Tr[O rho] and d Tr[O rho] / d theta of density rows from one forward pass and
-the adjoint of each group in reverse. The blocks grow as 8^n floats, so noisy
-evaluation stops at MAX_DENSITY_QUBITS qubits; noiseless evaluation runs up to
-MAX_QUBITS.
+the adjoint of each group in reverse.
+
+The rows of one call may differ in spec and in observable (_ByRow). A spec's
+blocks take dim^3 floats per distinct fixed group: 32 KiB at 4 qubits and
+2 MiB at 6. Under one spec they come from _channel_blocks, which keeps the
+last spec's blocks on the circuit and recomposes when the spec changes. Rows
+under several specs read stacks that _spec_stacks composes once for all the
+calls that share them, since the one-entry cache would recompose at every
+change; rows of one spec take a fixed group as one product with its blocks,
+and each row keeps the bits of a single-spec call. The blocks grow as 8^n
+floats, so noisy evaluation stops at MAX_DENSITY_QUBITS qubits; noiseless
+evaluation runs up to MAX_QUBITS.
 """
 
 from __future__ import annotations
@@ -245,7 +254,7 @@ def build_valley_demo() -> Circuit:
     return Circuit(1, (Ry(0, 0), NOISE, Ry(1, 0)))
 
 
-def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = None,
+def _simulate(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow | None" = None,
               tape: list | None = None) -> np.ndarray:
     """Output states for every row of an (m, n_params) parameter array.
 
@@ -262,9 +271,12 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
     sin * x0. A fixed group is one gather of its basis indices. Density rows
     read Circuit._density_plan beside the groups: a rotation group is one
     rho <- U rho U^T, U the Kronecker product of the group's rotations, and a
-    fixed group one product with its blocks (_channel_blocks). Every product
-    is a stacked per-row matmul, so no BLAS call spans rows and a row's bits
-    do not depend on its batch. Density rows are refused above
+    fixed group one product with its blocks: the spec's, shared by every row
+    (_channel_blocks), or under per-row specs (_ByRow) one product per run of
+    rows under one spec, with that spec's blocks. Every product is a stacked
+    per-row matmul, so no BLAS call spans rows and a row's bits depend neither
+    on its batch nor on the specs of the other rows. Density rows are refused
+    above
     MAX_DENSITY_QUBITS qubits. A tape list, given with density rows, is
     appended (rho, U) before each rotation group, for the reverse pass of
     _expectation_gradients. A NaN or infinite angle is refused.
@@ -301,7 +313,8 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
     table[:, :n_params, 0, 1] = -sin
     table[:, n_params] = np.eye(2)
     table = table.reshape(m, -1)
-    blocks = iter(_channel_blocks(circuit, noise))
+    stacks, index = _row_blocks(circuit, noise)
+    blocks = iter(stacks)
     rho = np.zeros((m, dim, dim))
     rho[:, 0, 0] = 1.0
     for (_, perm), plan in zip(circuit._groups, circuit._density_plan):
@@ -315,19 +328,25 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = No
             rho = u @ rho @ u.transpose(0, 2, 1)
         else:
             src, back, _, _ = plan
-            rho = _fixed(rho, src, next(blocks), back)
+            rho = _fixed(rho, src, next(blocks), back, index)
     return rho
 
 
-def _fixed(rho: np.ndarray, src: np.ndarray, blk: np.ndarray, back: np.ndarray) -> np.ndarray:
+def _fixed(rho: np.ndarray, src: np.ndarray, blk: np.ndarray, back: np.ndarray,
+           index: np.ndarray | None = None) -> np.ndarray:
     """One fixed group on (m, dim, dim) rows: gather by src, one block product
-    per coherence pattern, gather back."""
+    per coherence pattern, gather back. blk is the (dim, dim, dim) stack of
+    every row; with an index, blk stacks one per spec and row r takes
+    blk[index[r]], each run of rows under one spec as one product with it."""
     m = len(rho)
+    if index is not None and m:
+        cut = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1).tolist(), m]
+        return np.concatenate([_fixed(rho[lo:hi], src, blk[index[lo]], back) for lo, hi in zip(cut, cut[1:])])
     return (blk @ rho.reshape(m, -1)[:, src, None]).reshape(m, -1)[:, back]
 
 
-def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: NoiseSpec,
-                           obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow",
+                           obs: "np.ndarray | _ByRow") -> tuple[np.ndarray, np.ndarray]:
     """Tr[Re(obs) rho], shape (m,), and its gradient, shape (m, n_params),
     for the density output of every row of an (m, n_params) array.
 
@@ -338,21 +357,26 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: NoiseSpe
     and inverse gathers, and through a rotation group as lambda <- U^T lambda U.
     With dU/dtheta = U K_q, K_q = [[0, -1], [1, 0]] / 2 on the Ry's qubit q,
     dC/dtheta = Tr[2 K_q rho lambda'], lambda' the updated lambda. Rows run in
-    _expectations' chunks, so a row has the same bits in any batch.
+    _expectations' chunks, so a row has the same bits in any batch. noise and
+    obs may each be one per row (_ByRow), with each row's bits.
     """
     params = np.asarray(params, dtype=float)
     if noise is None:
         raise ValueError("adjoint gradients run density rows: pass a NoiseSpec")
     dim = 2 ** circuit.n_qubits
-    obs = np.real(obs)
+    if not isinstance(obs, _ByRow):
+        obs = np.real(obs)
     rows = max(1, _CHUNK_FLOATS // dim ** 2)
     vals, out = np.empty(len(params)), np.empty(params.shape)
     for start in range(0, len(params), rows):
-        chunk = params[start:start + rows]
+        sl = slice(start, start + rows)
+        chunk, row_noise, row_obs = params[sl], _take(noise, sl), _take(obs, sl)
         tape: list = []
-        vals[start:start + len(chunk)] = _reduce(_simulate(circuit, chunk, noise, tape), obs)
-        lam = np.repeat(obs[None], len(chunk), axis=0)
-        blocks = reversed(_channel_blocks(circuit, noise))
+        vals[sl] = _reduce(_simulate(circuit, chunk, row_noise, tape), row_obs)
+        lam = (row_obs.stack[row_obs.index] if isinstance(row_obs, _ByRow)
+               else np.repeat(row_obs[None], len(chunk), axis=0))
+        stacks, index = _row_blocks(circuit, row_noise)
+        blocks = reversed(stacks)
         for (_, perm), plan in zip(reversed(circuit._groups), reversed(circuit._density_plan)):
             if perm is None:
                 rho, u = tape.pop()
@@ -363,7 +387,7 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: NoiseSpe
                 out[start:start + len(chunk), slots] = np.einsum("mki,ki->mk", prod, signs)
             else:
                 _, _, back_inv, src_inv = plan
-                lam = _fixed(lam, back_inv, next(blocks).transpose(0, 2, 1), src_inv)
+                lam = _fixed(lam, back_inv, np.swapaxes(next(blocks), -1, -2), src_inv, index)
     return vals, out
 
 
@@ -390,10 +414,46 @@ def _channel_blocks(circuit: Circuit, noise: NoiseSpec) -> tuple[np.ndarray, ...
     cache = circuit._channel_cache
     if key not in cache:
         cache.clear()
-        fixed = [ops for ops, perm in circuit._groups if perm is not None]
-        composed = {ops: _pattern_blocks(circuit.n_qubits, ops, *key) for ops in dict.fromkeys(fixed)}
-        cache[key] = tuple(composed[ops] for ops in fixed)
+        cache[key] = tuple(stack[0] for stack in _spec_stacks(circuit, [noise]))
     return cache[key]
+
+
+def _spec_stacks(circuit: Circuit, specs) -> tuple[np.ndarray, ...]:
+    """Each fixed group's blocks under every spec of specs, as one
+    (len(specs), dim, dim, dim) array per group, identical groups composed
+    once and sharing one: the stacks a _ByRow noise reads. They serve every
+    call that shares them; _channel_blocks' one entry would recompose at
+    each change of spec."""
+    fixed = [ops for ops, perm in circuit._groups if perm is not None]
+    stacks = {ops: np.stack([_pattern_blocks(circuit.n_qubits, ops, spec.channel.kind, spec._gammas)
+                             for spec in specs]) for ops in dict.fromkeys(fixed)}
+    return tuple(stacks[ops] for ops in fixed)
+
+
+class _ByRow:
+    """A per-row choice for the rows of one kernel call: row r takes entry
+    index[r] of stack. As the noise of density rows, stack is a _spec_stacks
+    result, so row r runs under spec index[r]; as an observable, it is an
+    (n_obs, dim, dim) array of real matrices, and row r is reduced against
+    matrix index[r]."""
+
+    def __init__(self, stack, index: np.ndarray):
+        self.stack, self.index = stack, index
+
+
+def _take(arg, rows: slice):
+    """The noise or observable argument for a slice of the rows: a _ByRow's
+    entries for those rows, anything else as it is."""
+    return _ByRow(arg.stack, arg.index[rows]) if isinstance(arg, _ByRow) else arg
+
+
+def _row_blocks(circuit: Circuit, noise: "NoiseSpec | _ByRow") -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
+    """Each fixed group's blocks for density rows, with the index _fixed reads
+    them by: a spec's one stack for every row (_channel_blocks) and None, or
+    under a _ByRow every spec's stacks and each row's spec."""
+    if isinstance(noise, _ByRow):
+        return noise.stack, noise.index
+    return _channel_blocks(circuit, noise), None
 
 
 def _pattern_blocks(n_qubits: int, ops: tuple, kind: str, gammas) -> np.ndarray:
@@ -422,39 +482,50 @@ def _require_finite(params, name: str = "params") -> np.ndarray:
     return params
 
 
-def _check_width(circuit: Circuit, noise: NoiseSpec | None) -> None:
-    """Refuse a spec of the wrong width, trivial or not."""
-    if noise is not None and noise.n_qubits != circuit.n_qubits:
+def _check_width(circuit: Circuit, noise: "NoiseSpec | _ByRow | None") -> None:
+    """Refuse a spec of the wrong width, trivial or not. Per-row specs come
+    from cost functions, which checked their own."""
+    if isinstance(noise, NoiseSpec) and noise.n_qubits != circuit.n_qubits:
         raise ValueError(f"noise spec covers {noise.n_qubits} qubits, circuit has {circuit.n_qubits}")
 
 
-def _row_noise(circuit: Circuit, noise: NoiseSpec | None) -> NoiseSpec | None:
-    """The spec to run rows under: None (statevector rows) for no noise or strength zero."""
+def _row_noise(circuit: Circuit, noise: "NoiseSpec | _ByRow | None") -> "NoiseSpec | _ByRow | None":
+    """The spec to run rows under: None (statevector rows) for no noise or
+    strength zero. Per-row specs (_ByRow) run density rows."""
     _check_width(circuit, noise)
-    return None if noise is None or noise.is_trivial else noise
+    return None if noise is None or isinstance(noise, NoiseSpec) and noise.is_trivial else noise
 
 
-def _expectations(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None,
-                  obs: np.ndarray) -> np.ndarray:
+def _expectations(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow | None",
+                  obs: "np.ndarray | _ByRow") -> np.ndarray:
     """Tr[Re(obs) rho] for the output state rho of every row of an (m, n_params) array.
 
     Circuit outputs are real symmetric and Im(obs) is antisymmetric, so Re(obs)
     gives the exact trace. None or a zero-strength spec runs the statevector
     path. Rows run in memory-bounded chunks and each is reduced in a fixed
-    order, so a row's value is the same bits in any batch.
+    order, so a row's value is the same bits in any batch. noise and obs may
+    each be one per row (_ByRow), with each row's bits.
     """
     params = np.asarray(params, dtype=float)
     noise = _row_noise(circuit, noise)
     rows = max(1, _CHUNK_FLOATS // 2 ** (circuit.n_qubits * (1 if noise is None else 2)))
     out = np.empty(len(params))
     for start in range(0, len(params), rows):
-        out[start:start + rows] = _reduce(_simulate(circuit, params[start:start + rows], noise), obs)
+        sl = slice(start, start + rows)
+        out[sl] = _reduce(_simulate(circuit, params[sl], _take(noise, sl)), _take(obs, sl))
     return out
 
 
-def _reduce(state: np.ndarray, obs: np.ndarray) -> np.ndarray:
+def _reduce(state: np.ndarray, obs: "np.ndarray | _ByRow") -> np.ndarray:
     """Tr[Re(obs) rho] for each output row of one _simulate call, statevectors
-    (m, 2^n) or density matrices (m, 2^n, 2^n), in a fixed order per row."""
+    (m, 2^n) or density matrices (m, 2^n, 2^n), in a fixed order per row.
+    Under a _ByRow the rows of each observable are reduced together."""
+    if isinstance(obs, _ByRow):
+        out = np.empty(len(state))
+        for k in dict.fromkeys(obs.index.tolist()):
+            rows = np.flatnonzero(obs.index == k)
+            out[rows] = _reduce(state[rows], obs.stack[k])
+        return out
     if state.ndim == 2:
         return np.einsum("md,dc,mc->m", state, np.real(obs), state)
     # Tr[O rho] = sum(O * rho) for symmetric O; the C-ordered copy fixes each row's order

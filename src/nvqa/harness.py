@@ -42,8 +42,8 @@ from .optimize import (
     infidelity_cost,
     minimize,
     reoptimize_from,
-    sweep_gamma,
     _minimize_rows,
+    _sweeps,
 )
 from .pauli import PauliSum, vqe_hamiltonian_2q, vqe_hamiltonian_4q
 from .qstate import _as_int, _require_ints
@@ -199,13 +199,16 @@ def _sweep_rows(config: ExperimentConfig, prefix: tuple, circuit: Circuit, h: Pa
                 scales: tuple[float, ...], n_starts: int, seed_path: tuple[int, ...]) -> list[tuple]:
     """Energy minima along config.gamma_grid for one circuit under each kind of
     config.kinds, as rows prefix + _MINIMA_COLS. Kind ki sweeps from the child
-    seed of seed_path + (ki,)."""
+    seed of seed_path + (ki,), and all kinds' sweeps share lockstep calls
+    (optimize._sweeps): one for every (kind, gamma) cell in restart mode, one
+    per gamma step in track mode. Rows run kind by kind, then gamma by gamma."""
+    def cost_at(kind):
+        return lambda g: energy_cost(circuit, h, NoiseSpec(make_channel(kind, g), scales))
+
+    sweeps = _sweeps([cost_at(kind) for kind in config.kinds], config.gamma_grid, config.mode, n_starts,
+                     [_child_seed(config.seed, *seed_path, ki) for ki in range(len(config.kinds))])
     rows = []
-    for ki, kind in enumerate(config.kinds):
-        def cost_at(g):
-            return energy_cost(circuit, h, NoiseSpec(make_channel(kind, g), scales))
-        per_gamma = sweep_gamma(cost_at, config.gamma_grid, mode=config.mode,
-                                n_starts=n_starts, seed=_child_seed(config.seed, *seed_path, ki))
+    for kind, per_gamma in zip(config.kinds, sweeps):
         for g, minima in zip(config.gamma_grid, per_gamma):
             for idx, r in enumerate(minima):
                 q = r.quality

@@ -10,15 +10,23 @@ a step that fails it ends the run unconverged.
 
 Independent starts advance in lockstep as one stacked state: each run
 still going is a row of the iterate, gradient, direction and inverse-Hessian
-arrays. Every point a run tries, start or trial, is costed once, and a
-round costs all runs' points with one CostFn._values_and_gradients call:
-each point's row with its 2P shift rows, or on density rows of at least
-_ADJOINT_QUBITS qubits one reverse-mode pass (circuits._expectation_gradients,
-after Jones and Gacon, arXiv:2009.02823) that also returns the cost. Each run
-takes its line-search decisions alone, and the runs that accept a step update
-together, in stacked products with the bits of their 1-D forms. So each
-result is bit for bit that of the same run made alone, and it is built
-where the run stops, from the values the loop read there.
+arrays. The runs of one lockstep call share a circuit, and each has its own
+CostFn, so one call can hold every (channel kind, gamma) cell of a sweep.
+Every point a run tries, start or trial, is costed once, and a round costs
+all runs' points at once: each point's row with its 2P shift rows, or on
+density rows of at least _ADJOINT_QUBITS qubits one reverse-mode pass
+(circuits._expectation_gradients, after Jones and Gacon, arXiv:2009.02823)
+that also returns the cost. Runs of one CostFn take one
+CostFn._values_and_gradients call; runs of several take one _Stack call,
+which makes at most one kernel call per row kind, pure or density, reads
+each density row's spec from blocks composed once per lockstep call, and
+reduces each row against its own observable. Each run takes its line-search
+decisions alone, and the runs that accept a step update together, in
+stacked products with the bits of their 1-D forms. So each result is bit for
+bit that of the same run made alone, and it is built where the run stops,
+from the values the loop read there. multistart, sweep_gamma and the
+harness's sweeps (_sweeps) run their cells through one such call and then
+deduplicate each cell on its own.
 """
 
 from __future__ import annotations
@@ -32,8 +40,8 @@ from typing import Callable
 import numpy as np
 
 from .channels import NoiseSpec
-from .circuits import (Circuit, _as_density_matrix, _check_width, _expectation_gradients, _expectations,
-                       _reduce, _require_finite, _row_noise, _simulate, evaluate)
+from .circuits import (Circuit, _ByRow, _as_density_matrix, _check_width, _expectation_gradients, _expectations,
+                       _reduce, _require_finite, _row_noise, _simulate, _spec_stacks, evaluate)
 from .measures import QualityRecord, _require_pure, ground_truth, max_pairwise_concurrence
 from .pauli import PauliSum
 from .qstate import DensityMatrix, _as_int, _require_ints
@@ -232,34 +240,113 @@ def _canonical(params: np.ndarray) -> np.ndarray:
     return np.mod(params, TWO_PI)
 
 
-def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None = None) -> list[OptResult]:
+def _distinct(items) -> tuple[list, np.ndarray]:
+    """The distinct items in first-seen order, and each item's index among
+    them. The order is never a hash order, so it does not depend on
+    PYTHONHASHSEED."""
+    first: dict = {}
+    index = [first.setdefault(item, len(first)) for item in items]
+    return list(first), np.array(index, dtype=int)
+
+
+class _Stack:
+    """The distinct cost functions of one lockstep call, all on one circuit.
+    A call costs rows of any of them, row r under cfs[which[r]], with at most
+    one kernel call per row kind: pure rows (no spec, or a zero-strength one),
+    density shift rows, density adjoint rows (CostFn._takes_adjoint). Several
+    density specs are composed once, here (circuits._spec_stacks); a single
+    spec keeps its shared blocks, with no per-row copy. Every row has the bits
+    of its own cost function's _values_and_gradients."""
+
+    def __init__(self, cfs: list[CostFn]):
+        self.circuit = cfs[0].circuit
+        if any(cf.circuit != self.circuit for cf in cfs):
+            raise ValueError("the runs of one lockstep call must share one circuit")
+        noise = [_row_noise(self.circuit, cf.noise) for cf in cfs]
+        density = [spec is not None for spec in noise]
+        specs, index = _distinct(spec for spec in noise if spec is not None)
+        self.spec_of = np.full(len(cfs), -1)
+        self.spec_of[density] = index
+        self.noise = _spec_stacks(self.circuit, specs) if len(specs) > 1 else specs[0] if specs else None
+        _, self.obs_of = _distinct(cf.target if cf.hamiltonian is None else cf.hamiltonian for cf in cfs)
+        mats = [cfs[i]._obs_matrix for i in np.unique(self.obs_of, return_index=True)[1]]
+        self.obs = mats[0] if len(mats) == 1 else np.stack(mats)
+        self.infidelity = np.array([cf.target is not None for cf in cfs])
+        # row kinds: 0 pure rows, 1 density shift rows, 2 density adjoint rows
+        self.kind = np.array([int(d) + int(cf._takes_adjoint) for d, cf in zip(density, cfs)])
+
+    def __call__(self, which: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        costs, grads = np.empty(len(params)), np.empty(params.shape)
+        kinds = self.kind[which]
+        for kind in dict.fromkeys(kinds.tolist()):
+            rows = np.flatnonzero(kinds == kind)
+            noise = None if kind == 0 else self.noise
+            if isinstance(noise, tuple):  # rows in spec order, so that each spec's rows run as one
+                rows = rows[np.argsort(self.spec_of[which[rows]], kind="stable")]
+                noise = _ByRow(noise, self.spec_of[which[rows]])
+            cells = which[rows]
+            obs = self.obs if self.obs.ndim == 2 else _ByRow(self.obs, self.obs_of[cells])
+            flip = self.infidelity[cells]
+            if kind == 2:
+                v, g = _expectation_gradients(self.circuit, params[rows], noise, obs)
+                costs[rows], grads[rows] = np.where(flip, 1.0 - v, v), np.where(flip[:, None], -g, g)
+                continue
+            k = 2 * self.circuit.n_params + 1  # each row and its shift rows
+            noise, obs = (_ByRow(a.stack, np.repeat(a.index, k)) if isinstance(a, _ByRow) else a
+                          for a in (noise, obs))
+            v = _expectations(self.circuit, _shift_rows(params[rows]), noise, obs).reshape(len(rows), k)
+            v = np.where(flip[:, None], 1.0 - v, v)
+            costs[rows], grads[rows] = v[:, 0], _shift_gradient(v[:, 1:])
+        return costs, grads
+
+
+def _minimize_rows(cf, starts: np.ndarray, opts: MinimizeOptions | None = None) -> list[OptResult]:
     """One independent BFGS run from each row of an (S, n_params) array, in lockstep.
 
-    The runs still going are the rows of stacked arrays: iterates, gradients,
-    directions and inverse Hessians. Their cost, slope, step length and counts
-    are Python scalars, one list entry per row. Each round costs every run's
-    trial point with one cf._values_and_gradients call, takes each run's
+    cf is one CostFn for every run, or a list of one per run, all on one
+    circuit. The runs still going are the rows of stacked arrays: iterates,
+    gradients, directions and inverse Hessians. Their cost, slope, step length
+    and counts are Python scalars, one list entry per row. Each round costs
+    every run's trial point at once: with one cf._values_and_gradients call
+    when the runs share one cost function, otherwise with one call of their
+    _Stack, at most one kernel call per row kind. It takes each run's
     line-search decision on its scalars, and updates the runs that accepted a
     step as one stack. Every stacked product has the bits of its 1-D form, and
-    rows do not depend on their batch, so each result is a serial run's. A
-    start holding a NaN or an infinity is refused before any kernel call.
+    rows do not depend on their batch or on the other rows' cost functions, so
+    each result is a serial run's. A start holding a NaN or an infinity is
+    refused before any kernel call.
     """
     opts = opts or MinimizeOptions()
     starts = _require_finite(starts, "starts")
-    if starts.ndim != 2 or starts.shape[1] != cf.n_params:
-        raise ValueError(f"expected shape (S, {cf.n_params}), got {starts.shape}")
+    per_run = isinstance(cf, (list, tuple))
+    cells, cell_of = _distinct(cf) if per_run else ([cf], None)
+    if not cells:
+        raise ValueError("expected one cost function per start, got none")
+    n_params = cells[0].n_params
+    if starts.ndim != 2 or starts.shape[1] != n_params:
+        raise ValueError(f"expected shape (S, {n_params}), got {starts.shape}")
     n, dim = starts.shape
+    if per_run and len(cf) != n:
+        raise ValueError(f"expected one cost function per start, got {len(cf)} for {n} starts")
+    runs = list(cf) if per_run else [cf] * n
+    if len(cells) == 1:
+        costed = cells[0]._values_and_gradients
+    else:
+        stack = _Stack(cells)
+
+        def costed(params):  # the live runs' cells, as ids shrinks
+            return stack(cell_of[ids], params)
     eye = np.eye(dim)
     x, h, p = starts.copy(), np.repeat(eye[None], n, axis=0), np.empty_like(starts)
-    costs, g = cf._values_and_gradients(x)
+    ids, results = list(range(n)), [None] * n
+    costs, g = costed(x)
     f, it, first = costs.tolist(), [0] * n, [True] * n
     slope, alpha, tries = [0.0] * n, [1.0] * n, [0] * n
-    ids, results = list(range(n)), [None] * n
     acc, sel = list(range(n)), slice(None)  # the rows at a new iterate
 
     def stop(r, grad_norm, converged):  # run r's result at its iterate, from what the loop read there
         results[ids[r]] = OptResult(params=_canonical(x[r]), cost=f[r], grad_norm=grad_norm,
-                                    iterations=it[r], converged=converged, cost_fn=cf)
+                                    iterations=it[r], converged=converged, cost_fn=runs[ids[r]])
 
     while True:
         if acc:  # the stop test, then the next direction
@@ -284,7 +371,7 @@ def _minimize_rows(cf: CostFn, starts: np.ndarray, opts: MinimizeOptions | None 
         if not ids:
             return results
         trial = x + np.array(alpha)[:, None] * p
-        costs, grads = cf._values_and_gradients(trial)
+        costs, grads = costed(trial)
         acc = []
         for r, f_new in enumerate(costs.tolist()):
             if not f_new <= f[r] + _ARMIJO_C * alpha[r] * slope[r]:
@@ -377,6 +464,24 @@ def _dedup(cf: CostFn, results: list[OptResult]) -> list[OptResult]:
     return [ordered[k] for k in keep]
 
 
+def _uniform_starts(cf: CostFn, n_starts: int, seed: int) -> np.ndarray:
+    """n_starts uniform random starts in [0, 2*pi)^P, drawn from seed."""
+    if _as_int(n_starts, "n_starts") < 1:
+        raise ValueError("n_starts must be >= 1")
+    return np.random.default_rng(seed).uniform(0.0, TWO_PI, size=(n_starts, cf.n_params))
+
+
+def _cell_minima(cfs: list[CostFn], starts: list[np.ndarray]) -> list[list[OptResult]]:
+    """The minima of each cell, cell c run from the rows of starts[c] under
+    cfs[c]: every cell's runs in one lockstep call, then each cell's results
+    deduplicated on their own (_dedup)."""
+    if not cfs:
+        return []
+    runs = _minimize_rows([cf for cf, rows in zip(cfs, starts) for _ in rows], np.concatenate(starts))
+    bounds = np.cumsum([0] + [len(rows) for rows in starts]).tolist()
+    return [_dedup(cf, runs[lo:hi]) for cf, lo, hi in zip(cfs, bounds, bounds[1:])]
+
+
 def multistart(cf: CostFn, n_starts: int, seed: int) -> list[OptResult]:
     """Minimize from n_starts uniform random starts in [0, 2*pi)^P.
 
@@ -385,11 +490,7 @@ def multistart(cf: CostFn, n_starts: int, seed: int) -> list[OptResult]:
     by at most 1e-6 and their output states overlap within 1e-6. The
     survivors are returned sorted by cost.
     """
-    if _as_int(n_starts, "n_starts") < 1:
-        raise ValueError("n_starts must be >= 1")
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(0.0, TWO_PI, size=(n_starts, cf.n_params))
-    return _dedup(cf, _minimize_rows(cf, starts))
+    return _cell_minima([cf], [_uniform_starts(cf, n_starts, seed)])[0]
 
 
 def sweep_gamma(make_cost: Callable[[float], CostFn], gammas, mode: str = "track",
@@ -398,21 +499,36 @@ def sweep_gamma(make_cost: Callable[[float], CostFn], gammas, mode: str = "track
 
     mode "track" multistarts at the first gamma and warm-starts every later
     point from the previous point's minima, exposing how branches continue
-    or disappear. mode "restart" runs an independent multistart per gamma.
-    The warm starts of one point run in lockstep, each with the result of a
-    serial minimize run from that start.
+    or disappear. mode "restart" runs an independent multistart per gamma,
+    the one at gamma index i from the child seed (seed, i). Every run has the
+    result of a serial minimize run from its start. This is the one-family
+    case of _sweeps.
     """
+    return _sweeps([make_cost], gammas, mode, n_starts, [seed])[0]
+
+
+def _sweeps(make_costs: list[Callable[[float], CostFn]], gammas, mode: str, n_starts: int,
+            seeds: list[int]) -> list[list[list[OptResult]]]:
+    """sweep_gamma for several cost families on one circuit, family f from
+    seeds[f], with each family's results. The (family, gamma) cells share
+    lockstep calls: in restart mode all of them run as one stack, and in
+    track mode each gamma step runs every family's cell as one. Each cell is
+    deduplicated on its own."""
     gammas = list(gammas)
     if mode not in ("track", "restart"):
         raise ValueError(f"unknown sweep mode {mode!r}")
-    out: list[list[OptResult]] = []
-    for i, g in enumerate(gammas):
-        cf = make_cost(g)
-        if mode == "restart" or i == 0:
-            out.append(multistart(cf, n_starts, _child_seed(seed, i)))
-        else:
-            warm = _minimize_rows(cf, np.array([r.params for r in out[-1]]))
-            out.append(_dedup(cf, warm))
+    costs = [[make_cost(g) for g in gammas] for make_cost in make_costs]
+    if mode == "restart":
+        cells = _cell_minima([cf for family in costs for cf in family],
+                             [_uniform_starts(cf, n_starts, _child_seed(seed, i))
+                              for family, seed in zip(costs, seeds) for i, cf in enumerate(family)])
+        return [cells[f * len(gammas):(f + 1) * len(gammas)] for f in range(len(costs))]
+    out: list[list[list[OptResult]]] = [[] for _ in costs]
+    for i in range(len(gammas)):
+        starts = [_uniform_starts(family[0], n_starts, _child_seed(seed, 0)) if i == 0
+                  else np.array([r.params for r in sweep[-1]]) for family, seed, sweep in zip(costs, seeds, out)]
+        for sweep, minima in zip(out, _cell_minima([family[i] for family in costs], starts)):
+            sweep.append(minima)
     return out
 
 

@@ -144,9 +144,10 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets: list[int] | tuple[
     u : ndarray
         2^k x 2^k unitary, k = len(targets).
     targets : sequence of int
-        Distinct qubit indices; targets[0] is the first tensor factor of u.
+        Distinct integer qubit indices (a float or a bool is refused, not
+        truncated); targets[0] is the first tensor factor of u.
     """
-    targets = tuple(int(q) for q in targets)
+    targets = tuple(_as_int(q, "target qubit") for q in targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubits: {targets}")
     if any(q < 0 or q >= rho.n_qubits for q in targets):
@@ -161,8 +162,9 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets: list[int] | tuple[
 
 
 def partial_trace(rho: DensityMatrix, keep: list[int] | tuple[int, ...]) -> DensityMatrix:
-    """Reduced state on the kept qubits, in the order they are listed."""
-    keep = tuple(int(q) for q in keep)
+    """Reduced state on the kept qubits, in the order they are listed; each
+    must be an integer index (a float or a bool is refused, not truncated)."""
+    keep = tuple(_as_int(q, "kept qubit") for q in keep)
     n = rho.n_qubits
     if len(keep) == 0:
         raise ValueError("must keep at least one qubit")

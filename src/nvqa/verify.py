@@ -12,10 +12,10 @@ from .channels import (
     make_channel,
     ptm_from_channel,
 )
-from .circuits import (CX_MATRIX, Cx, Ry, _simulate, build_2q_circuit, build_4q_vqe, build_hea, evaluate,
-                       ry_matrix)
+from .circuits import (CX_MATRIX, Cx, Ry, _ByRow, _expectation_gradients, _expectations, _simulate,
+                       _spec_stacks, build_2q_circuit, build_4q_vqe, build_hea, evaluate, ry_matrix)
 from .noisemodel import apply_global_depol, global_depol_infidelity
-from .optimize import energy_cost, gradient, infidelity_cost
+from .optimize import _Stack, energy_cost, gradient, infidelity_cost
 from .pauli import vqe_hamiltonian_2q, vqe_hamiltonian_4q
 from .qstate import DensityMatrix, pure_state
 from .randstates import sample_real_haar_state
@@ -144,6 +144,36 @@ def check_loop_costs_and_gradients() -> float:
     return worst
 
 
+def check_per_row_specs(n_rows: int = 40) -> float:
+    """Rows under different specs in one call against each row's single-spec
+    call, at 2 and 4 qubits: _expectations and _expectation_gradients under
+    all three kinds at two strengths, and the loop's stacked costs and
+    gradients (optimize._Stack) with a zero-strength spec, no spec and an
+    infidelity's observable added.
+    Every row must keep its bits; the defect is the largest difference."""
+    gen = np.random.default_rng(18)
+    worst = 0.0
+    for circuit, h in ((build_2q_circuit("c"), vqe_hamiltonian_2q()), (build_4q_vqe(), vqe_hamiltonian_4q())):
+        n = circuit.n_qubits
+        specs = [NoiseSpec.uniform(kind, g, n) for kind in CHANNEL_KINDS for g in (0.05, 0.2)]
+        obs = h.to_matrix().real
+        theta = gen.uniform(0.0, 2.0 * np.pi, (n_rows, circuit.n_params))
+        which = gen.integers(0, len(specs), n_rows)
+        rows = _ByRow(_spec_stacks(circuit, specs), which)
+        got = (_expectations(circuit, theta, rows, obs), *_expectation_gradients(circuit, theta, rows, obs))
+        want = [np.concatenate(w) for w in zip(*(
+            (_expectations(circuit, t[None], specs[k], obs), *_expectation_gradients(circuit, t[None], specs[k], obs))
+            for t, k in zip(theta, which)))]
+        cfs = [energy_cost(circuit, h, spec) for spec in specs + [NoiseSpec.uniform("phase", 0.0, n), None]]
+        cfs.append(infidelity_cost(circuit, sample_real_haar_state(n, gen), specs[0]))
+        which = gen.integers(0, len(cfs), n_rows)
+        got += _Stack(cfs)(which, theta)
+        want += [np.concatenate(w) for w in zip(*(cfs[k]._values_and_gradients(t[None]) for t, k in zip(theta, which)))]
+        for a, b in zip(got, want):
+            worst = max(worst, float(np.abs(a - b).max()))
+    return worst
+
+
 def _dense_statevector(circuit, theta: np.ndarray) -> np.ndarray:
     """The circuit's output statevector as a product of dense Kronecker
     gates: ry_matrix on its qubit, CX_MATRIX on a pair (q, q + 1)."""
@@ -223,6 +253,7 @@ CHECKS = (
     ("parameter-shift gradient vs finite differences", check_gradient, 1e-6),
     ("loop cost and gradient vs values and parameter shift", check_loop_costs_and_gradients, 1e-12),
     ("statevector rows vs dense Ry/CX product", check_statevector_rows, 1e-12),
+    ("per-row specs vs single-spec calls, bit for bit", check_per_row_specs, 0.0),
     ("global depolarising closed form vs simulation", check_global_depol, 1e-12),
     ("state invariants after noisy circuits", check_state_invariants, 1e-10),
 )

@@ -190,6 +190,17 @@ def test_superop_analytic_below_zero(kind):
         channel_superop(kind, -1.5)
 
 
+@pytest.mark.parametrize("gamma", ["0.5", True, None, 0.5j], ids=["str", "bool", "none", "complex"])
+def test_superop_refuses_a_strength_that_is_not_a_real_number(gamma):
+    """float() once turned "0.5" and True into the superoperators of 0.5 and
+    1.0. The type is checked before the (-1, 1] range, which stays wider than
+    a channel's [0, 1] for the central differences."""
+    with pytest.raises(ValueError, match="gamma must be a real number"):
+        channel_superop("phase", gamma)
+    np.testing.assert_array_equal(channel_superop("phase", np.float32(0.5)), channel_superop("phase", 0.5))
+    np.testing.assert_array_equal(channel_superop("amplitude", 1), channel_superop("amplitude", 1.0))
+
+
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_block_update_matches_superop(kind, rng):
     """The 2x2 block update equals channel_superop on complex mixed states,

@@ -625,3 +625,36 @@ def test_as_density_matrix_reads_the_row_rank(noise, rng):
     else:
         want = 0.5 * (row + row.T)
     assert np.array_equal(_as_density_matrix(row).data, want)
+
+
+@pytest.mark.parametrize("circuit", [build_2q_circuit("c"), build_hea(2), build_4q_vqe()],
+                         ids=["2q-c", "hea-2", "4q-vqe"])
+def test_rows_under_per_row_specs_keep_their_single_spec_bits(circuit, rng):
+    """Rows under six specs in one call, in no particular order, equal each
+    row run alone under its spec: states, expectations, and the adjoint's
+    values and gradients; rows reduced against per-row observables equal
+    their one-observable reductions. Identical fixed groups share one
+    per-spec stack."""
+    from nvqa.circuits import _ByRow, _reduce, _spec_stacks
+
+    n = circuit.n_qubits
+    specs = [NoiseSpec.uniform(kind, g, n) for kind in CHANNEL_KINDS for g in (0.05, 0.3)]
+    stacks = _spec_stacks(circuit, specs)
+    assert all(s.shape == (len(specs),) + (2 ** n,) * 3 for s in stacks)
+    assert len({id(s) for s in stacks}) == len({ops for ops, perm in circuit._groups if perm is not None})
+    obs = np.stack([np.diag(rng.normal(size=2 ** n)), rng.normal(size=(2 ** n,) * 2)])
+    obs[1] += obs[1].T
+    theta = rng.uniform(0.0, 2.0 * np.pi, (45, circuit.n_params))
+    which, obs_of = rng.integers(0, len(specs), len(theta)), rng.integers(0, 2, len(theta))
+    noise, per_obs = _ByRow(stacks, which), _ByRow(obs, obs_of)
+    states = _simulate(circuit, theta, noise)
+    values = _expectations(circuit, theta, noise, per_obs)
+    adj_values, adj_grads = _expectation_gradients(circuit, theta, noise, per_obs)
+    for r, (t, k, o) in enumerate(zip(theta, which, obs_of)):
+        np.testing.assert_array_equal(states[r], _simulate(circuit, t[None], specs[k])[0])
+        assert values[r] == _expectations(circuit, t[None], specs[k], obs[o])[0]
+        v, g = _expectation_gradients(circuit, t[None], specs[k], obs[o])
+        assert adj_values[r] == v[0]
+        np.testing.assert_array_equal(adj_grads[r], g[0])
+    np.testing.assert_array_equal(_reduce(states, per_obs),
+                                  np.where(obs_of == 0, _reduce(states, obs[0]), _reduce(states, obs[1])))

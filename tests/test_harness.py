@@ -496,3 +496,26 @@ def test_optimize_to_target_equals_the_serial_restart_loop(layers, index, seed, 
     assert np.array_equal(got.params, want.params)
     assert (got.cost, got.grad_norm, got.iterations, got.converged) == \
         (want.cost, want.grad_norm, want.iterations, want.converged)
+
+
+# sha256 of the CSVs of three reduced VQE configs, recorded before the (kind,
+# gamma) cells of one circuit shared lockstep calls (x86-64, numpy 2.4.6, one
+# BLAS thread). A platform whose BLAS rounds differently writes other bytes.
+SWEEP_CSV_SHA256 = {
+    "vqe2q": (dict(gamma_grid=(0.0, 0.1, 0.3), n_starts_2q=8, seed=7),
+              "c4ab192d7b90759720885ceab6f29c2c417561173446cce6489b9ff3535a1a06"),
+    "vqe_unequal": (dict(gamma_grid=(0.0, 0.2), n_starts_2q=6),
+                    "92521a13a457199e926ed1eb76ba6e7221ff3fb19259629b2ff2a3ac39c509f1"),
+    "vqe4q": (dict(gamma_grid=(0.0, 0.05), n_starts_4q=6, mode="track"),
+              "59531223771afaa7433716cc1b72aaad188df778641fd953c0e41a9b2577ca8a"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SWEEP_CSV_SHA256))
+def test_stacked_sweeps_keep_the_csv_bytes(experiment, tmp_path):
+    """vqe2q and vqe_unequal in restart mode, and vqe4q in track mode, write
+    the bytes they wrote when every (kind, gamma) cell ran its own lockstep
+    call."""
+    overrides, want = SWEEP_CSV_SHA256[experiment]
+    _, (csv_path, _) = run_and_write(default_config(experiment, **overrides), tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == want

@@ -1159,3 +1159,140 @@ def test_reoptimize_pair_runs_end_to_end():
     assert non_reopt.iterations == 0
     assert reopt.converged
     assert reopt.cost <= non_reopt.cost + 1e-9
+
+
+def mixed_cells(n_qubits: int, rng) -> list[CostFn]:
+    """The cost functions of one mixed stack on one circuit: energies with no
+    spec, a zero-strength spec and each kind at two strengths, and an
+    infidelity under amplitude noise. At 2 qubits every row takes the shift
+    rule; at 4 the density rows take the adjoint and the pure rows the shift
+    rule."""
+    circuit, h = (build_2q_circuit("c"), H2) if n_qubits == 2 else (build_hea(2), _h4())
+    specs = [None, NoiseSpec.uniform("phase", 0.0, n_qubits)]
+    specs += [NoiseSpec.uniform(kind, g, n_qubits) for kind in ("phase", "amplitude", "depolarising")
+              for g in (0.05, 0.2)]
+    cells = [energy_cost(circuit, h, spec) for spec in specs]
+    return cells + [infidelity_cost(circuit, sample_real_haar_state(n_qubits, rng), specs[4])]
+
+
+def assert_same_bits(got: OptResult, want: OptResult):
+    """One run's result equals another's: params bytes, cost, grad_norm,
+    iterations, converged and cost function."""
+    assert got.params.tobytes() == want.params.tobytes()
+    assert (got.cost, got.grad_norm, got.iterations, got.converged) == \
+        (want.cost, want.grad_norm, want.iterations, want.converged)
+    assert got.cost_fn is want.cost_fn
+
+
+@pytest.mark.parametrize("n_qubits", [2, 4])
+def test_a_mixed_stack_equals_its_one_cell_runs(n_qubits, monkeypatch, rng):
+    """Runs under different specs and observables share one lockstep call,
+    and each equals its own one-cell _minimize_rows run bit for bit."""
+    cells = mixed_cells(n_qubits, rng)
+    runs = [cf for cf in cells for _ in range(2)]
+    starts = rng.uniform(0.0, 2.0 * np.pi, (len(runs), cells[0].n_params))
+    with monkeypatch.context() as m:
+        log = ValuesLog(m)
+        got = _minimize_rows(runs, starts)
+    assert log.values_sizes == []  # no call went through a single cost function
+    assert (log.adjoint_sizes != []) == (n_qubits == 4)
+    for res, cf, theta0 in zip(got, runs, starts):
+        assert_same_bits(res, _minimize_rows(cf, theta0[None])[0])
+    assert len({r.iterations for r in got}) > 3
+
+
+@pytest.mark.parametrize("n_qubits", [2, 4])
+def test_a_mixed_stack_makes_one_kernel_call_per_row_kind_per_round(n_qubits, monkeypatch, rng):
+    """Each round costs all running runs with one _Stack call, which makes one
+    _simulate call per row kind among them (pure rows, density rows); each
+    density spec is composed once for the whole lockstep call, never through
+    the circuit's one-entry cache."""
+    import nvqa.circuits as circuits
+
+    cells = mixed_cells(n_qubits, rng)
+    runs = [cf for cf in cells for _ in range(3)]
+    starts = rng.uniform(0.0, 2.0 * np.pi, (len(runs), cells[0].n_params))
+    rounds, composed = [], []
+    simulate, stacks, call = circuits._simulate, optimize._spec_stacks, optimize._Stack.__call__
+
+    def logged_call(stack, which, params):
+        rounds.append([len(set(stack.kind[which].tolist())) > 1, 0])
+        return call(stack, which, params)
+
+    def logged_simulate(*args):
+        rounds[-1][1] += 1
+        return simulate(*args)
+
+    def refused(*args):
+        raise AssertionError("blocks read through the one-entry cache")
+
+    with monkeypatch.context() as m:
+        m.setattr(optimize._Stack, "__call__", logged_call)
+        m.setattr(circuits, "_simulate", logged_simulate)
+        m.setattr(optimize, "_spec_stacks", lambda c, specs: composed.append(specs) or stacks(c, specs))
+        m.setattr(circuits, "_channel_blocks", refused)
+        got = _minimize_rows(runs, starts)
+    assert len(rounds) >= max(r.iterations for r in got) + 1
+    assert all(calls == 1 + both for both, calls in rounds)
+    assert {both for both, _ in rounds} == {True, False}
+    assert composed == [list(dict.fromkeys(cf.noise for cf in cells[2:]))]
+
+
+def test_a_stack_under_one_spec_keeps_the_shared_blocks(monkeypatch, rng):
+    """Pure rows beside the rows of one density spec: no per-spec stacks are
+    composed and no per-row spec is read, and each run keeps its bits."""
+    cells = mixed_cells(4, rng)
+    cells = [cells[0], cells[1], cells[4], cells[-1]]  # one density spec, two observables
+    runs = [cf for cf in cells for _ in range(2)]
+    starts = rng.uniform(0.0, 2.0 * np.pi, (len(runs), cells[0].n_params))
+
+    def refused(*args):
+        raise AssertionError("per-spec stacks composed for one spec")
+
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_spec_stacks", refused)
+        got = _minimize_rows(runs, starts)
+    for res, cf, theta0 in zip(got, runs, starts):
+        assert_same_bits(res, _minimize_rows(cf, theta0[None])[0])
+
+
+def test_minimize_rows_refuse_cost_functions_that_do_not_fit():
+    """One cost function per start, all on one circuit."""
+    a, c = energy_cost(build_2q_circuit("a"), H2), energy_cost(build_2q_circuit("b"), H2)
+    starts = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="one circuit"):
+        _minimize_rows([a, c], starts)
+    with pytest.raises(ValueError, match="one cost function per start"):
+        _minimize_rows([a, a, a], starts)
+    with pytest.raises(ValueError, match="one cost function per start"):
+        _minimize_rows([], np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("mode", ["restart", "track"])
+def test_sweeps_of_several_families_equal_their_separate_sweeps(mode, monkeypatch):
+    """One stack for every cell (restart) or every gamma step (track) gives
+    each family the results of its own sweep_gamma, and restart cell i those
+    of multistart from the child seed (seed, i)."""
+    from nvqa.randstates import _child_seed
+
+    def family(kind):
+        return lambda g: energy_cost(build_2q_circuit("c"), H2, NoiseSpec.uniform(kind, g, 2))
+
+    kinds, gammas, seeds = ("phase", "amplitude", "depolarising"), (0.0, 0.1, 0.3), (11, 12, 13)
+    stacked = []
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_minimize_rows", lambda cf, *a: stacked.append(len(cf)) or _minimize_rows(cf, *a))
+        got = optimize._sweeps([family(k) for k in kinds], gammas, mode, 6, list(seeds))
+    assert len(stacked) == (1 if mode == "restart" else len(gammas))
+    for kind, seed, sweep in zip(kinds, seeds, got):
+        want = sweep_gamma(family(kind), gammas, mode=mode, n_starts=6, seed=seed)
+        assert [len(minima) for minima in sweep] == [len(minima) for minima in want]
+        for minima, ref in zip(sweep, want):
+            for a, b in zip(minima, ref):
+                assert a.params.tobytes() == b.params.tobytes() and a.cost_fn == b.cost_fn
+                assert (a.cost, a.grad_norm, a.iterations, a.converged) == \
+                    (b.cost, b.grad_norm, b.iterations, b.converged)
+        if mode == "restart":
+            for i, (g, minima) in enumerate(zip(gammas, sweep)):
+                ref = multistart(family(kind)(g), 6, _child_seed(seed, i))
+                assert [a.params.tobytes() for a in minima] == [b.params.tobytes() for b in ref]

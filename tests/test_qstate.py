@@ -79,6 +79,20 @@ def test_malformed_states_and_keep_lists_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize("qubit", [1.7, 0.9, 1.0, True, np.float64(1.0), "1"],
+                         ids=["1.7", "0.9", "1.0", "bool", "float64", "str"])
+def test_non_integer_qubit_indices_are_refused(qubit):
+    """int(q) once truncated a float index to a valid qubit, so a wrong state
+    looked right: apply_unitary(zero_state(2), SX, [1.7]) flipped qubit 1 and
+    partial_trace(zero_state(2), [0.9]) kept qubit 0."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        apply_unitary(zero_state(2), SX, [qubit])
+    with pytest.raises(ValueError, match="must be an integer"):
+        partial_trace(zero_state(2), [qubit])
+    assert apply_unitary(zero_state(2), SX, [np.int64(1)]).data[1, 1] == 1.0
+    assert partial_trace(zero_state(2), (np.int64(0),)).data[0, 0] == 1.0
+
+
 def test_data_is_read_only():
     rho = zero_state(1)
     with pytest.raises(ValueError):
