@@ -15,14 +15,13 @@ the adjoint of each group in reverse.
 
 The rows of one call may differ in spec and in observable (_ByRow). A spec's
 blocks take dim^3 floats per distinct fixed group: 32 KiB at 4 qubits and
-2 MiB at 6. Under one spec they come from _channel_blocks, which keeps the
-last spec's blocks on the circuit and recomposes when the spec changes. Rows
-under several specs read stacks that _spec_stacks composes once for all the
-calls that share them, since the one-entry cache would recompose at every
-change; rows of one spec take a fixed group as one product with its blocks,
-and each row keeps the bits of a single-spec call. The blocks grow as 8^n
-floats, so noisy evaluation stops at MAX_DENSITY_QUBITS qubits; noiseless
-evaluation runs up to MAX_QUBITS.
+2 MiB at 6. They come from _spec_stacks alone, which keeps the blocks of the
+specs it composed last on the circuit: a call for those specs, or for one of
+them, reads them again, so a lockstep call's cells and the reads that follow
+it compose each spec once. Rows of one spec take a fixed group as one
+product with its blocks, and each row keeps the bits of a single-spec call.
+The blocks grow as 8^n floats, so noisy evaluation stops at
+MAX_DENSITY_QUBITS qubits; noiseless evaluation runs up to MAX_QUBITS.
 """
 
 from __future__ import annotations
@@ -166,7 +165,7 @@ class Circuit:
         entries (partner[i], i) of rho lambda whose sum signed by sign is
         Tr[2 K_q rho lambda]. A fixed group gets (src, back, back_inv,
         src_inv): src lists the flat entries (k, k ^ perm[y]) in (y, k) order
-        for its blocks (_channel_blocks), back gathers their product into
+        for its blocks (_spec_stacks), back gathers their product into
         row-major order, and the transpose takes the inverse gathers back_inv
         and src_inv; identical groups share one entry.
         """
@@ -191,9 +190,9 @@ class Circuit:
         return tuple(plan)
 
     @cached_property
-    def _channel_cache(self) -> dict:
-        """The fixed-group blocks of the last (kind, gammas), filled by _channel_blocks."""
-        return {}
+    def _channel_cache(self) -> list:
+        """[specs, stacks]: the specs _spec_stacks composed last and their blocks."""
+        return [(), ()]
 
 
 def build_2q_circuit(variant: str) -> Circuit:
@@ -271,13 +270,12 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow |
     sin * x0. A fixed group is one gather of its basis indices. Density rows
     read Circuit._density_plan beside the groups: a rotation group is one
     rho <- U rho U^T, U the Kronecker product of the group's rotations, and a
-    fixed group one product with its blocks: the spec's, shared by every row
-    (_channel_blocks), or under per-row specs (_ByRow) one product per run of
-    rows under one spec, with that spec's blocks. Every product is a stacked
+    fixed group one product with its blocks (_row_blocks): the spec's, shared
+    by every row, or under per-row specs (_ByRow) one product per run of rows
+    under one spec, with that spec's blocks. Every product is a stacked
     per-row matmul, so no BLAS call spans rows and a row's bits depend neither
     on its batch nor on the specs of the other rows. Density rows are refused
-    above
-    MAX_DENSITY_QUBITS qubits. A tape list, given with density rows, is
+    above MAX_DENSITY_QUBITS qubits. A tape list, given with density rows, is
     appended (rho, U) before each rotation group, for the reverse pass of
     _expectation_gradients. A NaN or infinite angle is refused.
     """
@@ -353,7 +351,7 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSp
     The forward pass is _simulate's, keeping rho before each rotation group;
     _reduce takes the value from its final rho, with _expectations' bits.
     lambda = Re(obs) then walks the groups and Circuit._density_plan in
-    reverse: back through a fixed group's transposed blocks (_channel_blocks)
+    reverse: back through a fixed group's transposed blocks (_row_blocks)
     and inverse gathers, and through a rotation group as lambda <- U^T lambda U.
     With dU/dtheta = U K_q, K_q = [[0, -1], [1, 0]] / 2 on the Ry's qubit q,
     dC/dtheta = Tr[2 K_q rho lambda'], lambda' the updated lambda. Rows run in
@@ -398,8 +396,9 @@ def _cx_perm(n_qubits: int, op: Cx) -> np.ndarray:
     return np.where(cbit == 1, idx ^ (1 << (n_qubits - 1 - op.target)), idx)
 
 
-def _channel_blocks(circuit: Circuit, noise: NoiseSpec) -> tuple[np.ndarray, ...]:
-    """The block stack of each fixed group of the circuit under the spec.
+def _spec_stacks(circuit: Circuit, specs) -> tuple[np.ndarray, ...]:
+    """The block stack of each fixed group under every spec of specs, one
+    (len(specs), dim, dim, dim) array per group.
 
     Every channel keeps the coherence pattern y = i ^ j of an entry rho[i, j],
     and a CX maps patterns linearly: output pattern y is fed by input pattern
@@ -407,34 +406,29 @@ def _channel_blocks(circuit: Circuit, noise: NoiseSpec) -> tuple[np.ndarray, ...
     pattern, all read off one (dim, dim, dim) compose (_pattern_blocks).
     blocks[y] maps the entries (k, k ^ perm[y]), which the group's src
     gathers (Circuit._density_plan), to the entries (i, i ^ y). Identical
-    groups are composed once, and a circuit keeps its last (kind, gammas)
-    only.
+    groups are composed once and share one stack. The circuit keeps the
+    stacks of the specs it composed last: a call for the same specs reads
+    them again, and a call for one spec among them reads its [k:k + 1] view.
     """
-    key = (noise.channel.kind, noise._gammas)
-    cache = circuit._channel_cache
-    if key not in cache:
-        cache.clear()
-        cache[key] = tuple(stack[0] for stack in _spec_stacks(circuit, [noise]))
-    return cache[key]
-
-
-def _spec_stacks(circuit: Circuit, specs) -> tuple[np.ndarray, ...]:
-    """Each fixed group's blocks under every spec of specs, as one
-    (len(specs), dim, dim, dim) array per group, identical groups composed
-    once and sharing one: the stacks a _ByRow noise reads. They serve every
-    call that shares them; _channel_blocks' one entry would recompose at
-    each change of spec."""
+    specs = tuple(specs)
+    last, stacks = circuit._channel_cache
+    if specs == last:
+        return stacks
+    if len(specs) == 1 and specs[0] in last:
+        k = last.index(specs[0])
+        return tuple(stack[k:k + 1] for stack in stacks)
     fixed = [ops for ops, perm in circuit._groups if perm is not None]
-    stacks = {ops: np.stack([_pattern_blocks(circuit.n_qubits, ops, spec.channel.kind, spec._gammas)
-                             for spec in specs]) for ops in dict.fromkeys(fixed)}
-    return tuple(stacks[ops] for ops in fixed)
+    composed = {ops: np.stack([_pattern_blocks(circuit.n_qubits, ops, spec.channel.kind, spec._gammas)
+                               for spec in specs]) for ops in dict.fromkeys(fixed)}
+    circuit._channel_cache[:] = specs, tuple(composed[ops] for ops in fixed)
+    return circuit._channel_cache[1]
 
 
 class _ByRow:
     """A per-row choice for the rows of one kernel call: row r takes entry
-    index[r] of stack. As the noise of density rows, stack is a _spec_stacks
-    result, so row r runs under spec index[r]; as an observable, it is an
-    (n_obs, dim, dim) array of real matrices, and row r is reduced against
+    index[r] of stack. As the noise of density rows, stack is a tuple of
+    NoiseSpecs, and row r runs under spec index[r]; as an observable, it is
+    an (n_obs, dim, dim) array of real matrices, and row r is reduced against
     matrix index[r]."""
 
     def __init__(self, stack, index: np.ndarray):
@@ -448,12 +442,12 @@ def _take(arg, rows: slice):
 
 
 def _row_blocks(circuit: Circuit, noise: "NoiseSpec | _ByRow") -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
-    """Each fixed group's blocks for density rows, with the index _fixed reads
-    them by: a spec's one stack for every row (_channel_blocks) and None, or
-    under a _ByRow every spec's stacks and each row's spec."""
+    """Each fixed group's blocks for density rows (_spec_stacks), with the
+    index _fixed reads them by: a spec's blocks for every row and None, or
+    under a _ByRow its specs' stacks and each row's spec."""
     if isinstance(noise, _ByRow):
-        return noise.stack, noise.index
-    return _channel_blocks(circuit, noise), None
+        return _spec_stacks(circuit, noise.stack), noise.index
+    return tuple(stack[0] for stack in _spec_stacks(circuit, [noise])), None
 
 
 def _pattern_blocks(n_qubits: int, ops: tuple, kind: str, gammas) -> np.ndarray:
@@ -483,10 +477,10 @@ def _require_finite(params, name: str = "params") -> np.ndarray:
 
 
 def _check_width(circuit: Circuit, noise: "NoiseSpec | _ByRow | None") -> None:
-    """Refuse a spec of the wrong width, trivial or not. Per-row specs come
-    from cost functions, which checked their own."""
-    if isinstance(noise, NoiseSpec) and noise.n_qubits != circuit.n_qubits:
-        raise ValueError(f"noise spec covers {noise.n_qubits} qubits, circuit has {circuit.n_qubits}")
+    """Refuse a spec of the wrong width, trivial or not, one spec or per-row specs."""
+    for spec in noise.stack if isinstance(noise, _ByRow) else () if noise is None else (noise,):
+        if spec.n_qubits != circuit.n_qubits:
+            raise ValueError(f"noise spec covers {spec.n_qubits} qubits, circuit has {circuit.n_qubits}")
 
 
 def _row_noise(circuit: Circuit, noise: "NoiseSpec | _ByRow | None") -> "NoiseSpec | _ByRow | None":

@@ -18,15 +18,16 @@ density rows of at least _ADJOINT_QUBITS qubits one reverse-mode pass
 (circuits._expectation_gradients, after Jones and Gacon, arXiv:2009.02823)
 that also returns the cost. Runs of one CostFn take one
 CostFn._values_and_gradients call; runs of several take one _Stack call,
-which makes at most one kernel call per row kind, pure or density, reads
-each density row's spec from blocks composed once per lockstep call, and
-reduces each row against its own observable. Each run takes its line-search
-decisions alone, and the runs that accept a step update together, in
-stacked products with the bits of their 1-D forms. So each result is bit for
-bit that of the same run made alone, and it is built where the run stops,
-from the values the loop read there. multistart, sweep_gamma and the
-harness's sweeps (_sweeps) run their cells through one such call and then
-deduplicate each cell on its own.
+which makes at most one kernel call per row kind, pure or density, runs
+each density row under its own spec, and reduces each row against its own
+observable; a cell's deduplication and quality reads reuse the blocks its
+lockstep call composed (circuits._spec_stacks). Each run takes its
+line-search decisions alone, and the runs that accept a step update
+together, in stacked products with the bits of their 1-D forms. So each
+result is bit for bit that of the same run made alone, and it is built
+where the run stops, from the values the loop read there. multistart,
+sweep_gamma and the harness's sweeps (_sweeps) run the cells of each circuit
+through one such call and then deduplicate each cell on its own.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ import numpy as np
 
 from .channels import NoiseSpec
 from .circuits import (Circuit, _ByRow, _as_density_matrix, _check_width, _expectation_gradients, _expectations,
-                       _reduce, _require_finite, _row_noise, _simulate, _spec_stacks, evaluate)
+                       _reduce, _require_finite, _row_noise, _simulate, evaluate)
 from .measures import QualityRecord, _require_pure, ground_truth, max_pairwise_concurrence
 from .pauli import PauliSum
 from .qstate import DensityMatrix, _as_int, _require_ints
-from .randstates import _child_seed
+from .randstates import _as_seed, _child_seed
 
 TWO_PI = 2.0 * np.pi
 
@@ -253,10 +254,10 @@ class _Stack:
     """The distinct cost functions of one lockstep call, all on one circuit.
     A call costs rows of any of them, row r under cfs[which[r]], with at most
     one kernel call per row kind: pure rows (no spec, or a zero-strength one),
-    density shift rows, density adjoint rows (CostFn._takes_adjoint). Several
-    density specs are composed once, here (circuits._spec_stacks); a single
-    spec keeps its shared blocks, with no per-row copy. Every row has the bits
-    of its own cost function's _values_and_gradients."""
+    density shift rows, density adjoint rows (CostFn._takes_adjoint). Density
+    rows run under per-row specs (circuits._ByRow), the rows of each spec
+    together. Every row has the bits of its own cost function's
+    _values_and_gradients."""
 
     def __init__(self, cfs: list[CostFn]):
         self.circuit = cfs[0].circuit
@@ -265,9 +266,8 @@ class _Stack:
         noise = [_row_noise(self.circuit, cf.noise) for cf in cfs]
         density = [spec is not None for spec in noise]
         specs, index = _distinct(spec for spec in noise if spec is not None)
-        self.spec_of = np.full(len(cfs), -1)
+        self.specs, self.spec_of = tuple(specs), np.full(len(cfs), -1)
         self.spec_of[density] = index
-        self.noise = _spec_stacks(self.circuit, specs) if len(specs) > 1 else specs[0] if specs else None
         _, self.obs_of = _distinct(cf.target if cf.hamiltonian is None else cf.hamiltonian for cf in cfs)
         mats = [cfs[i]._obs_matrix for i in np.unique(self.obs_of, return_index=True)[1]]
         self.obs = mats[0] if len(mats) == 1 else np.stack(mats)
@@ -280,10 +280,10 @@ class _Stack:
         kinds = self.kind[which]
         for kind in dict.fromkeys(kinds.tolist()):
             rows = np.flatnonzero(kinds == kind)
-            noise = None if kind == 0 else self.noise
-            if isinstance(noise, tuple):  # rows in spec order, so that each spec's rows run as one
+            noise = None
+            if kind:  # rows in spec order, so that each spec's rows run as one
                 rows = rows[np.argsort(self.spec_of[which[rows]], kind="stable")]
-                noise = _ByRow(noise, self.spec_of[which[rows]])
+                noise = _ByRow(self.specs, self.spec_of[which[rows]])
             cells = which[rows]
             obs = self.obs if self.obs.ndim == 2 else _ByRow(self.obs, self.obs_of[cells])
             flip = self.infidelity[cells]
@@ -468,18 +468,23 @@ def _uniform_starts(cf: CostFn, n_starts: int, seed: int) -> np.ndarray:
     """n_starts uniform random starts in [0, 2*pi)^P, drawn from seed."""
     if _as_int(n_starts, "n_starts") < 1:
         raise ValueError("n_starts must be >= 1")
-    return np.random.default_rng(seed).uniform(0.0, TWO_PI, size=(n_starts, cf.n_params))
+    return np.random.default_rng(_as_seed(seed)).uniform(0.0, TWO_PI, size=(n_starts, cf.n_params))
 
 
 def _cell_minima(cfs: list[CostFn], starts: list[np.ndarray]) -> list[list[OptResult]]:
     """The minima of each cell, cell c run from the rows of starts[c] under
-    cfs[c]: every cell's runs in one lockstep call, then each cell's results
-    deduplicated on their own (_dedup)."""
-    if not cfs:
-        return []
-    runs = _minimize_rows([cf for cf, rows in zip(cfs, starts) for _ in rows], np.concatenate(starts))
-    bounds = np.cumsum([0] + [len(rows) for rows in starts]).tolist()
-    return [_dedup(cf, runs[lo:hi]) for cf, lo, hi in zip(cfs, bounds, bounds[1:])]
+    cfs[c]: the runs of every cell on one circuit in one lockstep call, the
+    circuits in first-seen order, then each cell's results deduplicated on
+    their own (_dedup)."""
+    minima: list = [None] * len(cfs)
+    circuits, circuit_of = _distinct(cf.circuit for cf in cfs)
+    for c in range(len(circuits)):
+        cells = np.flatnonzero(circuit_of == c).tolist()
+        runs = iter(_minimize_rows([cfs[i] for i in cells for _ in starts[i]],
+                                   np.concatenate([starts[i] for i in cells])))
+        for i in cells:
+            minima[i] = _dedup(cfs[i], [next(runs) for _ in starts[i]])
+    return minima
 
 
 def multistart(cf: CostFn, n_starts: int, seed: int) -> list[OptResult]:
@@ -512,7 +517,8 @@ def _sweeps(make_costs: list[Callable[[float], CostFn]], gammas, mode: str, n_st
     """sweep_gamma for several cost families on one circuit, family f from
     seeds[f], with each family's results. The (family, gamma) cells share
     lockstep calls: in restart mode all of them run as one stack, and in
-    track mode each gamma step runs every family's cell as one. Each cell is
+    track mode each gamma step runs every family's cell as one, one call
+    per distinct circuit among the cells (_cell_minima). Each cell is
     deduplicated on its own."""
     gammas = list(gammas)
     if mode not in ("track", "restart"):

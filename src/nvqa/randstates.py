@@ -25,15 +25,27 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _as_seed(self.seed))
+        object.__setattr__(self, "stream_id", _as_seed(self.stream_id, "stream_id"))
+
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         )
 
 
+def _as_seed(value, name: str = "seed") -> int:
+    """value as a non-negative int, by _as_int's rule: the one seed rule."""
+    value = _as_int(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def _child_seed(seed: int, *path: int) -> int:
     """The integer seed of the child stream at path under seed, one draw of its SeedSequence."""
-    return int(np.random.SeedSequence(seed, spawn_key=path).generate_state(1)[0])
+    return int(np.random.SeedSequence(_as_seed(seed), spawn_key=path).generate_state(1)[0])
 
 
 def _as_generator(rng) -> np.random.Generator:

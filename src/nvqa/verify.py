@@ -13,7 +13,7 @@ from .channels import (
     ptm_from_channel,
 )
 from .circuits import (CX_MATRIX, Cx, Ry, _ByRow, _expectation_gradients, _expectations, _simulate,
-                       _spec_stacks, build_2q_circuit, build_4q_vqe, build_hea, evaluate, ry_matrix)
+                       build_2q_circuit, build_4q_vqe, build_hea, evaluate, ry_matrix)
 from .noisemodel import apply_global_depol, global_depol_infidelity
 from .optimize import _Stack, energy_cost, gradient, infidelity_cost
 from .pauli import vqe_hamiltonian_2q, vqe_hamiltonian_4q
@@ -159,7 +159,7 @@ def check_per_row_specs(n_rows: int = 40) -> float:
         obs = h.to_matrix().real
         theta = gen.uniform(0.0, 2.0 * np.pi, (n_rows, circuit.n_params))
         which = gen.integers(0, len(specs), n_rows)
-        rows = _ByRow(_spec_stacks(circuit, specs), which)
+        rows = _ByRow(tuple(specs), which)
         got = (_expectations(circuit, theta, rows, obs), *_expectation_gradients(circuit, theta, rows, obs))
         want = [np.concatenate(w) for w in zip(*(
             (_expectations(circuit, t[None], specs[k], obs), *_expectation_gradients(circuit, t[None], specs[k], obs))

@@ -28,11 +28,11 @@ from nvqa.circuits import (
     evaluate_pure,
     ry_matrix,
     _as_density_matrix,
-    _channel_blocks,
     _cx_perm,
     _expectation_gradients,
     _expectations,
     _simulate,
+    _spec_stacks,
 )
 from nvqa.qstate import MAX_QUBITS, DensityMatrix
 
@@ -311,7 +311,7 @@ def test_channel_blocks_equal_the_full_tensor_compose_bit_for_bit(name, kind, ga
     n = circuit.n_qubits
     spec = NoiseSpec(make_channel(kind, gamma), (1.0, 0.0, 0.5, 0.8)[:n] if n > 1 else (0.7,))
     fixed = [(ops, perm) for ops, perm in circuit._groups if perm is not None]
-    got = _channel_blocks(circuit, spec)
+    got = [stack[0] for stack in _spec_stacks(circuit, [spec])]
     assert len(got) == len(fixed)
     for (ops, perm), blocks in zip(fixed, got):
         want = np.stack([pattern_block_reference(n, ops, x, y, kind, spec._gammas)
@@ -324,8 +324,9 @@ def test_channel_blocks_equal_the_full_tensor_compose_bit_for_bit(name, kind, ga
 @pytest.mark.parametrize("name", ["ry-repeat", "fixed-ends", "4q-vqe"])
 def test_a_second_spec_composes_only_its_blocks(name, kind, rng):
     """A new spec on a circuit keeps the circuit's density plan, holds only
-    its own blocks, and gives the rows of a freshly built circuit bit for
-    bit; every Ry on one qubit reads the same partner and sign arrays."""
+    its own blocks (the cache keeps the last specs composed), and gives the
+    rows of a freshly built circuit bit for bit; every Ry on one qubit reads
+    the same partner and sign arrays."""
     circuit = KERNEL_CASES[name]
     fresh = Circuit(circuit.n_qubits, circuit.ops)
     n = circuit.n_qubits
@@ -336,13 +337,56 @@ def test_a_second_spec_composes_only_its_blocks(name, kind, rng):
     plan = circuit._density_plan
     got = _simulate(circuit, thetas, second), _expectation_gradients(circuit, thetas, second, obs)
     assert circuit._density_plan is plan
-    assert list(circuit._channel_cache) == [(kind, second._gammas)]
+    assert circuit._channel_cache[0] == (second,)
     np.testing.assert_array_equal(got[0], _simulate(fresh, thetas, second))
     for a, b in zip(got[1], _expectation_gradients(fresh, thetas, second, obs)):
         np.testing.assert_array_equal(a, b)
     rys = [ry for ops, perm in circuit._groups if perm is None for ry in ops]
     for (_, q, partner, sign), (_, r, other_partner, other_sign) in product(rys, rys):
         assert (partner is other_partner and sign is other_sign) == (q == r)
+
+
+def test_the_last_specs_composed_serve_every_later_call(monkeypatch, rng):
+    """_spec_stacks keeps the stacks of the specs it composed last: the same
+    specs read the same arrays, one spec among them reads its [k:k + 1] view
+    and composes nothing, and rows run under it keep a fresh circuit's bits;
+    any other specs compose afresh and replace them."""
+    import nvqa.circuits as circuits
+
+    case = KERNEL_CASES["fixed-ends"]
+    circuit, fresh = Circuit(case.n_qubits, case.ops), Circuit(case.n_qubits, case.ops)
+    n = circuit.n_qubits
+    n_fixed = len({ops for ops, perm in circuit._groups if perm is not None})
+    specs = [NoiseSpec.uniform(kind, 0.1, n) for kind in CHANNEL_KINDS]
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(4, circuit.n_params))
+    composed, compose = [], circuits._pattern_blocks
+    monkeypatch.setattr(circuits, "_pattern_blocks", lambda *a: composed.append(a[2:]) or compose(*a))
+    stacks = _spec_stacks(circuit, specs)
+    assert n_fixed > 1 and len(composed) == len(specs) * n_fixed
+    assert _spec_stacks(circuit, tuple(specs)) is stacks
+    for k, spec in enumerate(specs):
+        for view, stack in zip(_spec_stacks(circuit, [spec]), stacks):
+            assert view.shape == (1,) + stack.shape[1:] and np.shares_memory(view, stack)
+            np.testing.assert_array_equal(view, stack[k:k + 1])
+        np.testing.assert_array_equal(_simulate(circuit, thetas, spec), _simulate(fresh, thetas, spec))
+    assert circuit._channel_cache[0] == tuple(specs)
+    assert len(composed) == (len(specs) + len(specs)) * n_fixed  # the fresh circuit's composes
+    other = NoiseSpec.uniform("phase", 0.2, n)
+    _spec_stacks(circuit, [specs[0], other])
+    assert circuit._channel_cache[0] == (specs[0], other)
+    assert len(composed) == (2 * len(specs) + 2) * n_fixed
+
+
+def test_per_row_specs_of_the_wrong_width_are_refused(rng):
+    """Every spec a _ByRow noise carries must cover the circuit's qubits,
+    whichever rows read it."""
+    from nvqa.circuits import _ByRow
+
+    circuit = build_2q_circuit("c")
+    specs = (NoiseSpec.uniform("phase", 0.1, 2), NoiseSpec.uniform("phase", 0.1, 3))
+    theta = rng.uniform(0.0, 2.0 * np.pi, (2, circuit.n_params))
+    with pytest.raises(ValueError, match="covers 3 qubits, circuit has 2"):
+        _expectations(circuit, theta, _ByRow(specs, np.array([0, 0])), np.eye(4))
 
 
 def test_ry_matrix_basics():
@@ -635,10 +679,10 @@ def test_rows_under_per_row_specs_keep_their_single_spec_bits(circuit, rng):
     values and gradients; rows reduced against per-row observables equal
     their one-observable reductions. Identical fixed groups share one
     per-spec stack."""
-    from nvqa.circuits import _ByRow, _reduce, _spec_stacks
+    from nvqa.circuits import _ByRow, _reduce
 
     n = circuit.n_qubits
-    specs = [NoiseSpec.uniform(kind, g, n) for kind in CHANNEL_KINDS for g in (0.05, 0.3)]
+    specs = tuple(NoiseSpec.uniform(kind, g, n) for kind in CHANNEL_KINDS for g in (0.05, 0.3))
     stacks = _spec_stacks(circuit, specs)
     assert all(s.shape == (len(specs),) + (2 ** n,) * 3 for s in stacks)
     assert len({id(s) for s in stacks}) == len({ops for ops, perm in circuit._groups if perm is not None})
@@ -646,7 +690,7 @@ def test_rows_under_per_row_specs_keep_their_single_spec_bits(circuit, rng):
     obs[1] += obs[1].T
     theta = rng.uniform(0.0, 2.0 * np.pi, (45, circuit.n_params))
     which, obs_of = rng.integers(0, len(specs), len(theta)), rng.integers(0, 2, len(theta))
-    noise, per_obs = _ByRow(stacks, which), _ByRow(obs, obs_of)
+    noise, per_obs = _ByRow(specs, which), _ByRow(obs, obs_of)
     states = _simulate(circuit, theta, noise)
     values = _expectations(circuit, theta, noise, per_obs)
     adj_values, adj_grads = _expectation_gradients(circuit, theta, noise, per_obs)

@@ -1205,15 +1205,14 @@ def test_a_mixed_stack_equals_its_one_cell_runs(n_qubits, monkeypatch, rng):
 def test_a_mixed_stack_makes_one_kernel_call_per_row_kind_per_round(n_qubits, monkeypatch, rng):
     """Each round costs all running runs with one _Stack call, which makes one
     _simulate call per row kind among them (pure rows, density rows); each
-    density spec is composed once for the whole lockstep call, never through
-    the circuit's one-entry cache."""
+    density spec's blocks are composed once for the whole lockstep call."""
     import nvqa.circuits as circuits
 
     cells = mixed_cells(n_qubits, rng)
     runs = [cf for cf in cells for _ in range(3)]
     starts = rng.uniform(0.0, 2.0 * np.pi, (len(runs), cells[0].n_params))
     rounds, composed = [], []
-    simulate, stacks, call = circuits._simulate, optimize._spec_stacks, optimize._Stack.__call__
+    simulate, compose, call = circuits._simulate, circuits._pattern_blocks, optimize._Stack.__call__
 
     def logged_call(stack, which, params):
         rounds.append([len(set(stack.kind[which].tolist())) > 1, 0])
@@ -1223,37 +1222,81 @@ def test_a_mixed_stack_makes_one_kernel_call_per_row_kind_per_round(n_qubits, mo
         rounds[-1][1] += 1
         return simulate(*args)
 
-    def refused(*args):
-        raise AssertionError("blocks read through the one-entry cache")
-
     with monkeypatch.context() as m:
         m.setattr(optimize._Stack, "__call__", logged_call)
         m.setattr(circuits, "_simulate", logged_simulate)
-        m.setattr(optimize, "_spec_stacks", lambda c, specs: composed.append(specs) or stacks(c, specs))
-        m.setattr(circuits, "_channel_blocks", refused)
+        m.setattr(circuits, "_pattern_blocks", lambda n, ops, kind, gammas: composed.append((kind, gammas))
+                  or compose(n, ops, kind, gammas))
         got = _minimize_rows(runs, starts)
     assert len(rounds) >= max(r.iterations for r in got) + 1
     assert all(calls == 1 + both for both, calls in rounds)
     assert {both for both, _ in rounds} == {True, False}
-    assert composed == [list(dict.fromkeys(cf.noise for cf in cells[2:]))]
+    # both circuits have one distinct fixed group
+    assert composed == [(spec.channel.kind, spec._gammas) for spec in dict.fromkeys(cf.noise for cf in cells[2:])]
 
 
 def test_a_stack_under_one_spec_keeps_the_shared_blocks(monkeypatch, rng):
-    """Pure rows beside the rows of one density spec: no per-spec stacks are
-    composed and no per-row spec is read, and each run keeps its bits."""
+    """Pure rows beside the rows of one density spec: the spec's blocks are
+    composed once for the whole lockstep call, and each run keeps its bits."""
+    import nvqa.circuits as circuits
+
     cells = mixed_cells(4, rng)
     cells = [cells[0], cells[1], cells[4], cells[-1]]  # one density spec, two observables
     runs = [cf for cf in cells for _ in range(2)]
     starts = rng.uniform(0.0, 2.0 * np.pi, (len(runs), cells[0].n_params))
-
-    def refused(*args):
-        raise AssertionError("per-spec stacks composed for one spec")
+    composed, compose = [], circuits._pattern_blocks
 
     with monkeypatch.context() as m:
-        m.setattr(optimize, "_spec_stacks", refused)
+        m.setattr(circuits, "_pattern_blocks", lambda *a: composed.append(a[2:]) or compose(*a))
         got = _minimize_rows(runs, starts)
+    spec = cells[2].noise
+    assert composed == [(spec.channel.kind, spec._gammas)]  # build_hea(2) has one distinct fixed group
     for res, cf, theta0 in zip(got, runs, starts):
         assert_same_bits(res, _minimize_rows(cf, theta0[None])[0])
+
+
+@pytest.mark.parametrize("variants", ["ab", "ac"], ids=["same-width", "other-width"])
+def test_a_restart_sweep_whose_circuit_changes_with_gamma_runs_each_cell(variants):
+    """A restart sweep may change its circuit along the gamma grid, even its
+    parameter count: each circuit's cells run as their own lockstep call,
+    and cell i equals multistart from the child seed (seed, i)."""
+    from nvqa.randstates import _child_seed
+
+    gammas = (0.0, 0.1, 0.2, 0.3)
+
+    def make_cost(g):
+        variant = variants[0] if g < 0.15 else variants[1]
+        return energy_cost(build_2q_circuit(variant), H2, NoiseSpec.uniform("amplitude", g, 2))
+
+    got = sweep_gamma(make_cost, gammas, mode="restart", n_starts=5, seed=9)
+    assert len(got) == len(gammas)
+    for i, (g, minima) in enumerate(zip(gammas, got)):
+        want = multistart(make_cost(g), 5, _child_seed(9, i))
+        assert [(a.params.tobytes(), a.cost, a.iterations) for a in minima] == \
+            [(b.params.tobytes(), b.cost, b.iterations) for b in want]
+
+
+def test_a_restart_sweep_composes_each_spec_once(monkeypatch):
+    """A restart sweep's lockstep call composes each distinct density spec's
+    blocks once, and the deduplications and quality reads after it read
+    them again: one _pattern_blocks call per density spec and distinct fixed
+    group."""
+    import nvqa.circuits as circuits
+
+    circuit = build_2q_circuit("c")
+    kinds, gammas = ("phase", "amplitude", "depolarising"), (0.0, 0.1, 0.3)
+
+    def family(kind):
+        return lambda g: energy_cost(circuit, H2, NoiseSpec.uniform(kind, g, 2))
+
+    composed, compose = [], circuits._pattern_blocks
+    with monkeypatch.context() as m:
+        m.setattr(circuits, "_pattern_blocks", lambda *a: composed.append(a[2:]) or compose(*a))
+        sweeps = optimize._sweeps([family(k) for k in kinds], gammas, "restart", 4, [1, 2, 3])
+        qualities = [r.quality for sweep in sweeps for minima in sweep for r in minima]
+    n_fixed = len({ops for ops, perm in circuit._groups if perm is not None})
+    assert qualities and n_fixed == 1
+    assert sorted(composed) == sorted((k, (g, g)) for k in kinds for g in gammas if g)
 
 
 def test_minimize_rows_refuse_cost_functions_that_do_not_fit():

@@ -157,3 +157,45 @@ def test_bad_counts_are_refused_before_any_draw(call):
     with pytest.raises(ValueError):
         call(a)
     assert_same_position(a, b)
+
+
+def _seed_entries():
+    """Every public entry that takes a seed, each called with a given seed."""
+    from nvqa.circuits import build_2q_circuit
+    from nvqa.harness import optimize_to_target
+    from nvqa.noisemodel import alpha_scaling_check
+    from nvqa.optimize import energy_cost, multistart, reoptimize_pair, sweep_gamma
+    from nvqa.pauli import vqe_hamiltonian_2q
+
+    circuit = build_2q_circuit("a")
+    cf = energy_cost(circuit, vqe_hamiltonian_2q())
+    target = sample_real_haar_state(2, RngStream(0))
+    return {
+        "RngStream": lambda s: RngStream(s),
+        "RngStream-stream-id": lambda s: RngStream(0, s),
+        "multistart": lambda s: multistart(cf, 2, s),
+        "sweep_gamma": lambda s: sweep_gamma(lambda g: cf, [0.0], mode="restart", n_starts=2, seed=s),
+        "reoptimize_pair": lambda s: reoptimize_pair(cf, 2, s),
+        "optimize_to_target": lambda s: optimize_to_target(circuit, target, s),
+        "alpha_scaling_check": lambda s: alpha_scaling_check("phase", [1], 4, s),
+    }
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, np.float64(1.0), "1", -1],
+                         ids=["bool", "float", "numpy-float", "str", "negative"])
+@pytest.mark.parametrize("entry", ["RngStream", "RngStream-stream-id", "multistart", "sweep_gamma",
+                                   "reoptimize_pair", "optimize_to_target", "alpha_scaling_check"])
+def test_every_seed_entry_refuses_a_seed_that_is_no_non_negative_int(entry, seed):
+    """One seed rule: a bool, a float, a string or a negative number is
+    refused with a ValueError, never run as some other seed."""
+    with pytest.raises(ValueError, match="seed|stream_id"):
+        _seed_entries()[entry](seed)
+
+
+def test_a_numpy_integer_seed_is_its_int():
+    assert RngStream(np.int64(3), np.int32(1)) == RngStream(3, 1)
+    assert type(RngStream(np.int64(3)).seed) is int
+    assert _child_seed(np.int64(3), 0) == _child_seed(3, 0)
+    entries = _seed_entries()
+    a, b = entries["multistart"](np.int64(3)), entries["multistart"](3)
+    assert [r.params.tobytes() for r in a] == [r.params.tobytes() for r in b]
