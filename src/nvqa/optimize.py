@@ -16,14 +16,14 @@ Every point a run tries, start or trial, is costed once, and a round costs
 all runs' points at once: each point's row with its 2P shift rows, or on
 density rows of at least _ADJOINT_QUBITS qubits one reverse-mode pass
 (circuits._expectation_gradients, after Jones and Gacon, arXiv:2009.02823)
-that also returns the cost. Runs of one CostFn take one
-CostFn._values_and_gradients call; runs of several take one _Stack call,
-which makes at most one kernel call per row kind, pure or density, runs
-each density row under its own spec, and reduces each row against its own
-observable; a cell's deduplication and quality reads reuse the blocks its
-lockstep call composed (circuits._spec_stacks). Each run takes its
-line-search decisions alone, and the runs that accept a step update
-together, in stacked products with the bits of their 1-D forms. So each
+that also returns the cost. The runs' points take one _Stack call per
+round, whether they share one CostFn or not. It makes at most one kernel
+call per row kind, pure, density shift or density adjoint, and passes that
+call one spec and one observable where its rows share them, otherwise each
+row's own (circuits._ByRow); a cell's deduplication and quality reads
+reuse the blocks its lockstep call composed (circuits._spec_stacks). Each
+run takes its line-search decisions alone, and the runs that accept a step
+update together, in stacked products with the bits of their 1-D forms. So each
 result is bit for bit that of the same run made alone, and it is built
 where the run stops, from the values the loop read there. multistart,
 sweep_gamma and the harness's sweeps (_sweeps) run the cells of each circuit
@@ -136,17 +136,6 @@ class CostFn:
         v = _expectations(self.circuit, params, self.noise, self._obs_matrix)
         return v if self.hamiltonian is not None else 1.0 - v
 
-    def _values_and_gradients(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Costs, with the bits of values, and gradients at every row of an
-        (m, n_params) array, from one kernel call. Where _takes_adjoint, that
-        is one forward and one reverse pass; otherwise each row is costed with
-        its 2P shift rows, with gradient's bits."""
-        if self._takes_adjoint:
-            v, g = _expectation_gradients(self.circuit, params, self.noise, self._obs_matrix)
-            return (v, g) if self.hamiltonian is not None else (1.0 - v, -g)
-        vals = self.values(_shift_rows(params)).reshape(len(params), 2 * self.n_params + 1)
-        return vals[:, 0], _shift_gradient(vals[:, 1:])
-
     def state(self, params: np.ndarray) -> DensityMatrix:
         return evaluate(self.circuit, np.asarray(params, dtype=float), self.noise)
 
@@ -250,54 +239,65 @@ def _distinct(items) -> tuple[list, np.ndarray]:
     return list(first), np.array(index, dtype=int)
 
 
+def _per_row(stack, of: np.ndarray, cells: np.ndarray, repeats: int = 1):
+    """The noise or observable argument of one kernel call over the rows of
+    cells, repeats rows per cell, cell c's rows under entry of[c] of stack:
+    the one entry where stack holds one, else a circuits._ByRow."""
+    return stack[0] if len(stack) == 1 else _ByRow(stack, np.repeat(of[cells], repeats))
+
+
 class _Stack:
     """The distinct cost functions of one lockstep call, all on one circuit.
     A call costs rows of any of them, row r under cfs[which[r]], with at most
     one kernel call per row kind: pure rows (no spec, or a zero-strength one),
-    density shift rows, density adjoint rows (CostFn._takes_adjoint). Density
-    rows run under per-row specs (circuits._ByRow), the rows of each spec
-    together. Every row has the bits of its own cost function's
-    _values_and_gradients."""
+    density shift rows, density adjoint rows (CostFn._takes_adjoint). It
+    passes the spec and the observable by one rule (_per_row), so a one-cell
+    call runs as its cost function alone, and runs each spec's rows together.
+    A row keeps the bits of its cf.values and of the shift rule or adjoint."""
 
     def __init__(self, cfs: list[CostFn]):
         self.circuit = cfs[0].circuit
         if any(cf.circuit != self.circuit for cf in cfs):
             raise ValueError("the runs of one lockstep call must share one circuit")
         noise = [_row_noise(self.circuit, cf.noise) for cf in cfs]
-        density = [spec is not None for spec in noise]
         specs, index = _distinct(spec for spec in noise if spec is not None)
         self.specs, self.spec_of = tuple(specs), np.full(len(cfs), -1)
-        self.spec_of[density] = index
+        self.spec_of[[spec is not None for spec in noise]] = index
         _, self.obs_of = _distinct(cf.target if cf.hamiltonian is None else cf.hamiltonian for cf in cfs)
-        mats = [cfs[i]._obs_matrix for i in np.unique(self.obs_of, return_index=True)[1]]
-        self.obs = mats[0] if len(mats) == 1 else np.stack(mats)
+        self.obs = np.stack([cfs[i]._obs_matrix for i in np.unique(self.obs_of, return_index=True)[1]])
         self.infidelity = np.array([cf.target is not None for cf in cfs])
         # row kinds: 0 pure rows, 1 density shift rows, 2 density adjoint rows
-        self.kind = np.array([int(d) + int(cf._takes_adjoint) for d, cf in zip(density, cfs)])
+        kind = [(spec is not None) + cf._takes_adjoint for spec, cf in zip(noise, cfs)]
+        self.kind, self.kinds = np.array(kind), sorted(set(kind))
 
     def __call__(self, which: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if len(self.kinds) == 1 and len(self.specs) <= 1:  # one kernel call over the rows as they are
+            return self._costed(self.kinds[0], which, params)
         costs, grads = np.empty(len(params)), np.empty(params.shape)
         kinds = self.kind[which]
-        for kind in dict.fromkeys(kinds.tolist()):
+        for kind in self.kinds:
             rows = np.flatnonzero(kinds == kind)
-            noise = None
-            if kind:  # rows in spec order, so that each spec's rows run as one
+            if kind and len(self.specs) > 1:  # rows in spec order, so that each spec's rows run as one
                 rows = rows[np.argsort(self.spec_of[which[rows]], kind="stable")]
-                noise = _ByRow(self.specs, self.spec_of[which[rows]])
-            cells = which[rows]
-            obs = self.obs if self.obs.ndim == 2 else _ByRow(self.obs, self.obs_of[cells])
-            flip = self.infidelity[cells]
-            if kind == 2:
-                v, g = _expectation_gradients(self.circuit, params[rows], noise, obs)
-                costs[rows], grads[rows] = np.where(flip, 1.0 - v, v), np.where(flip[:, None], -g, g)
-                continue
-            k = 2 * self.circuit.n_params + 1  # each row and its shift rows
-            noise, obs = (_ByRow(a.stack, np.repeat(a.index, k)) if isinstance(a, _ByRow) else a
-                          for a in (noise, obs))
-            v = _expectations(self.circuit, _shift_rows(params[rows]), noise, obs).reshape(len(rows), k)
-            v = np.where(flip[:, None], 1.0 - v, v)
-            costs[rows], grads[rows] = v[:, 0], _shift_gradient(v[:, 1:])
+            if len(rows):
+                costs[rows], grads[rows] = self._costed(kind, which[rows], params[rows])
         return costs, grads
+
+    def _costed(self, kind: int, cells: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Costs and gradients of rows of one kind, row r under cfs[cells[r]]."""
+        flip = self.infidelity[cells]
+        if kind == 2:
+            v, g = _expectation_gradients(self.circuit, params, _per_row(self.specs, self.spec_of, cells),
+                                          _per_row(self.obs, self.obs_of, cells))
+            np.subtract(1.0, v, out=v, where=flip)
+            np.negative(g, out=g, where=flip[:, None])
+            return v, g
+        k = 2 * self.circuit.n_params + 1  # each row and its shift rows
+        noise = _per_row(self.specs, self.spec_of, cells, k) if kind else None
+        v = _expectations(self.circuit, _shift_rows(params), noise,
+                          _per_row(self.obs, self.obs_of, cells, k)).reshape(len(cells), k)
+        np.subtract(1.0, v, out=v, where=flip[:, None])
+        return v[:, 0], _shift_gradient(v[:, 1:])
 
 
 def _minimize_rows(cf, starts: np.ndarray, opts: MinimizeOptions | None = None) -> list[OptResult]:
@@ -305,21 +305,20 @@ def _minimize_rows(cf, starts: np.ndarray, opts: MinimizeOptions | None = None) 
 
     cf is one CostFn for every run, or a list of one per run, all on one
     circuit. The runs still going are the rows of stacked arrays: iterates,
-    gradients, directions and inverse Hessians. Their cost, slope, step length
-    and counts are Python scalars, one list entry per row. Each round costs
-    every run's trial point at once: with one cf._values_and_gradients call
-    when the runs share one cost function, otherwise with one call of their
-    _Stack, at most one kernel call per row kind. It takes each run's
-    line-search decision on its scalars, and updates the runs that accepted a
-    step as one stack. Every stacked product has the bits of its 1-D form, and
-    rows do not depend on their batch or on the other rows' cost functions, so
-    each result is a serial run's. A start holding a NaN or an infinity is
-    refused before any kernel call.
+    gradients, directions, inverse Hessians and their cells (which). Their
+    cost, slope, step length and counts are Python scalars, one list entry
+    per row. Each round costs every run's trial point at once, with one call
+    of the runs' _Stack, at most one kernel call per row kind. It takes each
+    run's line-search decision on its scalars, and updates the runs that
+    accepted a step as one stack. Every stacked product has the bits of its
+    1-D form, and rows do not depend on their batch or on the other rows'
+    cost functions, so each result is a serial run's. A start holding a NaN
+    or an infinity is refused before any kernel call.
     """
     opts = opts or MinimizeOptions()
     starts = _require_finite(starts, "starts")
     per_run = isinstance(cf, (list, tuple))
-    cells, cell_of = _distinct(cf) if per_run else ([cf], None)
+    cells, which = _distinct(cf) if per_run else ([cf], None)
     if not cells:
         raise ValueError("expected one cost function per start, got none")
     n_params = cells[0].n_params
@@ -328,18 +327,12 @@ def _minimize_rows(cf, starts: np.ndarray, opts: MinimizeOptions | None = None) 
     n, dim = starts.shape
     if per_run and len(cf) != n:
         raise ValueError(f"expected one cost function per start, got {len(cf)} for {n} starts")
-    runs = list(cf) if per_run else [cf] * n
-    if len(cells) == 1:
-        costed = cells[0]._values_and_gradients
-    else:
-        stack = _Stack(cells)
-
-        def costed(params):  # the live runs' cells, as ids shrinks
-            return stack(cell_of[ids], params)
+    runs, which = (list(cf), which) if per_run else ([cf] * n, np.zeros(n, dtype=int))
+    stack = _Stack(cells)
     eye = np.eye(dim)
     x, h, p = starts.copy(), np.repeat(eye[None], n, axis=0), np.empty_like(starts)
     ids, results = list(range(n)), [None] * n
-    costs, g = costed(x)
+    costs, g = stack(which, x)
     f, it, first = costs.tolist(), [0] * n, [True] * n
     slope, alpha, tries = [0.0] * n, [1.0] * n, [0] * n
     acc, sel = list(range(n)), slice(None)  # the rows at a new iterate
@@ -365,13 +358,13 @@ def _minimize_rows(cf, starts: np.ndarray, opts: MinimizeOptions | None = None) 
             p[sel] = pa
         if results.count(None) < len(ids):
             live = [r for r, i in enumerate(ids) if results[i] is None]
-            x, g, h, p = x[live], g[live], h[live], p[live]
+            x, g, h, p, which = x[live], g[live], h[live], p[live], which[live]
             ids, f, it, first, slope, alpha, tries = (
                 [v[r] for r in live] for v in (ids, f, it, first, slope, alpha, tries))
         if not ids:
             return results
         trial = x + np.array(alpha)[:, None] * p
-        costs, grads = costed(trial)
+        costs, grads = stack(which, trial)
         acc = []
         for r, f_new in enumerate(costs.tolist()):
             if not f_new <= f[r] + _ARMIJO_C * alpha[r] * slope[r]:
@@ -433,8 +426,9 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
     failed line search, or max_iters short of the gradient tolerance and goal.
 
     Every point the run tries, the start and each trial point, takes its cost
-    and gradient from one kernel call, the shift rule's or on density rows of
-    at least four qubits the adjoint method's. The result's cost, grad_norm
+    and gradient from one call of a one-cell _Stack: one kernel call under
+    cf's own spec and observable, the shift rule's or on density rows of at
+    least four qubits the adjoint method's. The result's cost, grad_norm
     and converged flag are the values the loop read where the run stopped,
     at the final iterate; nothing is evaluated or decided again. Its params
     are that iterate's angles reduced to [0, 2*pi). This is the one-start

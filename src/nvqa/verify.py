@@ -122,8 +122,8 @@ def check_gradient(n_cases: int = 6) -> float:
 
 
 def check_loop_costs_and_gradients() -> float:
-    """The BFGS loop's one entry point, CostFn._values_and_gradients, noiseless
-    and under each kind: costs equal cf.values exactly, and gradients equal the
+    """The BFGS loop's costing, a one-cell optimize._Stack call, noiseless and
+    under each kind: costs equal cf.values exactly, and gradients equal the
     parameter-shift rule exactly on shift rows and to the defect on the rows
     where the loop takes the adjoint (CostFn._takes_adjoint)."""
     gen = np.random.default_rng(16)
@@ -136,7 +136,7 @@ def check_loop_costs_and_gradients() -> float:
                        infidelity_cost(circuit, sample_real_haar_state(n, gen), noise)):
                 theta = gen.uniform(0.0, 2.0 * np.pi, (2, circuit.n_params))
                 want = np.array([gradient(cf, t) for t in theta])
-                costs, grads = cf._values_and_gradients(theta)
+                costs, grads = _Stack([cf])(np.zeros(len(theta), dtype=int), theta)
                 if (not np.array_equal(costs, cf.values(theta))
                         or not cf._takes_adjoint and not np.array_equal(grads, want)):
                     raise AssertionError("loop costs or shift-row gradients differ from values and gradient")
@@ -149,8 +149,9 @@ def check_per_row_specs(n_rows: int = 40) -> float:
     call, at 2 and 4 qubits: _expectations and _expectation_gradients under
     all three kinds at two strengths, and the loop's stacked costs and
     gradients (optimize._Stack) with a zero-strength spec, no spec and an
-    infidelity's observable added.
-    Every row must keep its bits; the defect is the largest difference."""
+    infidelity's observable added, against each row's cf.values and its
+    shift-rule gradient or one-spec adjoint, signed as the cost. Every row
+    must keep its bits; the defect is the largest difference."""
     gen = np.random.default_rng(18)
     worst = 0.0
     for circuit, h in ((build_2q_circuit("c"), vqe_hamiltonian_2q()), (build_4q_vqe(), vqe_hamiltonian_4q())):
@@ -168,7 +169,11 @@ def check_per_row_specs(n_rows: int = 40) -> float:
         cfs.append(infidelity_cost(circuit, sample_real_haar_state(n, gen), specs[0]))
         which = gen.integers(0, len(cfs), n_rows)
         got += _Stack(cfs)(which, theta)
-        want += [np.concatenate(w) for w in zip(*(cfs[k]._values_and_gradients(t[None]) for t, k in zip(theta, which)))]
+        cells = [(cfs[k], t) for t, k in zip(theta, which)]
+        want += [np.concatenate([cf.values(t[None]) for cf, t in cells]),
+                 np.array([gradient(cf, t) if not cf._takes_adjoint else (1.0 if cf.target is None else -1.0)
+                           * _expectation_gradients(circuit, t[None], cf.noise, cf._obs_matrix)[1][0]
+                           for cf, t in cells])]
         for a, b in zip(got, want):
             worst = max(worst, float(np.abs(a - b).max()))
     return worst

@@ -85,7 +85,7 @@ def test_takes_adjoint_names_the_gradient_the_loop_takes(circuit, gamma, monkeyp
     noise = None if gamma is None else NoiseSpec.uniform("amplitude", gamma, n)
     cf = energy_cost(circuit, H2 if n == 2 else vqe_hamiltonian_4q(), noise)
     log = ValuesLog(monkeypatch)
-    cf._values_and_gradients(np.zeros((2, cf.n_params)))
+    loop_costs(cf, np.zeros((2, cf.n_params)))
     assert cf._takes_adjoint == (n >= 4 and gamma == 0.1)
     assert (log.adjoint_sizes, log.values_sizes) == (([2], []) if cf._takes_adjoint
                                                      else ([], [2 * (2 * cf.n_params + 1)]))
@@ -202,32 +202,39 @@ def test_minimize_reaches_known_ground_state():
     assert np.all(res.params >= 0.0) and np.all(res.params < 2.0 * np.pi)
 
 
+def loop_costs(cf: CostFn, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The loop's costs and gradients at every row of an (m, n_params) array:
+    one call of a one-cell _Stack, as _minimize_rows makes for the runs of one
+    cost function."""
+    return optimize._Stack([cf])(np.zeros(len(params), dtype=int), params)
+
+
 class ValuesLog:
     """Every kernel request of a one-start run, in order. A request is one row
-    of a CostFn._values_and_gradients call and wants that point's cost and
-    gradient; values_sizes and adjoint_sizes list the rows of the cf.values
-    and _expectation_gradients calls that answer them."""
+    of an optimize._Stack call and wants that point's cost and gradient;
+    values_sizes and adjoint_sizes list the rows of the _expectations and
+    _expectation_gradients calls that answer them."""
 
     def __init__(self, monkeypatch):
         self.points: list[np.ndarray] = []
         self.values_sizes: list[int] = []
         self.adjoint_sizes: list[int] = []
-        values, fused, adjoint = CostFn.values, CostFn._values_and_gradients, optimize._expectation_gradients
+        values, call, adjoint = optimize._expectations, optimize._Stack.__call__, optimize._expectation_gradients
 
-        def logged_values(cf, params):
+        def logged_values(circuit, params, *args):
             self.values_sizes.append(len(params))
-            return values(cf, params)
+            return values(circuit, params, *args)
 
-        def logged_fused(cf, params):
+        def logged_call(stack, which, params):
             self.points += [np.array(x, dtype=float) for x in params]
-            return fused(cf, params)
+            return call(stack, which, params)
 
         def logged_adjoint(circuit, params, *args):
             self.adjoint_sizes.append(len(params))
             return adjoint(circuit, params, *args)
 
-        monkeypatch.setattr(CostFn, "values", logged_values)
-        monkeypatch.setattr(CostFn, "_values_and_gradients", logged_fused)
+        monkeypatch.setattr(optimize, "_expectations", logged_values)
+        monkeypatch.setattr(optimize._Stack, "__call__", logged_call)
         monkeypatch.setattr(optimize, "_expectation_gradients", logged_adjoint)
 
 
@@ -266,7 +273,7 @@ def assert_one_request_per_point(log: ValuesLog, tried: list[np.ndarray], res: O
 ], ids=["noiseless", "depolarising", "step-reaches-goal", "start-meets-goal"])
 def test_minimize_finishes_from_the_loops_cost_and_gradient(noise, opts, monkeypatch):
     """One cost-and-gradient request at the start and at each trial point,
-    each answered by one cf.values call over its row and 2P shift rows: the
+    each answered by one _expectations call over its row and 2P shift rows: the
     result reuses the cost and gradient of the final iterate instead of
     evaluating them again at the reduced angles."""
     cf = energy_cost(build_2q_circuit("a"), H2, noise)
@@ -287,7 +294,7 @@ def loop_gradient(cf: CostFn, x: np.ndarray) -> np.ndarray:
     (test_values_and_gradients_are_values_and_gradient_bit_for_bit).
     test_adjoint_gradients_match_the_parameter_shift_rule pins the first to
     the second."""
-    return cf._values_and_gradients(x[None])[1][0]
+    return loop_costs(cf, x[None])[1][0]
 
 
 def result_reference(cf: CostFn, x: np.ndarray, f: float, g: np.ndarray, iterations: int,
@@ -420,7 +427,7 @@ class SkewCost:
     with the "gradient" M x of a nearly skew M drawn from seed, and three
     starts. The secant pairs are nearly orthogonal, so roundoff can leave the
     inverse Hessian indefinite, and many line searches run out of
-    backtracks."""
+    backtracks. SkewStack stands in for optimize._Stack over it."""
 
     def __init__(self, seed: int):
         rng = np.random.default_rng(seed)
@@ -430,19 +437,30 @@ class SkewCost:
         self.starts = rng.normal(size=(3, self.n_params))
 
     def value(self, x):
-        return float(self._values_and_gradients(np.asarray(x)[None])[0][0])
+        return float(self.costed(np.asarray(x)[None])[0][0])
 
-    def _values_and_gradients(self, x):
+    def costed(self, x):
         """Row by row, so that a row's bits do not depend on its batch."""
         return 0.5 * np.vecdot(x, x), np.array([self.m @ r for r in x]).reshape(x.shape)
 
 
+class SkewStack:
+    """optimize._Stack for the runs of one SkewCost."""
+
+    def __init__(self, cfs):
+        [self.cf] = cfs
+
+    def __call__(self, which, params):
+        return self.cf.costed(params)
+
+
 @pytest.mark.parametrize("seed", [102, 149])
-def test_minimize_rows_keep_the_reset_and_the_backtrack_limit(seed):
+def test_minimize_rows_keep_the_reset_and_the_backtrack_limit(seed, monkeypatch):
     """Rows whose serial runs reset to steepest descent, and rows that run out
     of backtracks, match those runs in lockstep. No CostFn case in the tests
     reaches either branch; seeds 102 and 149 are two of the five seeds below
     300 whose runs reset."""
+    monkeypatch.setattr(optimize, "_Stack", SkewStack)
     cf = SkewCost(seed)
     opts = MinimizeOptions(max_iters=100)
     events: list[str] = []
@@ -460,9 +478,9 @@ def test_minimize_rows_match_serial_runs_fifteen_wide_on_sixteen_parameters(monk
     starts = rng.uniform(0.0, 2.0 * np.pi, (15, cf.n_params))
     opts = MinimizeOptions(max_iters=400, cost_goal=1e-8)
     sizes: list[int] = []
-    fused = CostFn._values_and_gradients
+    call = optimize._Stack.__call__
     with monkeypatch.context() as m:
-        m.setattr(CostFn, "_values_and_gradients", lambda cf, x: sizes.append(len(x)) or fused(cf, x))
+        m.setattr(optimize._Stack, "__call__", lambda stack, which, x: sizes.append(len(x)) or call(stack, which, x))
         got = _minimize_rows(cf, starts, opts)
     for res, theta0 in zip(got, starts):
         assert_same_run(res, serial_reference(cf, theta0, opts))
@@ -537,7 +555,7 @@ def test_minimize_rows_match_serial_runs_at_the_cap_and_the_goal():
 @pytest.mark.parametrize("kind", ["phase", "amplitude", "depolarising"])
 def test_four_qubit_density_runs_take_adjoint_gradients(kind, gamma, monkeypatch, rng):
     """A 4-qubit density run asks each point it tries in one single-row
-    adjoint call and never reaches cf.values; at strength zero its rows are
+    adjoint call and never reaches _expectations; at strength zero its rows are
     statevectors and it keeps the shift rows."""
     cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng), NoiseSpec.uniform(kind, gamma, 4))
     theta0 = rng.uniform(0.0, 2.0 * np.pi, cf.n_params)
@@ -554,13 +572,13 @@ def test_four_qubit_density_runs_take_adjoint_gradients(kind, gamma, monkeypatch
 
 class RoundLog:
     """The kernel calls of a _minimize_rows call, split into rounds: a round
-    opens with its CostFn._values_and_gradients call and holds the calls that
-    one makes. It also counts the rows each round costs."""
+    opens with its optimize._Stack call and holds the calls that one makes.
+    It also counts the rows each round costs."""
 
     def __init__(self, monkeypatch):
         self.events: list[str] = []
         self.rows = 0
-        values, fused, adjoint = CostFn.values, CostFn._values_and_gradients, optimize._expectation_gradients
+        values, call, adjoint = optimize._expectations, optimize._Stack.__call__, optimize._expectation_gradients
 
         def logged(name, fn):
             def call(*args):
@@ -568,18 +586,18 @@ class RoundLog:
                 return fn(*args)
             return call
 
-        def logged_fused(cf, params):
+        def logged_call(stack, which, params):
             self.rows += len(params)
-            return logged("fused", fused)(cf, params)
+            return logged("stack", call)(stack, which, params)
 
-        monkeypatch.setattr(CostFn, "values", logged("values", values))
-        monkeypatch.setattr(CostFn, "_values_and_gradients", logged_fused)
+        monkeypatch.setattr(optimize, "_expectations", logged("values", values))
+        monkeypatch.setattr(optimize._Stack, "__call__", logged_call)
         monkeypatch.setattr(optimize, "_expectation_gradients", logged("adjoint", adjoint))
 
     def rounds(self) -> list[list[str]]:
         out: list[list[str]] = []
         for event in self.events:
-            if event == "fused" or not out:
+            if event == "stack" or not out:
                 out.append([])
             out[-1].append(event)
         return out
@@ -587,10 +605,10 @@ class RoundLog:
 
 @pytest.mark.parametrize("case", ["pure", "2q-density", "4q-density"])
 def test_minimize_rows_make_one_kernel_call_per_round(case, monkeypatch, rng):
-    """Every round costs all running runs' points with one _values_and_gradients
-    call, which makes one cf.values call or, on 4-qubit density rows, one
-    adjoint call. Between them the rounds cost each point the serial runs
-    cost, once."""
+    """Every round costs all running runs' points with one _Stack call, which
+    makes one _expectations call or, on 4-qubit density rows, one adjoint
+    call. Between them the rounds cost each point the serial runs cost,
+    once."""
     if case == "4q-density":
         spec = NoiseSpec.uniform("amplitude", 0.05, 4)
         cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng), spec)
@@ -603,15 +621,16 @@ def test_minimize_rows_make_one_kernel_call_per_round(case, monkeypatch, rng):
     got = _minimize_rows(cf, starts)
     rounds = log.rounds()
     assert len(rounds) >= max(r.iterations for r in got) + 1
-    assert all(r == ["fused", "adjoint" if case == "4q-density" else "values"] for r in rounds)
+    assert all(r == ["stack", "adjoint" if case == "4q-density" else "values"] for r in rounds)
     assert log.rows == tried
 
 
 @pytest.mark.parametrize("case", ["pure", "2q-density", "4q-density"])
 def test_values_and_gradients_are_values_and_gradient_bit_for_bit(case, rng):
-    """The loop's one entry point: costs equal cf.values bit for bit, for a
-    row alone and in 2- and 33-row batches, and so do the gradients; shift-row
-    gradients equal the public gradient bit for bit, adjoint ones to 1e-12."""
+    """The loop's costing, a one-cell _Stack call: costs equal cf.values bit
+    for bit, for a row alone and in 2- and 33-row batches, and so do the
+    gradients; shift-row gradients equal the public gradient bit for bit,
+    adjoint ones to 1e-12."""
     if case == "4q-density":
         spec = NoiseSpec.uniform("amplitude", 0.05, 4)
         cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng), spec)
@@ -620,10 +639,10 @@ def test_values_and_gradients_are_values_and_gradient_bit_for_bit(case, rng):
     else:
         cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng))
     thetas = rng.uniform(0.0, 2.0 * np.pi, (34, cf.n_params))
-    costs, grads = map(np.concatenate, zip(*(cf._values_and_gradients(t[None]) for t in thetas)))
+    costs, grads = map(np.concatenate, zip(*(loop_costs(cf, t[None]) for t in thetas)))
     np.testing.assert_array_equal(costs, cf.values(thetas))
     for lo, hi in ((0, 2), (0, 33), (1, 34)):
-        got_costs, got_grads = cf._values_and_gradients(thetas[lo:hi])
+        got_costs, got_grads = loop_costs(cf, thetas[lo:hi])
         np.testing.assert_array_equal(got_costs, costs[lo:hi])
         np.testing.assert_array_equal(got_grads, grads[lo:hi])
     want = np.array([gradient(cf, t) for t in thetas])
@@ -641,8 +660,58 @@ def test_values_and_gradients_of_an_empty_batch_are_empty(case):
     else:
         noise = NoiseSpec.uniform("phase", 0.1, 2) if case == "2q-density" else None
         cf = energy_cost(build_2q_circuit("c"), H2, noise)
-    costs, grads = cf._values_and_gradients(np.empty((0, cf.n_params)))
+    costs, grads = loop_costs(cf, np.empty((0, cf.n_params)))
     assert costs.shape == (0,) and grads.shape == (0, cf.n_params)
+
+
+@pytest.mark.parametrize("case", ["pure", "2q-density", "4q-density"])
+def test_a_one_cell_stack_passes_the_kernel_its_own_spec_and_observable(case, monkeypatch, rng):
+    """A one-cell _Stack call runs its rows as its cost function alone: its
+    one kernel call takes the cell's own spec and observable matrix, never a
+    _ByRow. Beside a second cell, the entry the two differ in is per row
+    (the spec of density rows, the observable of pure rows), the rows of
+    each spec together, still in one kernel call, and each row keeps its
+    one-cell bits."""
+    from nvqa.circuits import _ByRow
+
+    if case == "4q-density":
+        cf = infidelity_cost(build_hea(2), sample_real_haar_state(4, rng), NoiseSpec.uniform("amplitude", 0.05, 4))
+    else:
+        cf = energy_cost(build_2q_circuit("c"), H2, NoiseSpec.uniform("depolarising", 0.2, 2) if case == "2q-density"
+                         else None)
+    n = cf.circuit.n_qubits
+    other = (infidelity_cost(cf.circuit, sample_real_haar_state(n, rng)) if case == "pure"
+             else cf.with_noise(NoiseSpec.uniform("phase", 0.1, n)))
+    calls = []
+
+    def logged(name, fn):
+        def call(circuit, params, noise, obs):
+            calls.append((name, noise, obs))
+            return fn(circuit, params, noise, obs)
+        return call
+
+    monkeypatch.setattr(optimize, "_expectations", logged("values", optimize._expectations))
+    monkeypatch.setattr(optimize, "_expectation_gradients", logged("adjoint", optimize._expectation_gradients))
+    theta = rng.uniform(0.0, 2.0 * np.pi, (3, cf.n_params))
+    alone = loop_costs(cf, theta)
+    [(name, noise, obs)] = calls
+    assert name == ("adjoint" if case == "4q-density" else "values")
+    assert noise is cf.noise and not isinstance(obs, _ByRow)
+    assert np.array_equal(obs, cf._obs_matrix)
+    calls.clear()
+    got = optimize._Stack([cf, other])(np.array([0, 1, 0]), theta)
+    [(both, noise, obs)] = calls
+    assert both == name
+    rows = 1 if case == "4q-density" else 2 * cf.n_params + 1
+    if case == "pure":
+        assert noise is None and isinstance(obs, _ByRow)
+        assert np.array_equal(obs.index, np.repeat([0, 1, 0], rows))
+    else:
+        assert isinstance(noise, _ByRow) and noise.stack == (cf.noise, other.noise)
+        assert np.array_equal(noise.index, np.repeat([0, 0, 1], rows))  # in spec order
+        assert not isinstance(obs, _ByRow)
+    for a, b, c in zip(got, alone, loop_costs(other, theta)):
+        assert np.array_equal(a[[0, 2]], b[[0, 2]]) and np.array_equal(a[1], c[1])
 
 
 def test_non_finite_starts_are_refused_before_any_kernel_request(monkeypatch):
@@ -653,7 +722,7 @@ def test_non_finite_starts_are_refused_before_any_kernel_request(monkeypatch):
     def refuse(*_):
         raise AssertionError("kernel request for a non-finite start")
 
-    monkeypatch.setattr(CostFn, "_values_and_gradients", refuse)
+    monkeypatch.setattr(optimize._Stack, "__call__", refuse)
     for bad in (np.nan, np.inf, -np.inf):
         start = np.array([0.5, bad, 2.5])
         with pytest.raises(ValueError, match="finite"):
@@ -674,9 +743,9 @@ NON_FINITE_ENTRIES = {
     "values": (lambda x: energy_cost(C2A, H2, AMP2).values(np.array([[0.1, 0.2, 0.3], x])), "params"),
     "quality": (lambda x: energy_cost(C2A, H2, AMP2).quality(x), "params"),
     "gradient": (lambda x: gradient(energy_cost(C2A, H2), x), "params"),
-    "adjoint": (lambda x: infidelity_cost(build_hea(1), sample_real_haar_state(4, RngStream(0)),
-                                          NoiseSpec.uniform("amplitude", 0.1, 4))
-                ._values_and_gradients(np.append(x, 1.0)[None]), "params"),
+    "adjoint": (lambda x: loop_costs(infidelity_cost(build_hea(1), sample_real_haar_state(4, RngStream(0)),
+                                                     NoiseSpec.uniform("amplitude", 0.1, 4)),
+                                     np.append(x, 1.0)[None]), "params"),
     "dedup": (lambda x: optimize._dedup(energy_cost(C2A, H2), [OptResult(x, 0.0, 0.0, 0, True, None)]),
               "params"),
     "reoptimize_from": (lambda x: reoptimize_from(energy_cost(C2A, H2, AMP2), x), "theta_star"),
@@ -1194,7 +1263,7 @@ def test_a_mixed_stack_equals_its_one_cell_runs(n_qubits, monkeypatch, rng):
     with monkeypatch.context() as m:
         log = ValuesLog(m)
         got = _minimize_rows(runs, starts)
-    assert log.values_sizes == []  # no call went through a single cost function
+    assert log.values_sizes != []  # the pure rows take the shift rule
     assert (log.adjoint_sizes != []) == (n_qubits == 4)
     for res, cf, theta0 in zip(got, runs, starts):
         assert_same_bits(res, _minimize_rows(cf, theta0[None])[0])
