@@ -311,7 +311,7 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow |
     table[:, :n_params, 0, 1] = -sin
     table[:, n_params] = np.eye(2)
     table = table.reshape(m, -1)
-    stacks, index = _row_blocks(circuit, noise)
+    stacks, runs = _row_blocks(circuit, noise)
     blocks = iter(stacks)
     rho = np.zeros((m, dim, dim))
     rho[:, 0, 0] = 1.0
@@ -326,21 +326,20 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow |
             rho = u @ rho @ u.transpose(0, 2, 1)
         else:
             src, back, _, _ = plan
-            rho = _fixed(rho, src, next(blocks), back, index)
+            rho = _fixed(rho, src, next(blocks), back, runs)
     return rho
 
 
 def _fixed(rho: np.ndarray, src: np.ndarray, blk: np.ndarray, back: np.ndarray,
-           index: np.ndarray | None = None) -> np.ndarray:
+           runs: list | None) -> np.ndarray:
     """One fixed group on (m, dim, dim) rows: gather by src, one block product
     per coherence pattern, gather back. blk is the (dim, dim, dim) stack of
-    every row; with an index, blk stacks one per spec and row r takes
-    blk[index[r]], each run of rows under one spec as one product with it."""
+    every row; with runs (_row_blocks), blk stacks one per spec and each run
+    (lo, hi, k) of rows under spec k is one product with blk[k]."""
     m = len(rho)
-    if index is not None and m:
-        cut = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1).tolist(), m]
-        return np.concatenate([_fixed(rho[lo:hi], src, blk[index[lo]], back) for lo, hi in zip(cut, cut[1:])])
-    return (blk @ rho.reshape(m, -1)[:, src, None]).reshape(m, -1)[:, back]
+    flat = rho.reshape(m, -1)[:, src, None]
+    out = blk @ flat if runs is None else np.concatenate([blk[k] @ flat[lo:hi] for lo, hi, k in runs])
+    return out.reshape(m, -1)[:, back]
 
 
 def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow",
@@ -373,7 +372,7 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSp
         vals[sl] = _reduce(_simulate(circuit, chunk, row_noise, tape), row_obs)
         lam = (row_obs.stack[row_obs.index] if isinstance(row_obs, _ByRow)
                else np.repeat(row_obs[None], len(chunk), axis=0))
-        stacks, index = _row_blocks(circuit, row_noise)
+        stacks, runs = _row_blocks(circuit, row_noise)
         blocks = reversed(stacks)
         for (_, perm), plan in zip(reversed(circuit._groups), reversed(circuit._density_plan)):
             if perm is None:
@@ -385,7 +384,7 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSp
                 out[start:start + len(chunk), slots] = np.einsum("mki,ki->mk", prod, signs)
             else:
                 _, _, back_inv, src_inv = plan
-                lam = _fixed(lam, back_inv, np.swapaxes(next(blocks), -1, -2), src_inv, index)
+                lam = _fixed(lam, back_inv, np.swapaxes(next(blocks), -1, -2), src_inv, runs)
     return vals, out
 
 
@@ -441,13 +440,19 @@ def _take(arg, rows: slice):
     return _ByRow(arg.stack, arg.index[rows]) if isinstance(arg, _ByRow) else arg
 
 
-def _row_blocks(circuit: Circuit, noise: "NoiseSpec | _ByRow") -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
+def _row_blocks(circuit: Circuit, noise: "NoiseSpec | _ByRow") -> tuple[tuple[np.ndarray, ...], list | None]:
     """Each fixed group's blocks for density rows (_spec_stacks), with the
-    index _fixed reads them by: a spec's blocks for every row and None, or
-    under a _ByRow its specs' stacks and each row's spec."""
-    if isinstance(noise, _ByRow):
-        return _spec_stacks(circuit, noise.stack), noise.index
-    return tuple(stack[0] for stack in _spec_stacks(circuit, [noise])), None
+    row runs _fixed reads them by, found once per call: one spec's blocks
+    and None where every row runs under that spec, else under a _ByRow its
+    specs' stacks and each run (lo, hi, k) of rows under spec k."""
+    if not isinstance(noise, _ByRow):
+        return tuple(stack[0] for stack in _spec_stacks(circuit, [noise])), None
+    index = noise.index
+    cut = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1).tolist(), len(index)]
+    stacks = _spec_stacks(circuit, noise.stack)
+    if len(cut) == 2:  # one run: its spec's blocks, as for one spec
+        return tuple(stack[index[0]] for stack in stacks), None
+    return stacks, [(lo, hi, index[lo]) for lo, hi in zip(cut, cut[1:])]
 
 
 def _pattern_blocks(n_qubits: int, ops: tuple, kind: str, gammas) -> np.ndarray:

@@ -25,26 +25,10 @@ import numpy as np
 
 from . import __version__
 from .channels import CHANNEL_KINDS, NoiseSpec, _as_strength, _require_kind, make_channel
-from .circuits import (
-    Circuit,
-    build_2q_circuit,
-    build_4q_vqe,
-    build_hea,
-    build_valley_demo,
-    _expectations,
-)
+from .circuits import Circuit, build_2q_circuit, build_4q_vqe, build_hea, build_valley_demo, _expectations
 from .degen import generate_degeneracy_maps, degeneracy_split
 from .noisemodel import estimate_alpha_beta
-from .optimize import (
-    MinimizeOptions,
-    OptResult,
-    energy_cost,
-    infidelity_cost,
-    minimize,
-    reoptimize_from,
-    _minimize_rows,
-    _sweeps,
-)
+from .optimize import MinimizeOptions, OptResult, energy_cost, infidelity_cost, _minimize_rows, _reoptimized, _sweeps
 from .pauli import PauliSum, vqe_hamiltonian_2q, vqe_hamiltonian_4q
 from .qstate import _as_int, _require_ints
 from .randstates import RngStream, _child_seed, sample_real_haar_state
@@ -257,19 +241,33 @@ def optimize_to_target(circuit: Circuit, target, seed: int) -> OptResult:
     The starts run in lockstep chunks of 1, 2, 4, 8, ... in start order, and
     each chunk is scanned start by start, so the result is that of the serial
     restart loop; starts after the one that reaches the goal are discarded.
+    This is the one-target case of _fit_targets.
     """
-    cf = infidelity_cost(circuit, target)
+    return _fit_targets(circuit, [target], [seed])[0]
+
+
+def _fit_targets(circuit: Circuit, targets: list, seeds: list[int]) -> list[OptResult]:
+    """optimize_to_target for every target, target i from seeds[i]: each
+    chunk of starts of every target still short of the goal runs in one
+    lockstep call, each target drawing its starts from its own stream and
+    scanning its own chunk start by start, so each result is its serial loop's."""
+    cfs = [infidelity_cost(circuit, target) for target in targets]
     opts = MinimizeOptions(max_iters=400, cost_goal=_INFIDELITY_GOAL * 1e-2)
-    rng = RngStream(seed, 0).generator()
-    best: OptResult | None = None
-    done, chunk = 0, 1
-    while done < _MAX_STARTS:
+    rngs = [RngStream(seed, 0).generator() for seed in seeds]
+    best: list[OptResult | None] = [None] * len(cfs)
+    live, done, chunk = list(range(len(cfs))), 0, 1
+    while live and done < _MAX_STARTS:
         n = min(chunk, _MAX_STARTS - done)
-        for cand in _minimize_rows(cf, rng.uniform(0.0, 2.0 * np.pi, (n, circuit.n_params)), opts):
-            if best is None or cand.cost < best.cost:
-                best = cand
-            if best.cost <= _INFIDELITY_GOAL:
-                return best
+        runs = _minimize_rows([cfs[i] for i in live for _ in range(n)],
+                              np.concatenate([rngs[i].uniform(0.0, 2.0 * np.pi, (n, circuit.n_params))
+                                              for i in live]), opts)
+        for k, i in enumerate(live):
+            for cand in runs[k * n:(k + 1) * n]:
+                if best[i] is None or cand.cost < best[i].cost:
+                    best[i] = cand
+                if best[i].cost <= _INFIDELITY_GOAL:
+                    break
+        live = [i for i in live if best[i].cost > _INFIDELITY_GOAL]
         done, chunk = done + n, 2 * chunk
     return best
 
@@ -279,23 +277,24 @@ def run_target_fidelity(config: ExperimentConfig) -> _Table:
 
     For every layer count and random pure target the ansatz is first
     optimized without noise; that optimum is reused across channel kinds and
-    gammas, once frozen (reopt = 0) and once reoptimized (reopt = 1).
+    gammas, once frozen (reopt = 0) and once reoptimized (reopt = 1). Per
+    layer count the targets are fitted together (_fit_targets), and all
+    (target, kind, gamma) cells, in that row order, are frozen in one
+    lockstep call and reoptimized in another (optimize._reoptimized).
     """
+    targets = [sample_real_haar_state(4, RngStream(config.seed, stream_id=t)) for t in range(config.n_targets)]
+    cells = [(t, kind, g) for t in range(config.n_targets) for kind in config.kinds for g in config.gamma_grid]
     rows = []
     for li, layers in enumerate(config.layers):
         circuit = build_hea(layers)
-        for t in range(config.n_targets):
-            target = sample_real_haar_state(4, RngStream(config.seed, stream_id=t))
-            base = optimize_to_target(circuit, target, _child_seed(config.seed, li, t))
-            residual = base.cost
-            for kind in config.kinds:
-                for g in config.gamma_grid:
-                    cf = infidelity_cost(circuit, target, NoiseSpec.uniform(kind, g, 4))
-                    non_reopt, reopt = reoptimize_from(cf, base.params)
-                    for flag, r in ((0, non_reopt), (1, reopt)):
-                        q = r.quality
-                        rows.append((kind, layers, g, t, flag, residual, r.cost,
-                                     q.fidelity, q.concurrence, int(r.converged)))
+        bases = _fit_targets(circuit, targets, [_child_seed(config.seed, li, t) for t in range(config.n_targets)])
+        pairs = _reoptimized([infidelity_cost(circuit, targets[t], NoiseSpec.uniform(kind, g, 4))
+                              for t, kind, g in cells], np.array([bases[t].params for t, _, _ in cells]))
+        for (t, kind, g), pair in zip(cells, pairs):
+            for flag, r in enumerate(pair):
+                q = r.quality
+                rows.append((kind, layers, g, t, flag, bases[t].cost, r.cost,
+                             q.fidelity, q.concurrence, int(r.converged)))
     return ("kind", "layers", "gamma", "target_index", "reopt", "residual_id",
             "infidelity", "fidelity", "concurrence", "converged"), rows
 
@@ -326,29 +325,27 @@ def run_transition_scan(config: ExperimentConfig) -> _Table:
 
     Records noisy and noiseless quality at the tracked optimum plus four
     indicative angles; sudden angle jumps mark the transition where the
-    noisy optimum decouples from the noiseless one.
+    noisy optimum decouples from the noiseless one. Every target is fitted
+    in one set of lockstep chunks (_fit_targets), and each gamma step runs
+    one lockstep call that advances every target's chain from its previous
+    optimum.
     """
     layers = config.layers[0]
     kind = config.kinds[0]
     circuit = build_hea(layers)
+    targets = [sample_real_haar_state(4, RngStream(config.seed, stream_id=t)) for t in range(config.n_targets)]
+    steps = [_fit_targets(circuit, targets, [_child_seed(config.seed, t) for t in range(config.n_targets)])]
+    for g in config.gamma_grid:
+        steps.append(_minimize_rows([infidelity_cost(circuit, target, NoiseSpec.uniform(kind, g, 4))
+                                     for target in targets], np.array([r.params for r in steps[-1]])))
     rows = []
-    for t in range(config.n_targets):
-        target = sample_real_haar_state(4, RngStream(config.seed, stream_id=t))
-        base = optimize_to_target(circuit, target, _child_seed(config.seed, t))
-        prev = base
-        history = []
-        for g in config.gamma_grid:
-            cf = infidelity_cost(circuit, target, NoiseSpec.uniform(kind, g, 4))
-            res = minimize(cf, prev.params)
-            clean = infidelity_cost(circuit, target).quality(res.params)
-            jump = _wrapped_jump(res.params, prev.params) if history else 0.0
-            history.append((g, res, clean, jump))
-            prev = res
-        jumps = np.array([h[3] for h in history[1:]])
-        positive = jumps[jumps > 1e-12]
-        cut = 10.0 * float(np.median(positive)) if positive.size else np.inf
-        for g, res, clean, jump in history:
-            q = res.quality
+    for t, target in enumerate(targets):
+        chain = [step[t] for step in steps[1:]]
+        jumps = [0.0] + [_wrapped_jump(res.params, last.params) for last, res in zip(chain, chain[1:])]
+        positive = [jump for jump in jumps[1:] if jump > 1e-12]
+        cut = 10.0 * float(np.median(positive)) if positive else np.inf
+        for g, res, jump in zip(config.gamma_grid, chain, jumps):
+            q, clean = res.quality, infidelity_cost(circuit, target).quality(res.params)
             flagged = int(jump > cut and jump > 1e-6)
             rows.append((t, kind, layers, g, q.fidelity, q.concurrence,
                          clean.fidelity, clean.concurrence,

@@ -27,7 +27,8 @@ update together, in stacked products with the bits of their 1-D forms. So each
 result is bit for bit that of the same run made alone, and it is built
 where the run stops, from the values the loop read there. multistart,
 sweep_gamma and the harness's sweeps (_sweeps) run the cells of each circuit
-through one such call and then deduplicate each cell on its own.
+through one such call and then deduplicate each cell on its own;
+reoptimize_from's cells (_reoptimized) take one frozen call and one live.
 """
 
 from __future__ import annotations
@@ -537,14 +538,21 @@ def reoptimize_from(cf: CostFn, theta_star: np.ndarray) -> tuple[OptResult, OptR
 
     Returns (non_reopt, reopt). non_reopt freezes theta_star: a zero-iteration
     run, holding the noisy cost and gradient there. reopt continues minimizing
-    under noise, so reopt.cost <= non_reopt.cost up to line-search roundoff.
+    under noise, and is non_reopt itself where that run ends at a higher cost,
+    so reopt.cost <= non_reopt.cost holds exactly. This is the one-cell case
+    of _reoptimized.
     """
-    theta_star = _canonical(_require_finite(theta_star, "theta_star"))
-    non_reopt = minimize(cf, theta_star, MinimizeOptions(max_iters=0))
-    reopt = minimize(cf, theta_star)
-    if reopt.cost > non_reopt.cost:
-        reopt = non_reopt
-    return non_reopt, reopt
+    return _reoptimized([cf], np.asarray(theta_star, dtype=float)[None])[0]
+
+
+def _reoptimized(cfs: list[CostFn], thetas: np.ndarray) -> list[tuple[OptResult, OptResult]]:
+    """reoptimize_from for every cell, cell c under cfs[c] from row c of
+    thetas, all on one circuit: one frozen lockstep call (max_iters=0) and
+    one live call over all cells, each result that of the cell's own run."""
+    thetas = _canonical(_require_finite(thetas, "theta_star"))
+    frozen = _minimize_rows(cfs, thetas, MinimizeOptions(max_iters=0))
+    return [(non_reopt, non_reopt if reopt.cost > non_reopt.cost else reopt)
+            for non_reopt, reopt in zip(frozen, _minimize_rows(cfs, thetas))]
 
 
 def reoptimize_pair(cf: CostFn, n_starts: int = 10, seed: int = 0) -> tuple[OptResult, OptResult]:

@@ -498,6 +498,78 @@ def test_optimize_to_target_equals_the_serial_restart_loop(layers, index, seed, 
         (want.cost, want.grad_norm, want.iterations, want.converged)
 
 
+@pytest.mark.parametrize("layers, n_starts", [(2, (30, 30)), (4, (1, 6))], ids=["L2-floored", "L4-drop-out"])
+def test_fit_targets_equal_the_serial_restart_loop_per_target(layers, n_starts):
+    """Fitting the targets of both cases above in one set of lockstep chunks
+    gives each target its serial loop's result: at L=2 both spend all 30
+    starts, and at L=4 one reaches the goal with its first start and drops
+    out while the other runs on into its third chunk."""
+    from nvqa.circuits import build_hea
+    from nvqa.harness import _fit_targets
+    from nvqa.randstates import RngStream, sample_real_haar_state
+
+    gen = RngStream(11, 0).generator()
+    targets = [sample_real_haar_state(4, gen) for _ in range(10)]
+    targets, seeds = [targets[0], targets[9]], [2000, 1009]
+    circuit = build_hea(layers)
+    got = _fit_targets(circuit, targets, seeds)
+    for res, target, seed, n in zip(got, targets, seeds, n_starts):
+        want, ran = serial_restarts(circuit, target, seed)
+        assert ran == n
+        assert res.params.tobytes() == want.params.tobytes()
+        assert (res.cost, res.grad_norm, res.iterations, res.converged) == \
+            (want.cost, want.grad_norm, want.iterations, want.converged)
+
+
+def test_target_studies_make_one_lockstep_call_per_layer_count_or_gamma(monkeypatch):
+    """target_fidelity freezes and reoptimizes every (target, kind, gamma) cell
+    of a layer count in two lockstep calls, and transition_scan advances
+    every target's chain in one call per gamma. The noiseless fits take one
+    call per chunk of starts, at most five per layer count."""
+    from nvqa import harness, optimize
+
+    calls = []
+    run_rows = optimize._minimize_rows
+
+    def counted(cf, starts, *args):
+        calls.append((cf[0].noise is not None, len(starts)))
+        return run_rows(cf, starts, *args)
+
+    monkeypatch.setattr(optimize, "_minimize_rows", counted)
+    monkeypatch.setattr(harness, "_minimize_rows", counted)
+    run_experiment(default_config("target_fidelity", layers=(2, 3), n_targets=3, gamma_grid=(1e-3, 1e-2)))
+    assert [rows for noisy, rows in calls if noisy] == [3 * 3 * 2] * 4
+    assert 2 <= sum(not noisy for noisy, _ in calls) <= 2 * 5
+    calls.clear()
+    run_experiment(default_config("transition_scan", layers=(2,), n_targets=3, gamma_grid=(0.0, 0.05, 0.1)))
+    assert [rows for noisy, rows in calls if noisy] == [3] * 3
+    assert 1 <= sum(not noisy for noisy, _ in calls) <= 5
+
+
+# sha256 of the CSVs of three reduced target studies, recorded before the
+# targets and cells of a study shared lockstep calls (x86-64, numpy 2.4.6, one
+# BLAS thread), with each config's hash.
+TARGET_CSV_SHA256 = {
+    "target_fidelity": (dict(layers=(2, 4), n_targets=5), "331ed36df0ca0888",
+                        "42d5a01c70c2d7d3b615e78cb68d771f00ddef450b28bdc1f65b926571506652"),
+    "transition_scan": (dict(n_targets=3, gamma_grid=(0.0, 0.01, 0.03, 0.05, 0.1)), "4dafc73ac7ec512f",
+                        "08431fe85e2d47b4e2b84ae7ea0a8cf9254b1dfa257ae89fb4daba35e05d17d7"),
+    "degeneracy_hist": (dict(), "b87cf04046db2409",
+                        "ed684fc712779fd90f0f8d21c0f74b2a7c35da4d491d2ebc738a6562fc6238bf"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(TARGET_CSV_SHA256))
+def test_target_studies_keep_the_csv_bytes(experiment, tmp_path):
+    """The target studies write, under unchanged config hashes, the bytes they
+    wrote when every target was fitted and every cell reoptimized alone."""
+    overrides, config_hash, want = TARGET_CSV_SHA256[experiment]
+    config = default_config(experiment, **overrides)
+    assert config.config_hash() == config_hash
+    _, (csv_path, _) = run_and_write(config, tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == want
+
+
 # sha256 of the CSVs of three reduced VQE configs, recorded before the (kind,
 # gamma) cells of one circuit shared lockstep calls (x86-64, numpy 2.4.6, one
 # BLAS thread). A platform whose BLAS rounds differently writes other bytes.

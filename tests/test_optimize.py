@@ -1090,6 +1090,34 @@ def test_reoptimize_from_freezes_like_the_value_and_gradient_it_replaced(circuit
         assert (got_q.fidelity, got_q.concurrence) == (want_q.fidelity, want_q.concurrence)
 
 
+@pytest.mark.parametrize("layers, floor_seed", [(2, 2), (4, 6)])
+def test_reoptimized_cells_equal_their_own_reoptimize_from(layers, floor_seed, rng):
+    """One frozen and one live lockstep call over cells of two targets, three
+    kinds and two gammas give each cell the pair reoptimize_from gives it
+    alone, from angles in and outside [0, 2*pi). The last cell starts at an
+    exact optimum under amplitude damping of 1e-8, where the live run ends
+    above the frozen cost by roundoff, so its reopt is the frozen result."""
+    from nvqa.qstate import pure_state
+
+    circuit = build_hea(layers)
+    thetas = [rng.uniform(-2.0 * np.pi, 4.0 * np.pi, circuit.n_params) for _ in range(2)]
+    # each target a noiseless optimum a little off its start, so reoptimization moves
+    targets = [pure_state(evaluate_pure(circuit, t + 0.05)) for t in thetas]
+    thetas.append(np.random.default_rng(floor_seed).uniform(0.0, 2.0 * np.pi, circuit.n_params))
+    targets.append(pure_state(evaluate_pure(circuit, thetas[-1])))
+    cells = [(t, kind, g) for t in range(2) for kind in ("phase", "amplitude", "depolarising")
+             for g in (1e-3, 1e-2)] + [(2, "amplitude", 1e-8)]
+    cfs = [infidelity_cost(circuit, targets[t], NoiseSpec.uniform(kind, g, 4)) for t, kind, g in cells]
+    got = optimize._reoptimized(cfs, np.array([thetas[t] for t, _, _ in cells]))
+    assert len(got) == len(cells) and got[-1][1] is got[-1][0]
+    for cf, (t, _, _), pair in zip(cfs, cells, got):
+        for a, b in zip(pair, reoptimize_from(cf, thetas[t])):
+            assert a.params.tobytes() == b.params.tobytes() and a.cost_fn is cf
+            assert (a.cost, a.grad_norm, a.iterations, a.converged) == \
+                (b.cost, b.grad_norm, b.iterations, b.converged)
+        assert pair[0].iterations == 0 and pair[1].cost <= pair[0].cost
+
+
 @pytest.mark.parametrize("kind", [None, "phase", "amplitude", "depolarising"])
 @pytest.mark.parametrize("circuit", [build_2q_circuit("a"), build_2q_circuit("c"), build_hea(2),
                                      build_4q_vqe()], ids=["2q-a", "2q-c", "hea-2", "4q-vqe"])
