@@ -15,11 +15,11 @@ the adjoint of each group in reverse.
 
 The rows of one call may differ in spec and in observable (_ByRow). A spec's
 blocks take dim^3 floats per distinct fixed group: 32 KiB at 4 qubits and
-2 MiB at 6. They come from _spec_stacks alone, which keeps the blocks of the
-specs it composed last on the circuit: a call for those specs, or for one of
-them, reads them again, so a lockstep call's cells and the reads that follow
-it compose each spec once. Rows of one spec take a fixed group as one
-product with its blocks, and each row keeps the bits of a single-spec call.
+2 MiB at 6. They come from _spec_blocks alone, which composes a spec's
+blocks on its first use and keeps them on the circuit (Circuit._blocks), so
+a circuit composes each spec once in its life. Rows of one spec take a
+fixed group as one product with its blocks, and each row keeps the bits of
+a single-spec call.
 The blocks grow as 8^n floats, so noisy evaluation stops at
 MAX_DENSITY_QUBITS qubits; noiseless evaluation runs up to MAX_QUBITS.
 """
@@ -165,7 +165,7 @@ class Circuit:
         entries (partner[i], i) of rho lambda whose sum signed by sign is
         Tr[2 K_q rho lambda]. A fixed group gets (src, back, back_inv,
         src_inv): src lists the flat entries (k, k ^ perm[y]) in (y, k) order
-        for its blocks (_spec_stacks), back gathers their product into
+        for its blocks (_spec_blocks), back gathers their product into
         row-major order, and the transpose takes the inverse gathers back_inv
         and src_inv; identical groups share one entry.
         """
@@ -190,9 +190,9 @@ class Circuit:
         return tuple(plan)
 
     @cached_property
-    def _channel_cache(self) -> list:
-        """[specs, stacks]: the specs _spec_stacks composed last and their blocks."""
-        return [(), ()]
+    def _blocks(self) -> dict:
+        """{spec: blocks}: every spec's fixed-group blocks (_spec_blocks), kept for the circuit's life."""
+        return {}
 
 
 def build_2q_circuit(variant: str) -> Circuit:
@@ -272,12 +272,13 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow |
     rho <- U rho U^T, U the Kronecker product of the group's rotations, and a
     fixed group one product with its blocks (_row_blocks): the spec's, shared
     by every row, or under per-row specs (_ByRow) one product per run of rows
-    under one spec, with that spec's blocks. Every product is a stacked
-    per-row matmul, so no BLAS call spans rows and a row's bits depend neither
-    on its batch nor on the specs of the other rows. Density rows are refused
-    above MAX_DENSITY_QUBITS qubits. A tape list, given with density rows, is
-    appended (rho, U) before each rotation group, for the reverse pass of
-    _expectation_gradients. A NaN or infinite angle is refused.
+    under one spec, with that spec's blocks, each composed once per circuit.
+    Every product is a stacked per-row matmul, so no BLAS call spans rows and
+    a row's bits depend neither on its batch nor on the specs of the other
+    rows. Density rows are refused above MAX_DENSITY_QUBITS qubits. A tape
+    list, given with density rows, is appended (rho, U) before each rotation
+    group, for the reverse pass of _expectation_gradients. A NaN or infinite
+    angle is refused.
     """
     params = _require_finite(params)
     if params.ndim != 2 or params.shape[1] != circuit.n_params:
@@ -330,12 +331,12 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow |
     return rho
 
 
-def _fixed(rho: np.ndarray, src: np.ndarray, blk: np.ndarray, back: np.ndarray,
+def _fixed(rho: np.ndarray, src: np.ndarray, blk: "np.ndarray | tuple", back: np.ndarray,
            runs: list | None) -> np.ndarray:
     """One fixed group on (m, dim, dim) rows: gather by src, one block product
-    per coherence pattern, gather back. blk is the (dim, dim, dim) stack of
-    every row; with runs (_row_blocks), blk stacks one per spec and each run
-    (lo, hi, k) of rows under spec k is one product with blk[k]."""
+    per coherence pattern, gather back. blk is the (dim, dim, dim) blocks of
+    every row; with runs (_row_blocks), blk holds one such array per spec and
+    each run (lo, hi, k) of rows under spec k is one product with blk[k]."""
     m = len(rho)
     flat = rho.reshape(m, -1)[:, src, None]
     out = blk @ flat if runs is None else np.concatenate([blk[k] @ flat[lo:hi] for lo, hi, k in runs])
@@ -350,8 +351,9 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSp
     The forward pass is _simulate's, keeping rho before each rotation group;
     _reduce takes the value from its final rho, with _expectations' bits.
     lambda = Re(obs) then walks the groups and Circuit._density_plan in
-    reverse: back through a fixed group's transposed blocks (_row_blocks)
-    and inverse gathers, and through a rotation group as lambda <- U^T lambda U.
+    reverse: back through a fixed group's blocks (_row_blocks), each
+    transposed as a view, and inverse gathers, and through a rotation group
+    as lambda <- U^T lambda U.
     With dU/dtheta = U K_q, K_q = [[0, -1], [1, 0]] / 2 on the Ry's qubit q,
     dC/dtheta = Tr[2 K_q rho lambda'], lambda' the updated lambda. Rows run in
     _expectations' chunks, so a row has the same bits in any batch. noise and
@@ -384,7 +386,8 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSp
                 out[start:start + len(chunk), slots] = np.einsum("mki,ki->mk", prod, signs)
             else:
                 _, _, back_inv, src_inv = plan
-                lam = _fixed(lam, back_inv, np.swapaxes(next(blocks), -1, -2), src_inv, runs)
+                blk = next(blocks)
+                lam = _fixed(lam, back_inv, blk.mT if runs is None else tuple(b.mT for b in blk), src_inv, runs)
     return vals, out
 
 
@@ -395,9 +398,9 @@ def _cx_perm(n_qubits: int, op: Cx) -> np.ndarray:
     return np.where(cbit == 1, idx ^ (1 << (n_qubits - 1 - op.target)), idx)
 
 
-def _spec_stacks(circuit: Circuit, specs) -> tuple[np.ndarray, ...]:
-    """The block stack of each fixed group under every spec of specs, one
-    (len(specs), dim, dim, dim) array per group.
+def _spec_blocks(circuit: Circuit, spec: NoiseSpec) -> tuple[np.ndarray, ...]:
+    """The blocks of each fixed group under spec, one (dim, dim, dim) array
+    per group.
 
     Every channel keeps the coherence pattern y = i ^ j of an entry rho[i, j],
     and a CX maps patterns linearly: output pattern y is fed by input pattern
@@ -405,22 +408,17 @@ def _spec_stacks(circuit: Circuit, specs) -> tuple[np.ndarray, ...]:
     pattern, all read off one (dim, dim, dim) compose (_pattern_blocks).
     blocks[y] maps the entries (k, k ^ perm[y]), which the group's src
     gathers (Circuit._density_plan), to the entries (i, i ^ y). Identical
-    groups are composed once and share one stack. The circuit keeps the
-    stacks of the specs it composed last: a call for the same specs reads
-    them again, and a call for one spec among them reads its [k:k + 1] view.
+    groups are composed once and share one array. A spec's blocks are
+    composed on its first use and kept in Circuit._blocks, so a circuit
+    composes each spec once.
     """
-    specs = tuple(specs)
-    last, stacks = circuit._channel_cache
-    if specs == last:
-        return stacks
-    if len(specs) == 1 and specs[0] in last:
-        k = last.index(specs[0])
-        return tuple(stack[k:k + 1] for stack in stacks)
-    fixed = [ops for ops, perm in circuit._groups if perm is not None]
-    composed = {ops: np.stack([_pattern_blocks(circuit.n_qubits, ops, spec.channel.kind, spec._gammas)
-                               for spec in specs]) for ops in dict.fromkeys(fixed)}
-    circuit._channel_cache[:] = specs, tuple(composed[ops] for ops in fixed)
-    return circuit._channel_cache[1]
+    blocks = circuit._blocks.get(spec)
+    if blocks is None:
+        fixed = [ops for ops, perm in circuit._groups if perm is not None]
+        composed = {ops: _pattern_blocks(circuit.n_qubits, ops, spec.channel.kind, spec._gammas)
+                    for ops in dict.fromkeys(fixed)}
+        blocks = circuit._blocks[spec] = tuple(composed[ops] for ops in fixed)
+    return blocks
 
 
 class _ByRow:
@@ -440,19 +438,20 @@ def _take(arg, rows: slice):
     return _ByRow(arg.stack, arg.index[rows]) if isinstance(arg, _ByRow) else arg
 
 
-def _row_blocks(circuit: Circuit, noise: "NoiseSpec | _ByRow") -> tuple[tuple[np.ndarray, ...], list | None]:
-    """Each fixed group's blocks for density rows (_spec_stacks), with the
+def _row_blocks(circuit: Circuit, noise: "NoiseSpec | _ByRow") -> tuple[tuple, list | None]:
+    """Each fixed group's blocks for density rows (_spec_blocks), with the
     row runs _fixed reads them by, found once per call: one spec's blocks
-    and None where every row runs under that spec, else under a _ByRow its
-    specs' stacks and each run (lo, hi, k) of rows under spec k."""
+    and None where every row runs under that spec, else under a _ByRow each
+    group's per-spec blocks, in the _ByRow's spec order, and each run
+    (lo, hi, k) of rows under spec k."""
     if not isinstance(noise, _ByRow):
-        return tuple(stack[0] for stack in _spec_stacks(circuit, [noise])), None
+        return _spec_blocks(circuit, noise), None
     index = noise.index
     cut = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1).tolist(), len(index)]
-    stacks = _spec_stacks(circuit, noise.stack)
     if len(cut) == 2:  # one run: its spec's blocks, as for one spec
-        return tuple(stack[index[0]] for stack in stacks), None
-    return stacks, [(lo, hi, index[lo]) for lo, hi in zip(cut, cut[1:])]
+        return _spec_blocks(circuit, noise.stack[index[0]]), None
+    per_spec = [_spec_blocks(circuit, spec) for spec in noise.stack]
+    return tuple(zip(*per_spec)), [(lo, hi, index[lo]) for lo, hi in zip(cut, cut[1:])]
 
 
 def _pattern_blocks(n_qubits: int, ops: tuple, kind: str, gammas) -> np.ndarray:

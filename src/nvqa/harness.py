@@ -31,7 +31,7 @@ from .noisemodel import estimate_alpha_beta
 from .optimize import MinimizeOptions, OptResult, energy_cost, infidelity_cost, _minimize_rows, _reoptimized, _sweeps
 from .pauli import PauliSum, vqe_hamiltonian_2q, vqe_hamiltonian_4q
 from .qstate import _as_int, _require_ints
-from .randstates import RngStream, _child_seed, sample_real_haar_state
+from .randstates import RngStream, _as_seed, _child_seed, sample_real_haar_state
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ class ExperimentConfig:
     mode: str = "restart"
 
     def __post_init__(self):
-        _require_ints(self, "seed", "n_starts_2q", "n_starts_4q", "n_targets", "n_samples")
+        object.__setattr__(self, "seed", _as_seed(self.seed))
+        _require_ints(self, "n_starts_2q", "n_starts_4q", "n_targets", "n_samples")
         for name in ("kinds", "variants", "layers", "gamma_grid"):
             grid = getattr(self, name)
             if isinstance(grid, str):  # would be split into its characters
@@ -69,8 +70,6 @@ class ExperimentConfig:
             raise ValueError("n_targets must be >= 1 and n_samples >= 2")
         if self.n_starts_2q < 1 or self.n_starts_4q < 1:
             raise ValueError("n_starts_2q and n_starts_4q must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if not (self.kinds and self.layers and self.variants):
             raise ValueError("kinds, layers and variants must not be empty")
         if min(self.layers) < 1:

@@ -21,7 +21,7 @@ round, whether they share one CostFn or not. It makes at most one kernel
 call per row kind, pure, density shift or density adjoint, and passes that
 call one spec and one observable where its rows share them, otherwise each
 row's own (circuits._ByRow); a cell's deduplication and quality reads
-reuse the blocks its lockstep call composed (circuits._spec_stacks). Each
+reuse the blocks the circuit keeps for its spec (circuits._spec_blocks). Each
 run takes its line-search decisions alone, and the runs that accept a step
 update together, in stacked products with the bits of their 1-D forms. So each
 result is bit for bit that of the same run made alone, and it is built
@@ -127,13 +127,10 @@ class CostFn:
         return self.circuit.n_qubits >= _ADJOINT_QUBITS and _row_noise(self.circuit, self.noise) is not None
 
     def value(self, params: np.ndarray) -> float:
-        return float(self._costs(np.asarray(params, dtype=float)[None])[0])
+        return float(self.values(np.asarray(params, dtype=float)[None])[0])
 
     def values(self, params: np.ndarray) -> np.ndarray:
         """Costs for a whole (m, n_params) batch in a few vectorized passes."""
-        return self._costs(params)
-
-    def _costs(self, params: np.ndarray) -> np.ndarray:
         v = _expectations(self.circuit, params, self.noise, self._obs_matrix)
         return v if self.hamiltonian is not None else 1.0 - v
 

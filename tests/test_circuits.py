@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from itertools import product
+from itertools import permutations, product
 
 from nvqa.channels import CHANNEL_KINDS, NoiseSpec, _apply_noise, make_channel
 from nvqa.circuits import (
@@ -27,12 +27,14 @@ from nvqa.circuits import (
     evaluate,
     evaluate_pure,
     ry_matrix,
+    _ByRow,
     _as_density_matrix,
     _cx_perm,
     _expectation_gradients,
     _expectations,
+    _row_blocks,
     _simulate,
-    _spec_stacks,
+    _spec_blocks,
 )
 from nvqa.qstate import MAX_QUBITS, DensityMatrix
 
@@ -220,7 +222,7 @@ def test_noisy_evaluation_stops_at_max_density_qubits(rng):
     rho = evaluate(wide, params, NoiseSpec.uniform("amplitude", 0.0, wide.n_qubits))
     np.testing.assert_array_equal(rho.data, evaluate(wide, params).data)
     np.testing.assert_array_equal(_simulate(wide, params[None]), step_reference(wide, params[None]))
-    assert "_density_plan" not in vars(wide) and "_channel_cache" not in vars(wide)
+    assert "_density_plan" not in vars(wide) and "_blocks" not in vars(wide)
 
 
 def random_hamiltonian(n_qubits: int, rng):
@@ -311,7 +313,7 @@ def test_channel_blocks_equal_the_full_tensor_compose_bit_for_bit(name, kind, ga
     n = circuit.n_qubits
     spec = NoiseSpec(make_channel(kind, gamma), (1.0, 0.0, 0.5, 0.8)[:n] if n > 1 else (0.7,))
     fixed = [(ops, perm) for ops, perm in circuit._groups if perm is not None]
-    got = [stack[0] for stack in _spec_stacks(circuit, [spec])]
+    got = _spec_blocks(circuit, spec)
     assert len(got) == len(fixed)
     for (ops, perm), blocks in zip(fixed, got):
         want = np.stack([pattern_block_reference(n, ops, x, y, kind, spec._gammas)
@@ -323,21 +325,22 @@ def test_channel_blocks_equal_the_full_tensor_compose_bit_for_bit(name, kind, ga
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 @pytest.mark.parametrize("name", ["ry-repeat", "fixed-ends", "4q-vqe"])
 def test_a_second_spec_composes_only_its_blocks(name, kind, rng):
-    """A new spec on a circuit keeps the circuit's density plan, holds only
-    its own blocks (the cache keeps the last specs composed), and gives the
-    rows of a freshly built circuit bit for bit; every Ry on one qubit reads
-    the same partner and sign arrays."""
+    """A new spec on a circuit keeps the circuit's density plan, holds its
+    own blocks beside the first spec's (the circuit keeps every spec it
+    composed), and gives the rows of a freshly built circuit bit for bit;
+    every Ry on one qubit reads the same partner and sign arrays."""
     circuit = KERNEL_CASES[name]
     fresh = Circuit(circuit.n_qubits, circuit.ops)
     n = circuit.n_qubits
     obs = random_hamiltonian(n, rng).to_matrix()
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(5, circuit.n_params))
-    _simulate(circuit, thetas, NoiseSpec.uniform(kind, 0.3, n))
+    first = NoiseSpec.uniform(kind, 0.3, n)
+    _simulate(circuit, thetas, first)
     second = NoiseSpec(make_channel(kind, 0.1), tuple(rng.uniform(0.0, 1.0, n)))
     plan = circuit._density_plan
     got = _simulate(circuit, thetas, second), _expectation_gradients(circuit, thetas, second, obs)
     assert circuit._density_plan is plan
-    assert circuit._channel_cache[0] == (second,)
+    assert {first, second} <= circuit._blocks.keys()
     np.testing.assert_array_equal(got[0], _simulate(fresh, thetas, second))
     for a, b in zip(got[1], _expectation_gradients(fresh, thetas, second, obs)):
         np.testing.assert_array_equal(a, b)
@@ -346,35 +349,50 @@ def test_a_second_spec_composes_only_its_blocks(name, kind, rng):
         assert (partner is other_partner and sign is other_sign) == (q == r)
 
 
-def test_the_last_specs_composed_serve_every_later_call(monkeypatch, rng):
-    """_spec_stacks keeps the stacks of the specs it composed last: the same
-    specs read the same arrays, one spec among them reads its [k:k + 1] view
-    and composes nothing, and rows run under it keep a fresh circuit's bits;
-    any other specs compose afresh and replace them."""
+CALLS = {
+    "one-spec": lambda circuit, thetas, specs, which, obs: [_simulate(circuit, thetas, spec) for spec in specs],
+    "per-row": lambda circuit, thetas, specs, which, obs: [_simulate(circuit, thetas, _ByRow(specs, which)),
+                                                           _expectations(circuit, thetas, _ByRow(specs, which), obs)],
+    "adjoint": lambda circuit, thetas, specs, which, obs: [
+        *_expectation_gradients(circuit, thetas, _ByRow(specs, which), obs),
+        *(a for spec in specs for a in _expectation_gradients(circuit, thetas, spec, obs))],
+}
+
+
+@pytest.mark.parametrize("order", list(permutations(CALLS)), ids="-".join)
+def test_a_circuit_composes_each_spec_once(order, monkeypatch, rng):
+    """Single-spec, per-row (_ByRow) and adjoint calls, made in any order,
+    compose each spec's blocks once in the circuit's life, one
+    _pattern_blocks call per spec and distinct fixed group; later calls read
+    the arrays the circuit keeps, and every row keeps a fresh circuit's bits."""
     import nvqa.circuits as circuits
 
     case = KERNEL_CASES["fixed-ends"]
-    circuit, fresh = Circuit(case.n_qubits, case.ops), Circuit(case.n_qubits, case.ops)
+    circuit = Circuit(case.n_qubits, case.ops)
     n = circuit.n_qubits
     n_fixed = len({ops for ops, perm in circuit._groups if perm is not None})
-    specs = [NoiseSpec.uniform(kind, 0.1, n) for kind in CHANNEL_KINDS]
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(4, circuit.n_params))
+    specs = tuple(NoiseSpec.uniform(kind, 0.1, n) for kind in CHANNEL_KINDS)
+    obs = random_hamiltonian(n, rng).to_matrix()
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(6, circuit.n_params))
+    which = np.array([2, 2, 0, 1, 1, 0])
+    want = {name: call(Circuit(n, case.ops), thetas, specs, which, obs) for name, call in CALLS.items()}
     composed, compose = [], circuits._pattern_blocks
-    monkeypatch.setattr(circuits, "_pattern_blocks", lambda *a: composed.append(a[2:]) or compose(*a))
-    stacks = _spec_stacks(circuit, specs)
-    assert n_fixed > 1 and len(composed) == len(specs) * n_fixed
-    assert _spec_stacks(circuit, tuple(specs)) is stacks
+    monkeypatch.setattr(circuits, "_pattern_blocks", lambda *a: composed.append(a[1:]) or compose(*a))
+    kept = None
+    for name in order:
+        got = CALLS[name](circuit, thetas, specs, which, obs)
+        for a, b in zip(got, want[name], strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert n_fixed > 1 and len(composed) == len(set(composed)) == len(specs) * n_fixed
+        if kept is None:
+            kept = {spec: circuit._blocks[spec] for spec in specs}
+        assert all(circuit._blocks[spec] is kept[spec] for spec in specs)
+    per_row, runs = _row_blocks(circuit, _ByRow(specs, which))
+    assert runs == [(0, 2, 2), (2, 3, 0), (3, 5, 1), (5, 6, 0)]
     for k, spec in enumerate(specs):
-        for view, stack in zip(_spec_stacks(circuit, [spec]), stacks):
-            assert view.shape == (1,) + stack.shape[1:] and np.shares_memory(view, stack)
-            np.testing.assert_array_equal(view, stack[k:k + 1])
-        np.testing.assert_array_equal(_simulate(circuit, thetas, spec), _simulate(fresh, thetas, spec))
-    assert circuit._channel_cache[0] == tuple(specs)
-    assert len(composed) == (len(specs) + len(specs)) * n_fixed  # the fresh circuit's composes
-    other = NoiseSpec.uniform("phase", 0.2, n)
-    _spec_stacks(circuit, [specs[0], other])
-    assert circuit._channel_cache[0] == (specs[0], other)
-    assert len(composed) == (2 * len(specs) + 2) * n_fixed
+        blocks, runs = _row_blocks(circuit, spec)
+        assert blocks is kept[spec] and runs is None
+        assert all(group[k] is b for group, b in zip(per_row, kept[spec], strict=True))
 
 
 def test_per_row_specs_of_the_wrong_width_are_refused(rng):
@@ -678,14 +696,15 @@ def test_rows_under_per_row_specs_keep_their_single_spec_bits(circuit, rng):
     row run alone under its spec: states, expectations, and the adjoint's
     values and gradients; rows reduced against per-row observables equal
     their one-observable reductions. Identical fixed groups share one
-    per-spec stack."""
+    array per spec."""
     from nvqa.circuits import _ByRow, _reduce
 
     n = circuit.n_qubits
     specs = tuple(NoiseSpec.uniform(kind, g, n) for kind in CHANNEL_KINDS for g in (0.05, 0.3))
-    stacks = _spec_stacks(circuit, specs)
-    assert all(s.shape == (len(specs),) + (2 ** n,) * 3 for s in stacks)
-    assert len({id(s) for s in stacks}) == len({ops for ops, perm in circuit._groups if perm is not None})
+    for spec in specs:
+        blocks = _spec_blocks(circuit, spec)
+        assert all(b.shape == (2 ** n,) * 3 for b in blocks)
+        assert len({id(b) for b in blocks}) == len({ops for ops, perm in circuit._groups if perm is not None})
     obs = np.stack([np.diag(rng.normal(size=2 ** n)), rng.normal(size=(2 ** n,) * 2)])
     obs[1] += obs[1].T
     theta = rng.uniform(0.0, 2.0 * np.pi, (45, circuit.n_params))

@@ -546,6 +546,25 @@ def test_target_studies_make_one_lockstep_call_per_layer_count_or_gamma(monkeypa
     assert 1 <= sum(not noisy for noisy, _ in calls) <= 5
 
 
+@pytest.mark.parametrize("experiment, overrides, composes", [
+    ("vqe4q", dict(gamma_grid=(0.0, 0.05, 0.1), n_starts_4q=10, mode="track"), 6),
+    ("transition_scan", dict(n_targets=3, gamma_grid=(0.0, 0.01, 0.03, 0.05, 0.1)), 4),
+])
+def test_a_study_composes_each_spec_once(experiment, overrides, composes, monkeypatch):
+    """Each circuit composes each spec's blocks once: vqe4q in track mode
+    reads its qualities after the whole sweep, and transition_scan makes one
+    call per gamma, yet neither composes a spec again. Both circuits have
+    one distinct fixed group, so composes counts the (kind, gamma > 0) cells."""
+    import nvqa.circuits as circuits
+
+    composed, compose = [], circuits._pattern_blocks
+    monkeypatch.setattr(circuits, "_pattern_blocks", lambda *a: composed.append(a[2:]) or compose(*a))
+    config = default_config(experiment, **overrides)
+    run_experiment(config)
+    assert len(composed) == len(set(composed)) == composes
+    assert composes == len(config.kinds) * sum(g > 0 for g in config.gamma_grid)
+
+
 # sha256 of the CSVs of three reduced target studies, recorded before the
 # targets and cells of a study shared lockstep calls (x86-64, numpy 2.4.6, one
 # BLAS thread), with each config's hash.
