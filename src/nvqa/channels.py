@@ -164,9 +164,18 @@ class NoiseSpec:
     per_qubit_scale: tuple[float, ...]
 
     def __post_init__(self):
+        if not isinstance(self.channel, KrausChannel):
+            raise ValueError(f"channel must be a KrausChannel, got {self.channel!r}")
         object.__setattr__(self, "per_qubit_scale", tuple(
             _as_strength(s, "per_qubit_scale entry") for s in self.per_qubit_scale))
         _qubit_count(len(self.per_qubit_scale))
+        object.__setattr__(self, "_hash", hash((self.channel, self.per_qubit_scale)))
+
+    def __hash__(self) -> int:  # the dataclass hash, kept: a dict lookup would hash the channel again
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so a copy in another process hashes its strings afresh
+        return NoiseSpec, (self.channel, self.per_qubit_scale)
 
     @classmethod
     def uniform(cls, kind: str, gamma: float, n_qubits: int) -> "NoiseSpec":

@@ -9,9 +9,9 @@ them. Statevector rows run with the batch innermost, each Ry two products on
 contiguous rows and each fixed group one gather. Density rows, from gathers
 built on the first of them, take each rotation group as one U rho U^T and each
 fixed group, noise included, as one product with blocks composed once per
-spec; _reduce turns rows into Tr[O rho]. _expectation_gradients gives
-Tr[O rho] and d Tr[O rho] / d theta of density rows from one forward pass and
-the adjoint of each group in reverse.
+spec. _expectations reduces rows to Tr[O rho], and _expectation_gradients adds
+d Tr[O rho] / d theta of density rows (forward pass, then each group's adjoint
+in reverse); both walk rows in one chunk walk, _chunks, with any m, 0 included.
 
 The rows of one call may differ in spec and in observable (_ByRow). A spec's
 blocks take dim^3 floats per distinct fixed group: 32 KiB at 4 qubits and
@@ -36,7 +36,7 @@ import numpy as np
 from .channels import NoiseSpec, _apply_noise
 from .qstate import DensityMatrix, _as_int, _qubit_count, _require_ints
 
-_CHUNK_FLOATS = 2 ** 13  # output-state floats per _simulate call in _expectations
+_CHUNK_FLOATS = 2 ** 13  # output-state floats per chunk of _chunks, read at each call
 # widest circuit with density rows: a spec's blocks take dim^3 floats per fixed group
 # (a two-layer brickwork circuit composes in 0.5 ms at 4 qubits, 12 ms at 6, 0.11 s at 7,
 # one BLAS thread)
@@ -278,7 +278,7 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow |
     rows. Density rows are refused above MAX_DENSITY_QUBITS qubits. A tape
     list, given with density rows, is appended (rho, U) before each rotation
     group, for the reverse pass of _expectation_gradients. A NaN or infinite
-    angle is refused.
+    angle is refused. m = 0 gives no rows, statevectors or density matrices.
     """
     params = _require_finite(params)
     if params.ndim != 2 or params.shape[1] != circuit.n_params:
@@ -311,7 +311,7 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow |
     table[:, :n_params, 1, 0] = sin
     table[:, :n_params, 0, 1] = -sin
     table[:, n_params] = np.eye(2)
-    table = table.reshape(m, -1)
+    table = table.reshape(m, 4 * (n_params + 1))
     stacks, runs = _row_blocks(circuit, noise)
     blocks = iter(stacks)
     rho = np.zeros((m, dim, dim))
@@ -337,10 +337,10 @@ def _fixed(rho: np.ndarray, src: np.ndarray, blk: "np.ndarray | tuple", back: np
     per coherence pattern, gather back. blk is the (dim, dim, dim) blocks of
     every row; with runs (_row_blocks), blk holds one such array per spec and
     each run (lo, hi, k) of rows under spec k is one product with blk[k]."""
-    m = len(rho)
-    flat = rho.reshape(m, -1)[:, src, None]
-    out = blk @ flat if runs is None else np.concatenate([blk[k] @ flat[lo:hi] for lo, hi, k in runs])
-    return out.reshape(m, -1)[:, back]
+    m, size = len(rho), rho.shape[-1] ** 2
+    flat = rho.reshape(m, size)[:, src, None]
+    out = blk @ flat if runs is None else np.concatenate([flat[:0], *(blk[k] @ flat[lo:hi] for lo, hi, k in runs)])
+    return out.reshape(m, size)[:, back]
 
 
 def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow",
@@ -356,24 +356,18 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSp
     as lambda <- U^T lambda U.
     With dU/dtheta = U K_q, K_q = [[0, -1], [1, 0]] / 2 on the Ry's qubit q,
     dC/dtheta = Tr[2 K_q rho lambda'], lambda' the updated lambda. Rows run in
-    _expectations' chunks, so a row has the same bits in any batch. noise and
-    obs may each be one per row (_ByRow), with each row's bits.
+    _expectations' chunks (_chunks), so a row has the same bits in any batch
+    (m = 0 too). noise and obs may each be one per row (_ByRow), each row's bits.
     """
     params = np.asarray(params, dtype=float)
     if noise is None:
         raise ValueError("adjoint gradients run density rows: pass a NoiseSpec")
-    dim = 2 ** circuit.n_qubits
-    if not isinstance(obs, _ByRow):
-        obs = np.real(obs)
-    rows = max(1, _CHUNK_FLOATS // dim ** 2)
     vals, out = np.empty(len(params)), np.empty(params.shape)
-    for start in range(0, len(params), rows):
-        sl = slice(start, start + rows)
-        chunk, row_noise, row_obs = params[sl], _take(noise, sl), _take(obs, sl)
+    for sl, chunk, row_noise, row_obs in _chunks(circuit, params, noise, obs):
         tape: list = []
         vals[sl] = _reduce(_simulate(circuit, chunk, row_noise, tape), row_obs)
-        lam = (row_obs.stack[row_obs.index] if isinstance(row_obs, _ByRow)
-               else np.repeat(row_obs[None], len(chunk), axis=0))
+        lam = (np.real(row_obs.stack)[row_obs.index] if isinstance(row_obs, _ByRow)
+               else np.repeat(np.real(row_obs)[None], len(chunk), axis=0))
         stacks, runs = _row_blocks(circuit, row_noise)
         blocks = reversed(stacks)
         for (_, perm), plan in zip(reversed(circuit._groups), reversed(circuit._density_plan)):
@@ -382,8 +376,8 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSp
                 lam = u.transpose(0, 2, 1) @ lam @ u
                 _, slots, entries, signs = plan
                 # the gather leaves rows innermost; the C-ordered copy fixes each row's order
-                prod = np.ascontiguousarray((rho @ lam).reshape(len(chunk), -1)[:, entries])
-                out[start:start + len(chunk), slots] = np.einsum("mki,ki->mk", prod, signs)
+                prod = np.ascontiguousarray((rho @ lam).reshape(len(chunk), lam.shape[-1] ** 2)[:, entries])
+                out[sl, slots] = np.einsum("mki,ki->mk", prod, signs)
             else:
                 _, _, back_inv, src_inv = plan
                 blk = next(blocks)
@@ -432,26 +426,20 @@ class _ByRow:
         self.stack, self.index = stack, index
 
 
-def _take(arg, rows: slice):
-    """The noise or observable argument for a slice of the rows: a _ByRow's
-    entries for those rows, anything else as it is."""
-    return _ByRow(arg.stack, arg.index[rows]) if isinstance(arg, _ByRow) else arg
-
-
 def _row_blocks(circuit: Circuit, noise: "NoiseSpec | _ByRow") -> tuple[tuple, list | None]:
     """Each fixed group's blocks for density rows (_spec_blocks), with the
     row runs _fixed reads them by, found once per call: one spec's blocks
     and None where every row runs under that spec, else under a _ByRow each
     group's per-spec blocks, in the _ByRow's spec order, and each run
-    (lo, hi, k) of rows under spec k."""
+    (lo, hi, k) of rows under spec k: none under an empty _ByRow."""
     if not isinstance(noise, _ByRow):
         return _spec_blocks(circuit, noise), None
     index = noise.index
     cut = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1).tolist(), len(index)]
-    if len(cut) == 2:  # one run: its spec's blocks, as for one spec
-        return _spec_blocks(circuit, noise.stack[index[0]]), None
-    per_spec = [_spec_blocks(circuit, spec) for spec in noise.stack]
-    return tuple(zip(*per_spec)), [(lo, hi, index[lo]) for lo, hi in zip(cut, cut[1:])]
+    runs = [(lo, hi, index[lo]) for lo, hi in zip(cut, cut[1:]) if lo < hi]  # lo == hi only for no rows
+    if len(runs) == 1:  # one run: its spec's blocks, as for one spec
+        return _spec_blocks(circuit, noise.stack[runs[0][2]]), None
+    return tuple(zip(*(_spec_blocks(circuit, spec) for spec in noise.stack))), runs
 
 
 def _pattern_blocks(n_qubits: int, ops: tuple, kind: str, gammas) -> np.ndarray:
@@ -500,18 +488,24 @@ def _expectations(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByR
 
     Circuit outputs are real symmetric and Im(obs) is antisymmetric, so Re(obs)
     gives the exact trace. None or a zero-strength spec runs the statevector
-    path. Rows run in memory-bounded chunks and each is reduced in a fixed
-    order, so a row's value is the same bits in any batch. noise and obs may
-    each be one per row (_ByRow), with each row's bits.
+    path. Rows run in memory-bounded chunks (_chunks) and each is reduced in
+    a fixed order, so a row's value is the same bits in any batch, and m = 0
+    is a batch too. noise and obs may each be one per row (_ByRow), each row's bits.
     """
     params = np.asarray(params, dtype=float)
-    noise = _row_noise(circuit, noise)
-    rows = max(1, _CHUNK_FLOATS // 2 ** (circuit.n_qubits * (1 if noise is None else 2)))
     out = np.empty(len(params))
-    for start in range(0, len(params), rows):
-        sl = slice(start, start + rows)
-        out[sl] = _reduce(_simulate(circuit, params[sl], _take(noise, sl)), _take(obs, sl))
+    for sl, chunk, row_noise, row_obs in _chunks(circuit, params, _row_noise(circuit, noise), obs):
+        out[sl] = _reduce(_simulate(circuit, chunk, row_noise), row_obs)
     return out
+
+
+def _chunks(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow | None", obs):
+    """(rows, params, noise, obs) per chunk of at most _CHUNK_FLOATS state floats and one row or more,
+    rows a slice and a _ByRow taken to them; m = 0 is one empty chunk, checked and run like any other."""
+    rows = max(1, _CHUNK_FLOATS // 2 ** (circuit.n_qubits * (1 if noise is None else 2)))
+    for start in range(0, len(params) or 1, rows):
+        sl = slice(start, start + rows)
+        yield sl, params[sl], *(_ByRow(a.stack, a.index[sl]) if isinstance(a, _ByRow) else a for a in (noise, obs))
 
 
 def _reduce(state: np.ndarray, obs: "np.ndarray | _ByRow") -> np.ndarray:
@@ -527,7 +521,7 @@ def _reduce(state: np.ndarray, obs: "np.ndarray | _ByRow") -> np.ndarray:
     if state.ndim == 2:
         return np.einsum("md,dc,mc->m", state, np.real(obs), state)
     # Tr[O rho] = sum(O * rho) for symmetric O; the C-ordered copy fixes each row's order
-    flat = np.ascontiguousarray(state).reshape(len(state), -1)
+    flat = np.ascontiguousarray(state).reshape(len(state), state.shape[-1] ** 2)
     return np.einsum("mk,k->m", flat, np.real(obs).ravel())
 
 
@@ -541,10 +535,7 @@ def _as_density_matrix(state: np.ndarray) -> DensityMatrix:
 
 def evaluate_pure(circuit: Circuit, params: np.ndarray) -> np.ndarray:
     """Statevector after the circuit (noise marks ignored), length 2^n."""
-    params = np.asarray(params, dtype=float)
-    if params.shape != (circuit.n_params,):
-        raise ValueError(f"expected {circuit.n_params} parameters, got shape {params.shape}")
-    return _simulate(circuit, params[None])[0].astype(complex)
+    return _simulate(circuit, np.asarray(params, dtype=float)[None])[0].astype(complex)
 
 
 def evaluate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = None) -> DensityMatrix:
@@ -558,11 +549,8 @@ def evaluate(circuit: Circuit, params: np.ndarray, noise: NoiseSpec | None = Non
         Product channel applied at every NOISE mark. None, or a spec of
         strength zero, evaluates the circuit noiselessly.
     """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (circuit.n_params,):
-        raise ValueError(f"expected {circuit.n_params} parameters, got shape {params.shape}")
     noise = _row_noise(circuit, noise)
-    return _as_density_matrix(_simulate(circuit, params[None], noise)[0])
+    return _as_density_matrix(_simulate(circuit, np.asarray(params, dtype=float)[None], noise)[0])
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

@@ -194,6 +194,8 @@ def degeneracy_split(circuit: Circuit, theta_star: np.ndarray,
     At zero noise all entries agree; noise that does not commute with the
     inserted Pauli words (amplitude damping) spreads them apart.
     """
+    if target.n_qubits != circuit.n_qubits:
+        raise ValueError(f"target acts on {target.n_qubits} qubits, circuit has {circuit.n_qubits}")
     _require_pure(target)
     images = _images(*_map_arrays(maps, circuit.n_params), theta_star)
     return _expectations(circuit, images, noise, target.data)

@@ -1,7 +1,15 @@
 """Kraus channels, superoperators and the product noise model."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import nvqa
 
 from nvqa.channels import (
     CHANNEL_KINDS,
@@ -265,6 +273,32 @@ def test_per_qubit_scaling(rng):
     step = apply_channel_one_qubit(rho, ch, 0)
     want = apply_channel_one_qubit(step, make_channel("phase", 0.2), 1)
     assert np.allclose(out.data, want.data, atol=1e-14)
+
+
+@pytest.mark.parametrize("channel", ["phase", None, ("phase", 0.1), make_channel("phase", 0.1).kraus[0]],
+                         ids=["kind", "none", "tuple", "kraus-operator"])
+def test_a_spec_refuses_a_channel_that_is_not_a_kraus_channel(channel):
+    """A spec is refused where it is built, not at its first use deep in is_trivial."""
+    with pytest.raises(ValueError, match="channel must be a KrausChannel"):
+        NoiseSpec(channel, (1.0, 1.0))
+
+
+def test_a_spec_keeps_its_dataclass_hash_and_a_pickled_copy_hashes_afresh(tmp_path):
+    """A spec keeps hash((channel, per_qubit_scale)), the hash its dataclass
+    fields give. A pickled copy is rebuilt, so a process with another hash
+    seed hashes it like its own equal spec."""
+    a = NoiseSpec.uniform("phase", 0.1, 2)
+    assert hash(a) == hash((a.channel, a.per_qubit_scale)) == hash(NoiseSpec(make_channel("phase", 0.1), (1.0, 1.0)))
+    path = tmp_path / "spec.pickle"
+    path.write_bytes(pickle.dumps(a))
+    code = ("import pickle, sys; from nvqa.channels import NoiseSpec; "
+            "a = pickle.loads(open(sys.argv[1], 'rb').read()); b = NoiseSpec.uniform('phase', 0.1, 2); "
+            "sys.exit(0 if a == b and hash(a) == hash(b) and len({a, b}) == 1 else 1)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(Path(nvqa.__file__).parents[1]),
+                                                                      os.environ.get("PYTHONPATH")])))
+    for seed in ("1", "2"):
+        subprocess.run([sys.executable, "-c", code, str(path)], env=dict(env, PYTHONHASHSEED=seed),
+                       check=True, timeout=120)
 
 
 def test_noise_spec_validation_and_trivial():

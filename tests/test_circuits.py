@@ -32,6 +32,7 @@ from nvqa.circuits import (
     _cx_perm,
     _expectation_gradients,
     _expectations,
+    _reduce,
     _row_blocks,
     _simulate,
     _spec_blocks,
@@ -393,6 +394,52 @@ def test_a_circuit_composes_each_spec_once(order, monkeypatch, rng):
         blocks, runs = _row_blocks(circuit, spec)
         assert blocks is kept[spec] and runs is None
         assert all(group[k] is b for group, b in zip(per_row, kept[spec], strict=True))
+
+
+@pytest.mark.parametrize("noise", ["none", "one-spec", "per-row"])
+@pytest.mark.parametrize("name", list(KERNEL_CASES))
+def test_an_empty_batch_is_a_batch_like_any_other(name, noise, rng):
+    """m = 0 rows give empty results of their kind from _simulate, _reduce,
+    _expectations and _expectation_gradients, with no noise, one spec or a
+    _ByRow of empty index, and one observable or a _ByRow of them; an empty
+    _ByRow has no runs. The reducers run an empty batch through the kernel,
+    so one of the wrong width is refused as any other is."""
+    circuit = Circuit(KERNEL_CASES[name].n_qubits, KERNEL_CASES[name].ops)
+    n, dim = circuit.n_qubits, 2 ** circuit.n_qubits
+    specs = tuple(NoiseSpec.uniform(kind, 0.1, n) for kind in CHANNEL_KINDS)
+    rows = {"none": None, "one-spec": specs[0], "per-row": _ByRow(specs, np.empty(0, dtype=int))}[noise]
+    obs = random_hamiltonian(n, rng).to_matrix()
+    empty = np.empty((0, circuit.n_params))
+    states = _simulate(circuit, empty, rows)
+    assert states.shape == (0,) + (dim,) * (1 if rows is None else 2)
+    for o in (obs, _ByRow(obs.real[None], np.empty(0, dtype=int))):
+        assert _reduce(states, o).shape == (0,)
+        assert _expectations(circuit, empty, rows, o).shape == (0,)
+        if rows is not None:
+            values, grads = _expectation_gradients(circuit, empty, rows, o)
+            assert values.shape == (0,) and grads.shape == (0, circuit.n_params)
+    wide = np.empty((0, circuit.n_params + 1))
+    for reducer in (_expectations, _expectation_gradients)[:1 if rows is None else 2]:
+        with pytest.raises(ValueError, match=rf"expected shape \(m, {circuit.n_params}\)"):
+            reducer(circuit, wide, rows, obs)
+    if noise == "per-row":
+        assert _row_blocks(circuit, rows)[1] == []
+
+
+def test_equal_specs_share_one_block_entry(rng):
+    """Two equal specs built apart hash alike and the circuit keeps one block
+    entry for both, which a pickled copy reads too."""
+    import pickle
+
+    circuit = build_2q_circuit("c")
+    a = NoiseSpec.uniform("amplitude", 0.2, 2)
+    b = NoiseSpec(make_channel("amplitude", 0.2), (1.0, 1.0))
+    assert a == b and a is not b and hash(a) == hash(b)
+    theta = rng.uniform(0.0, 2.0 * np.pi, (3, circuit.n_params))
+    np.testing.assert_array_equal(_simulate(circuit, theta, a), _simulate(circuit, theta, b))
+    assert len(circuit._blocks) == 1
+    for spec in (b, pickle.loads(pickle.dumps(b))):
+        assert _spec_blocks(circuit, spec) is circuit._blocks[a]
 
 
 def test_per_row_specs_of_the_wrong_width_are_refused(rng):

@@ -333,14 +333,18 @@ def test_check_names_a_corrupted_map_in_the_second_block(offset, monkeypatch):
 
 
 def test_split_keeps_the_input_checks(rng):
-    """The purity check of measures.fidelity and the noise-width check of
-    circuits.evaluate survive the batching."""
+    """The width and purity checks of measures.fidelity and the noise-width
+    check of circuits.evaluate survive the batching."""
     c = build_hea(2)
     maps = generate_degeneracy_maps(c)
     theta = rng.uniform(0.0, TWO_PI, c.n_params)
     mixed = DensityMatrix(np.eye(16) / 16.0)
     with pytest.raises(ValueError, match="not pure"):
         degeneracy_split(c, theta, maps, None, mixed)
+    narrow = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+    for noise in (None, NoiseSpec.uniform("amplitude", 0.1, 4)):
+        with pytest.raises(ValueError, match="target acts on 2 qubits, circuit has 4"):
+            degeneracy_split(c, theta, maps, noise, narrow)
     target = _targets(rng)["real"]
     with pytest.raises(ValueError, match="noise spec"):
         degeneracy_split(c, theta, maps, NoiseSpec.uniform("phase", 0.1, 2), target)
