@@ -157,7 +157,8 @@ class NoiseSpec:
     """A product channel: one channel kind applied to every qubit.
 
     per_qubit_scale rescales gamma qubit by qubit (entries in [0, 1]), so a
-    scale of 0 switches noise off on that qubit.
+    scale of 0 switches noise off on that qubit. A spec is compared, hashed
+    and pickled by its channel and scales, as any frozen dataclass.
     """
 
     channel: KrausChannel
@@ -169,13 +170,6 @@ class NoiseSpec:
         object.__setattr__(self, "per_qubit_scale", tuple(
             _as_strength(s, "per_qubit_scale entry") for s in self.per_qubit_scale))
         _qubit_count(len(self.per_qubit_scale))
-        object.__setattr__(self, "_hash", hash((self.channel, self.per_qubit_scale)))
-
-    def __hash__(self) -> int:  # the dataclass hash, kept: a dict lookup would hash the channel again
-        return self._hash
-
-    def __reduce__(self):  # rebuilt, so a copy in another process hashes its strings afresh
-        return NoiseSpec, (self.channel, self.per_qubit_scale)
 
     @classmethod
     def uniform(cls, kind: str, gamma: float, n_qubits: int) -> "NoiseSpec":

@@ -334,9 +334,9 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow |
 def _fixed(rho: np.ndarray, src: np.ndarray, blk: "np.ndarray | tuple", back: np.ndarray,
            runs: list | None) -> np.ndarray:
     """One fixed group on (m, dim, dim) rows: gather by src, one block product
-    per coherence pattern, gather back. blk is the (dim, dim, dim) blocks of
-    every row; with runs (_row_blocks), blk holds one such array per spec and
-    each run (lo, hi, k) of rows under spec k is one product with blk[k]."""
+    per coherence pattern, gather back. blk and runs take _row_blocks' two forms:
+    one spec's (dim, dim, dim) blocks for every row and None, or a _ByRow's
+    per-spec blocks and its runs (lo, hi, k), each one product with blk[k]."""
     m, size = len(rho), rho.shape[-1] ** 2
     flat = rho.reshape(m, size)[:, src, None]
     out = blk @ flat if runs is None else np.concatenate([flat[:0], *(blk[k] @ flat[lo:hi] for lo, hi, k in runs)])
@@ -428,17 +428,15 @@ class _ByRow:
 
 def _row_blocks(circuit: Circuit, noise: "NoiseSpec | _ByRow") -> tuple[tuple, list | None]:
     """Each fixed group's blocks for density rows (_spec_blocks), with the
-    row runs _fixed reads them by, found once per call: one spec's blocks
-    and None where every row runs under that spec, else under a _ByRow each
-    group's per-spec blocks, in the _ByRow's spec order, and each run
-    (lo, hi, k) of rows under spec k: none under an empty _ByRow."""
+    row runs _fixed reads them by, found once per call. A spec gives its
+    blocks and None; a _ByRow gives each group's per-spec blocks, in its
+    spec order, and each run (lo, hi, k) of rows under spec k, one run or
+    many, none for no rows."""
     if not isinstance(noise, _ByRow):
         return _spec_blocks(circuit, noise), None
     index = noise.index
     cut = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1).tolist(), len(index)]
     runs = [(lo, hi, index[lo]) for lo, hi in zip(cut, cut[1:]) if lo < hi]  # lo == hi only for no rows
-    if len(runs) == 1:  # one run: its spec's blocks, as for one spec
-        return _spec_blocks(circuit, noise.stack[runs[0][2]]), None
     return tuple(zip(*(_spec_blocks(circuit, spec) for spec in noise.stack))), runs
 
 

@@ -185,10 +185,9 @@ def _sweep_rows(config: ExperimentConfig, prefix: tuple, circuit: Circuit, h: Pa
     seed of seed_path + (ki,), and all kinds' sweeps share lockstep calls
     (optimize._sweeps): one for every (kind, gamma) cell in restart mode, one
     per gamma step in track mode. Rows run kind by kind, then gamma by gamma."""
-    def cost_at(kind):
-        return lambda g: energy_cost(circuit, h, NoiseSpec(make_channel(kind, g), scales))
-
-    sweeps = _sweeps([cost_at(kind) for kind in config.kinds], config.gamma_grid, config.mode, n_starts,
+    costs = [[energy_cost(circuit, h, NoiseSpec(make_channel(kind, g), scales)) for g in config.gamma_grid]
+             for kind in config.kinds]
+    sweeps = _sweeps(costs, config.mode, n_starts,
                      [_child_seed(config.seed, *seed_path, ki) for ki in range(len(config.kinds))])
     rows = []
     for kind, per_gamma in zip(config.kinds, sweeps):

@@ -171,7 +171,7 @@ def _shift_rows(params: np.ndarray) -> np.ndarray:
     idx = np.arange(p)
     rows[:, 1 + idx, idx] += 0.5 * np.pi
     rows[:, 1 + p + idx, idx] -= 0.5 * np.pi
-    return rows.reshape(-1, p)
+    return rows.reshape(len(params) * (2 * p + 1), p)
 
 
 def _shift_gradient(vals: np.ndarray) -> np.ndarray:
@@ -499,33 +499,31 @@ def sweep_gamma(make_cost: Callable[[float], CostFn], gammas, mode: str = "track
     or disappear. mode "restart" runs an independent multistart per gamma,
     the one at gamma index i from the child seed (seed, i). Every run has the
     result of a serial minimize run from its start. This is the one-family
-    case of _sweeps.
+    case of _sweeps: one row of costs, make_cost(g) for each g in gammas.
     """
-    return _sweeps([make_cost], gammas, mode, n_starts, [seed])[0]
+    return _sweeps([[make_cost(g) for g in gammas]], mode, n_starts, [seed])[0]
 
 
-def _sweeps(make_costs: list[Callable[[float], CostFn]], gammas, mode: str, n_starts: int,
-            seeds: list[int]) -> list[list[list[OptResult]]]:
-    """sweep_gamma for several cost families on one circuit, family f from
-    seeds[f], with each family's results. The (family, gamma) cells share
-    lockstep calls: in restart mode all of them run as one stack, and in
-    track mode each gamma step runs every family's cell as one, one call
-    per distinct circuit among the cells (_cell_minima). Each cell is
-    deduplicated on its own."""
-    gammas = list(gammas)
+def _sweeps(costs: list[list[CostFn]], mode: str, n_starts: int, seeds: list[int]) -> list[list[list[OptResult]]]:
+    """sweep_gamma for several cost families on one circuit: costs[f][i] is
+    family f's cost at gamma index i, and family f sweeps from seeds[f]. The
+    (family, gamma) cells share lockstep calls: in restart mode all of them
+    run as one stack, and in track mode each gamma step runs every family's
+    cell as one, one call per distinct circuit among the cells
+    (_cell_minima). Each cell is deduplicated on its own, and the results
+    come back in the grid's shape."""
     if mode not in ("track", "restart"):
         raise ValueError(f"unknown sweep mode {mode!r}")
-    costs = [[make_cost(g) for g in gammas] for make_cost in make_costs]
     if mode == "restart":
-        cells = _cell_minima([cf for family in costs for cf in family],
-                             [_uniform_starts(cf, n_starts, _child_seed(seed, i))
-                              for family, seed in zip(costs, seeds) for i, cf in enumerate(family)])
-        return [cells[f * len(gammas):(f + 1) * len(gammas)] for f in range(len(costs))]
+        cells = iter(_cell_minima([cf for family in costs for cf in family],
+                                  [_uniform_starts(cf, n_starts, _child_seed(seed, i))
+                                   for family, seed in zip(costs, seeds) for i, cf in enumerate(family)]))
+        return [[next(cells) for _ in family] for family in costs]
     out: list[list[list[OptResult]]] = [[] for _ in costs]
-    for i in range(len(gammas)):
-        starts = [_uniform_starts(family[0], n_starts, _child_seed(seed, 0)) if i == 0
-                  else np.array([r.params for r in sweep[-1]]) for family, seed, sweep in zip(costs, seeds, out)]
-        for sweep, minima in zip(out, _cell_minima([family[i] for family in costs], starts)):
+    for i, column in enumerate(zip(*costs)):
+        starts = [_uniform_starts(cf, n_starts, _child_seed(seed, 0)) if i == 0
+                  else np.array([r.params for r in sweep[-1]]) for cf, seed, sweep in zip(column, seeds, out)]
+        for sweep, minima in zip(out, _cell_minima(list(column), starts)):
             sweep.append(minima)
     return out
 

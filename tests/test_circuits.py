@@ -743,7 +743,8 @@ def test_rows_under_per_row_specs_keep_their_single_spec_bits(circuit, rng):
     row run alone under its spec: states, expectations, and the adjoint's
     values and gradients; rows reduced against per-row observables equal
     their one-observable reductions. Identical fixed groups share one
-    array per spec."""
+    array per spec. The same holds with the rows sorted by spec (at 4 qubits
+    the first 32-row chunk is one run of one spec) and all under one spec."""
     from nvqa.circuits import _ByRow, _reduce
 
     n = circuit.n_qubits
@@ -756,15 +757,17 @@ def test_rows_under_per_row_specs_keep_their_single_spec_bits(circuit, rng):
     obs[1] += obs[1].T
     theta = rng.uniform(0.0, 2.0 * np.pi, (45, circuit.n_params))
     which, obs_of = rng.integers(0, len(specs), len(theta)), rng.integers(0, 2, len(theta))
-    noise, per_obs = _ByRow(specs, which), _ByRow(obs, obs_of)
-    states = _simulate(circuit, theta, noise)
-    values = _expectations(circuit, theta, noise, per_obs)
-    adj_values, adj_grads = _expectation_gradients(circuit, theta, noise, per_obs)
-    for r, (t, k, o) in enumerate(zip(theta, which, obs_of)):
-        np.testing.assert_array_equal(states[r], _simulate(circuit, t[None], specs[k])[0])
-        assert values[r] == _expectations(circuit, t[None], specs[k], obs[o])[0]
-        v, g = _expectation_gradients(circuit, t[None], specs[k], obs[o])
-        assert adj_values[r] == v[0]
-        np.testing.assert_array_equal(adj_grads[r], g[0])
-    np.testing.assert_array_equal(_reduce(states, per_obs),
-                                  np.where(obs_of == 0, _reduce(states, obs[0]), _reduce(states, obs[1])))
+    ordered = np.sort(np.concatenate([np.zeros(32, int), rng.integers(1, len(specs), len(theta) - 32)]))
+    for which in (which, ordered, np.full(len(theta), 3)):
+        noise, per_obs = _ByRow(specs, which), _ByRow(obs, obs_of)
+        states = _simulate(circuit, theta, noise)
+        values = _expectations(circuit, theta, noise, per_obs)
+        adj_values, adj_grads = _expectation_gradients(circuit, theta, noise, per_obs)
+        for r, (t, k, o) in enumerate(zip(theta, which, obs_of)):
+            np.testing.assert_array_equal(states[r], _simulate(circuit, t[None], specs[k])[0])
+            assert values[r] == _expectations(circuit, t[None], specs[k], obs[o])[0]
+            v, g = _expectation_gradients(circuit, t[None], specs[k], obs[o])
+            assert adj_values[r] == v[0]
+            np.testing.assert_array_equal(adj_grads[r], g[0])
+        np.testing.assert_array_equal(_reduce(states, per_obs),
+                                      np.where(obs_of == 0, _reduce(states, obs[0]), _reduce(states, obs[1])))

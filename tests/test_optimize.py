@@ -664,6 +664,29 @@ def test_values_and_gradients_of_an_empty_batch_are_empty(case):
     assert costs.shape == (0,) and grads.shape == (0, cf.n_params)
 
 
+@pytest.mark.parametrize("n, kind", [(2, None), (2, "amplitude"), (4, "phase")],
+                         ids=["2q-pure", "2q-amplitude", "4q-phase-adjoint"])
+def test_a_parameter_free_circuit_has_an_empty_gradient_and_stops_at_its_start(n, kind):
+    """A circuit with no Ry gate has P = 0: its gradient is empty, minimize
+    stops at its start after no step, converged with grad_norm 0, and
+    multistart returns that one minimum. Its output |0...0> is orthogonal to
+    the target |1...1> under these channels, so every cost is 1."""
+    from nvqa.circuits import NOISE, Circuit, Cx
+    from nvqa.qstate import pure_state
+
+    target = np.zeros(2 ** n)
+    target[-1] = 1.0
+    cf = infidelity_cost(Circuit(n, (Cx(0, 1), NOISE)), pure_state(target),
+                         None if kind is None else NoiseSpec.uniform(kind, 0.3, n))
+    assert cf._takes_adjoint == (n == 4)
+    assert gradient(cf, np.zeros(0)).shape == (0,)
+    res = minimize(cf, np.zeros(0))
+    assert res.params.shape == (0,)
+    assert (res.cost, res.grad_norm, res.iterations, res.converged) == (1.0, 0.0, 0, True)
+    [only] = multistart(cf, 3, 0)
+    assert (only.cost, only.iterations, only.converged) == (1.0, 0, True)
+
+
 @pytest.mark.parametrize("case", ["pure", "2q-density", "4q-density"])
 def test_a_one_cell_stack_passes_the_kernel_its_own_spec_and_observable(case, monkeypatch, rng):
     """A one-cell _Stack call runs its rows as its cost function alone: its
@@ -1389,7 +1412,7 @@ def test_a_restart_sweep_composes_each_spec_once(monkeypatch):
     composed, compose = [], circuits._pattern_blocks
     with monkeypatch.context() as m:
         m.setattr(circuits, "_pattern_blocks", lambda *a: composed.append(a[2:]) or compose(*a))
-        sweeps = optimize._sweeps([family(k) for k in kinds], gammas, "restart", 4, [1, 2, 3])
+        sweeps = optimize._sweeps([[family(k)(g) for g in gammas] for k in kinds], "restart", 4, [1, 2, 3])
         qualities = [r.quality for sweep in sweeps for minima in sweep for r in minima]
     n_fixed = len({ops for ops, perm in circuit._groups if perm is not None})
     assert qualities and n_fixed == 1
@@ -1422,7 +1445,7 @@ def test_sweeps_of_several_families_equal_their_separate_sweeps(mode, monkeypatc
     stacked = []
     with monkeypatch.context() as m:
         m.setattr(optimize, "_minimize_rows", lambda cf, *a: stacked.append(len(cf)) or _minimize_rows(cf, *a))
-        got = optimize._sweeps([family(k) for k in kinds], gammas, mode, 6, list(seeds))
+        got = optimize._sweeps([[family(k)(g) for g in gammas] for k in kinds], mode, 6, list(seeds))
     assert len(stacked) == (1 if mode == "restart" else len(gammas))
     for kind, seed, sweep in zip(kinds, seeds, got):
         want = sweep_gamma(family(kind), gammas, mode=mode, n_starts=6, seed=seed)
