@@ -14,14 +14,12 @@ d Tr[O rho] / d theta of density rows (forward pass, then each group's adjoint
 in reverse); both walk rows in one chunk walk, _chunks, with any m, 0 included.
 
 The rows of one call may differ in spec and in observable (_ByRow). A spec's
-blocks take dim^3 floats per distinct fixed group: 32 KiB at 4 qubits and
-2 MiB at 6. They come from _spec_blocks alone, which composes a spec's
-blocks on its first use and keeps them on the circuit (Circuit._blocks), so
-a circuit composes each spec once in its life. Rows of one spec take a
-fixed group as one product with its blocks, and each row keeps the bits of
-a single-spec call.
-The blocks grow as 8^n floats, so noisy evaluation stops at
-MAX_DENSITY_QUBITS qubits; noiseless evaluation runs up to MAX_QUBITS.
+blocks, dim^3 = 8^n floats per distinct fixed group (32 KiB at 4 qubits, 2 MiB
+at 6, so noisy evaluation stops at MAX_DENSITY_QUBITS qubits and noiseless at
+MAX_QUBITS), come from _spec_blocks, which composes them on the spec's first
+use and keeps them on the circuit (Circuit._blocks). A call resolves its blocks
+once (_row_blocks), its reverse pass too. Rows of one spec take a fixed group
+as one product with its blocks, and each row keeps a single-spec call's bits.
 """
 
 from __future__ import annotations
@@ -276,9 +274,9 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow |
     Every product is a stacked per-row matmul, so no BLAS call spans rows and
     a row's bits depend neither on its batch nor on the specs of the other
     rows. Density rows are refused above MAX_DENSITY_QUBITS qubits. A tape
-    list, given with density rows, is appended (rho, U) before each rotation
-    group, for the reverse pass of _expectation_gradients. A NaN or infinite
-    angle is refused. m = 0 gives no rows, statevectors or density matrices.
+    list, given with density rows, takes the input of each group's adjoint in
+    _expectation_gradients: (rho, U) before a rotation group, (blocks, runs)
+    at a fixed group. A NaN or infinite angle is refused. m = 0 gives no rows.
     """
     params = _require_finite(params)
     if params.ndim != 2 or params.shape[1] != circuit.n_params:
@@ -326,8 +324,10 @@ def _simulate(circuit: Circuit, params: np.ndarray, noise: "NoiseSpec | _ByRow |
                 tape.append((rho, u))
             rho = u @ rho @ u.transpose(0, 2, 1)
         else:
-            src, back, _, _ = plan
-            rho = _fixed(rho, src, next(blocks), back, runs)
+            blk = next(blocks)
+            if tape is not None:
+                tape.append((blk, runs))
+            rho = _fixed(rho, plan[0], blk, plan[1], runs)  # plan: src, back, back_inv, src_inv
     return rho
 
 
@@ -348,10 +348,10 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSp
     """Tr[Re(obs) rho], shape (m,), and its gradient, shape (m, n_params),
     for the density output of every row of an (m, n_params) array.
 
-    The forward pass is _simulate's, keeping rho before each rotation group;
+    The forward pass is _simulate's, whose tape holds each group's input;
     _reduce takes the value from its final rho, with _expectations' bits.
     lambda = Re(obs) then walks the groups and Circuit._density_plan in
-    reverse: back through a fixed group's blocks (_row_blocks), each
+    reverse, popping the tape: back through a fixed group's blocks, each
     transposed as a view, and inverse gathers, and through a rotation group
     as lambda <- U^T lambda U.
     With dU/dtheta = U K_q, K_q = [[0, -1], [1, 0]] / 2 on the Ry's qubit q,
@@ -368,8 +368,6 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSp
         vals[sl] = _reduce(_simulate(circuit, chunk, row_noise, tape), row_obs)
         lam = (np.real(row_obs.stack)[row_obs.index] if isinstance(row_obs, _ByRow)
                else np.repeat(np.real(row_obs)[None], len(chunk), axis=0))
-        stacks, runs = _row_blocks(circuit, row_noise)
-        blocks = reversed(stacks)
         for (_, perm), plan in zip(reversed(circuit._groups), reversed(circuit._density_plan)):
             if perm is None:
                 rho, u = tape.pop()
@@ -379,9 +377,8 @@ def _expectation_gradients(circuit: Circuit, params: np.ndarray, noise: "NoiseSp
                 prod = np.ascontiguousarray((rho @ lam).reshape(len(chunk), lam.shape[-1] ** 2)[:, entries])
                 out[sl, slots] = np.einsum("mki,ki->mk", prod, signs)
             else:
-                _, _, back_inv, src_inv = plan
-                blk = next(blocks)
-                lam = _fixed(lam, back_inv, blk.mT if runs is None else tuple(b.mT for b in blk), src_inv, runs)
+                blk, runs = tape.pop()  # each block transposed, between back_inv and src_inv
+                lam = _fixed(lam, plan[2], blk.mT if runs is None else tuple(b.mT for b in blk), plan[3], runs)
     return vals, out
 
 
@@ -420,9 +417,11 @@ class _ByRow:
     index[r] of stack. As the noise of density rows, stack is a tuple of
     NoiseSpecs, and row r runs under spec index[r]; as an observable, it is
     an (n_obs, dim, dim) array of real matrices, and row r is reduced against
-    matrix index[r]."""
+    matrix index[r]. An empty stack, which no row could choose from, is refused."""
 
     def __init__(self, stack, index: np.ndarray):
+        if not len(stack):
+            raise ValueError("a per-row choice needs at least one entry to choose from")
         self.stack, self.index = stack, index
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -103,19 +103,11 @@ class CostFn:
 
     @cached_property
     def _obs_matrix(self) -> np.ndarray:
-        """Real part of the Hamiltonian or of the target density matrix, which
-        gives the exact value on circuit outputs (see circuits._expectations)."""
+        """Real part of the Hamiltonian, shared by value (_hamiltonian_matrices), or of the target, kept per
+        cost function (a target compares by identity, so a shared cache would keep it alive): exact on outputs."""
         if self.hamiltonian is not None:
-            return self.hamiltonian.to_matrix().real.copy()
+            return _hamiltonian_matrices(self.hamiltonian)[0]
         return self.target.data.real.copy()
-
-    @cached_property
-    def _reference_matrix(self) -> np.ndarray:
-        """Real part of the pure state the fidelity quality measure is taken
-        against: the target, or the Hamiltonian's ground state."""
-        if self.target is not None:
-            return self._obs_matrix
-        return ground_truth(self.hamiltonian).state.data.real.copy()
 
     @property
     def n_params(self) -> int:
@@ -150,9 +142,18 @@ class CostFn:
         noise = _row_noise(self.circuit, self.noise)
         row = _simulate(self.circuit, np.asarray(params, dtype=float)[None], noise)
         e = float(_reduce(row, self._obs_matrix)[0]) if self.hamiltonian is not None else float("nan")
-        f = float(_reduce(row, self._reference_matrix)[0])
+        ref = self._obs_matrix if self.target is not None else _hamiltonian_matrices(self.hamiltonian)[1]
+        f = float(_reduce(row, ref)[0])
         c = max_pairwise_concurrence(_as_density_matrix(row[0])) if self.circuit.n_qubits > 1 else 0.0
         return QualityRecord(energy=e, fidelity=f, concurrence=c)
+
+
+@cache
+def _hamiltonian_matrices(hamiltonian: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only real parts of a Hamiltonian's matrix and ground-state projector, derived once per value."""
+    obs, ground = hamiltonian.to_matrix().real.copy(), ground_truth(hamiltonian).state.data.real.copy()
+    obs.flags.writeable = ground.flags.writeable = False
+    return obs, ground
 
 
 def energy_cost(circuit: Circuit, hamiltonian: PauliSum, noise: NoiseSpec | None = None) -> CostFn:

@@ -285,8 +285,8 @@ def test_a_spec_refuses_a_channel_that_is_not_a_kraus_channel(channel):
 
 def test_a_spec_keeps_its_dataclass_hash_and_a_pickled_copy_hashes_afresh(tmp_path):
     """A spec keeps hash((channel, per_qubit_scale)), the hash its dataclass
-    fields give. A pickled copy is rebuilt, so a process with another hash
-    seed hashes it like its own equal spec."""
+    fields give. A pickled copy is restored field by field and hashed afresh,
+    so a process with another hash seed hashes it like its own equal spec."""
     a = NoiseSpec.uniform("phase", 0.1, 2)
     assert hash(a) == hash((a.channel, a.per_qubit_scale)) == hash(NoiseSpec(make_channel("phase", 0.1), (1.0, 1.0)))
     path = tmp_path / "spec.pickle"

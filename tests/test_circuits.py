@@ -29,6 +29,7 @@ from nvqa.circuits import (
     ry_matrix,
     _ByRow,
     _as_density_matrix,
+    _chunks,
     _cx_perm,
     _expectation_gradients,
     _expectations,
@@ -424,6 +425,37 @@ def test_an_empty_batch_is_a_batch_like_any_other(name, noise, rng):
             reducer(circuit, wide, rows, obs)
     if noise == "per-row":
         assert _row_blocks(circuit, rows)[1] == []
+
+
+def test_an_adjoint_call_resolves_a_chunks_blocks_once(monkeypatch, rng):
+    """_expectation_gradients under a six-spec _ByRow takes each fixed group's
+    blocks and runs off its forward pass's tape: one _row_blocks call per
+    chunk, and every row keeps the bits of its single-spec call."""
+    import nvqa.circuits as circuits
+
+    circuit = build_hea(2)
+    specs = tuple(NoiseSpec.uniform(kind, g, 4) for kind in CHANNEL_KINDS for g in (0.05, 0.2))
+    thetas = rng.uniform(0.0, 2.0 * np.pi, (40, circuit.n_params))
+    which = rng.integers(0, len(specs), len(thetas))
+    obs = random_hamiltonian(4, rng).to_matrix()
+    want = [np.concatenate(w) for w in zip(*(_expectation_gradients(circuit, t[None], specs[k], obs)
+                                             for t, k in zip(thetas, which)))]
+    calls, row_blocks = [], circuits._row_blocks
+    monkeypatch.setattr(circuits, "_row_blocks", lambda *a: calls.append(a[1]) or row_blocks(*a))
+    got = _expectation_gradients(circuit, thetas, _ByRow(specs, which), obs)
+    chunks = list(_chunks(circuit, thetas, specs[0], obs))
+    assert len(chunks) == 2 and len(calls) == len(chunks)
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_a_per_row_choice_of_no_entries_is_refused():
+    """A _ByRow is refused where it is built when its stack is empty, as specs
+    or as observables: no row could choose from it, and _simulate would find
+    no blocks for a fixed group."""
+    for stack in ((), np.empty((0, 4, 4))):
+        with pytest.raises(ValueError, match="at least one entry"):
+            _ByRow(stack, np.empty(0, dtype=int))
 
 
 def test_equal_specs_share_one_block_entry(rng):

@@ -565,6 +565,29 @@ def test_a_study_composes_each_spec_once(experiment, overrides, composes, monkey
     assert composes == len(config.kinds) * sum(g > 0 for g in config.gamma_grid)
 
 
+def test_a_study_derives_its_hamiltonian_once(monkeypatch):
+    """A reduced vqe2q study, 27 (variant, kind, gamma) cells and their quality
+    reads on one Hamiltonian, derives its matrix and ground state once in the
+    process: one ground_truth eigendecomposition and at most two
+    PauliSum.to_matrix calls, the cost's and ground_truth's own."""
+    from nvqa import optimize
+    from nvqa.pauli import PauliSum
+
+    calls = {"ground_truth": 0, "to_matrix": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    optimize._hamiltonian_matrices.cache_clear()
+    monkeypatch.setattr(optimize, "ground_truth", counted("ground_truth", optimize.ground_truth))
+    monkeypatch.setattr(PauliSum, "to_matrix", counted("to_matrix", PauliSum.to_matrix))
+    run_experiment(default_config("vqe2q", gamma_grid=(0.0, 0.1, 0.3), n_starts_2q=8, seed=7))
+    assert calls["ground_truth"] == 1 and calls["to_matrix"] <= 2
+
+
 # sha256 of the CSVs of three reduced target studies, recorded before the
 # targets and cells of a study shared lockstep calls (x86-64, numpy 2.4.6, one
 # BLAS thread), with each config's hash.
