@@ -53,9 +53,9 @@ class DegeneracyMap:
     def __post_init__(self):
         if len(self.signs) != len(self.shifts):
             raise ValueError("signs and shifts must have equal length")
-        if any(s not in (-1, 1) for s in self.signs):
+        if not {*self.signs} <= {-1, 1}:
             raise ValueError("signs must be +1 or -1")
-        if any(b not in (0, 1) for b in self.shifts):
+        if not {*self.shifts} <= {0, 1}:
             raise ValueError("shifts must be 0 or 1 (multiples of pi)")
 
     @property

@@ -12,11 +12,13 @@ slightly below gamma = 0. The 2x2 block form of the channels
 (channels._apply_noise) is analytic in gamma and provides that extension to
 (-1, 1], in agreement with channel_superop. The Monte Carlo draws its
 samples in blocks of _BLOCK amplitude rows, one sampler call each, and
-differentiates each block as one stack of |v><v|; the estimates equal those
-of a per-sample loop bit for bit. Rows are taken in double precision but stay
-real if they are: both samplers here give real rows, and complex rows get
-|v><v| through the conjugate. Global depolarising noise admits the exact
-closed form (1 - (1-gamma)^d) (1 - 2^-N) regardless of the circuit.
+differentiates each block as one stack of |v><v| with the sample axis
+innermost, so that the channel's elementwise updates run along it; the
+estimates equal those of a per-sample loop bit for bit. Rows are taken in
+double precision but stay real if they are: both samplers here give real
+rows, and complex rows get |v><v| through the conjugate. Global
+depolarising noise admits the exact closed form (1 - (1-gamma)^d) (1 - 2^-N)
+regardless of the circuit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .channels import _apply_noise, _as_strength, _require_kind
 from .qstate import DensityMatrix, _as_int, _qubit_count, _require_unit_norms
 from .randstates import RngStream, _as_generator, product_rows, real_haar_rows
 
-_BLOCK = 32
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,16 @@ def apply_global_depol(rho: DensityMatrix, gamma: float) -> DensityMatrix:
 
 def _overlap_derivatives(kind: str, data: np.ndarray, n_qubits: int, eps: float = 1e-5) -> np.ndarray:
     """Central-difference d/dgamma Tr[rho Lambda_gamma(rho)] at gamma = 0 for
-    each rho of a (k, 2^n, 2^n) stack."""
-    hi = np.einsum("kij,kji->k", data, _apply_noise(data.copy(), kind, (eps,) * n_qubits)).real
-    lo = np.einsum("kij,kji->k", data, _apply_noise(data.copy(), kind, (-eps,) * n_qubits)).real
-    return (hi - lo) / (2.0 * eps)
+    each rho of a (k, 2^n, 2^n) stack in any memory layout. The channel runs
+    on copies in data's own layout, as its updates are elementwise, and each
+    trace reduces C-ordered arrays, so every layout gives the same bits."""
+    rho = np.ascontiguousarray(data)
+
+    def overlaps(gamma):
+        noisy = _apply_noise(data.copy(order="K"), kind, (gamma,) * n_qubits)
+        return np.einsum("kij,kji->k", rho, np.ascontiguousarray(noisy)).real
+
+    return (overlaps(eps) - overlaps(-eps)) / (2.0 * eps)
 
 
 def linear_action_overlap_derivative(kind: str, rho_t: DensityMatrix,
@@ -114,7 +122,9 @@ def estimate_alpha_beta(kind: str, n_qubits: int, n_samples: int, rng,
         if v.shape != (k, 2 ** n_qubits):
             raise ValueError(f"sampler rows have shape {v.shape}, expected {(k, 2 ** n_qubits)}")
         _require_unit_norms(v)
-        derivs[start:start + k] = -_overlap_derivatives(kind, v[:, :, None] * v[:, None, :].conj(), n_qubits)
+        vt = v.T.copy()  # the (k, 2^n, 2^n) stack of |v><v| is built as a C-ordered (2^n, 2^n, k)
+        stack = (vt[:, None, :] * vt[None, :, :].conj()).transpose(2, 0, 1)
+        derivs[start:start + k] = -_overlap_derivatives(kind, stack, n_qubits)
     alpha = float(derivs.mean())
     beta = float(derivs.var(ddof=1))
     centered = derivs - alpha

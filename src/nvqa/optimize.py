@@ -103,10 +103,10 @@ class CostFn:
 
     @cached_property
     def _obs_matrix(self) -> np.ndarray:
-        """Real part of the Hamiltonian, shared by value (_hamiltonian_matrices), or of the target, kept per
+        """Real part of the Hamiltonian, shared by value (_hamiltonian_matrix), or of the target, kept per
         cost function (a target compares by identity, so a shared cache would keep it alive): exact on outputs."""
         if self.hamiltonian is not None:
-            return _hamiltonian_matrices(self.hamiltonian)[0]
+            return _hamiltonian_matrix(self.hamiltonian)
         return self.target.data.real.copy()
 
     @property
@@ -142,18 +142,27 @@ class CostFn:
         noise = _row_noise(self.circuit, self.noise)
         row = _simulate(self.circuit, np.asarray(params, dtype=float)[None], noise)
         e = float(_reduce(row, self._obs_matrix)[0]) if self.hamiltonian is not None else float("nan")
-        ref = self._obs_matrix if self.target is not None else _hamiltonian_matrices(self.hamiltonian)[1]
+        ref = self._obs_matrix if self.target is not None else _ground_projector(self.hamiltonian)
         f = float(_reduce(row, ref)[0])
         c = max_pairwise_concurrence(_as_density_matrix(row[0])) if self.circuit.n_qubits > 1 else 0.0
         return QualityRecord(energy=e, fidelity=f, concurrence=c)
 
 
 @cache
-def _hamiltonian_matrices(hamiltonian: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only real parts of a Hamiltonian's matrix and ground-state projector, derived once per value."""
-    obs, ground = hamiltonian.to_matrix().real.copy(), ground_truth(hamiltonian).state.data.real.copy()
-    obs.flags.writeable = ground.flags.writeable = False
-    return obs, ground
+def _hamiltonian_matrix(hamiltonian: PauliSum) -> np.ndarray:
+    """Read-only real part of a Hamiltonian's matrix, derived once per value."""
+    obs = hamiltonian.to_matrix().real.copy()
+    obs.flags.writeable = False
+    return obs
+
+
+@cache
+def _ground_projector(hamiltonian: PauliSum) -> np.ndarray:
+    """Read-only real part of a Hamiltonian's ground-state projector, derived once per
+    value on its first quality read: a Hamiltonian that is only costed is never diagonalised."""
+    ground = ground_truth(hamiltonian).state.data.real.copy()
+    ground.flags.writeable = False
+    return ground
 
 
 def energy_cost(circuit: Circuit, hamiltonian: PauliSum, noise: NoiseSpec | None = None) -> CostFn:

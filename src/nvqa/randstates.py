@@ -7,6 +7,13 @@ is then a Haar-random real unit vector. Draws come as stacks: k matrices
 take one (k, dim, dim) normal draw and one stacked QR, which leave the
 stream and the bits of k draws made in turn. The single-draw functions are
 the k = 1 case.
+
+Rows keep only that first column, and take it from the first Householder
+reflector alone. LAPACK's QR (dgeqr2) builds the reflector from column 0
+only, as beta, tau and v, and forms Q e_1 = (1 - tau, -tau v) (dorg2r), so
+sign(beta) (1 - tau, -tau v) from a QR of column 0 has the bits of the full
+sign-fixed QR's column 0. The full (k, dim, dim) normals are still drawn, so
+the stream and every draw stay as they were.
 """
 
 from __future__ import annotations
@@ -56,12 +63,17 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)}")
 
 
-def haar_orthogonals(dim: int, rng, k: int) -> np.ndarray:
-    """k Haar-distributed orthogonal matrices, (k, dim, dim), via sign-fixed QR."""
+def _normals(dim: int, rng, k: int) -> np.ndarray:
+    """The (k, dim, dim) standard normals of k draws, counts checked before any draw."""
     dim, k = _as_int(dim, "dim"), _as_int(k, "k")
     if dim < 1 or k < 1:
         raise ValueError(f"need dim >= 1 and k >= 1, got dim={dim}, k={k}")
-    q, r = np.linalg.qr(_as_generator(rng).standard_normal((k, dim, dim)))
+    return _as_generator(rng).standard_normal((k, dim, dim))
+
+
+def haar_orthogonals(dim: int, rng, k: int) -> np.ndarray:
+    """k Haar-distributed orthogonal matrices, (k, dim, dim), via sign-fixed QR."""
+    q, r = np.linalg.qr(_normals(dim, rng, k))
     d = np.diagonal(r, axis1=1, axis2=2).copy()
     d[d == 0.0] = 1.0
     return q * np.sign(d)[:, None, :]
@@ -72,17 +84,28 @@ def haar_orthogonal(dim: int, rng) -> np.ndarray:
     return haar_orthogonals(dim, rng, 1)[0]
 
 
+def _first_columns(g: np.ndarray) -> np.ndarray:
+    """Column 0 of the sign-fixed QR of each matrix of a (k, dim, dim) stack,
+    (k, dim), from the first Householder reflector alone: the bits of
+    haar_orthogonals' column 0 on the same normals."""
+    h, tau = np.linalg.qr(g[:, :, :1], mode="raw")
+    beta = h[:, 0, :1]
+    sign = np.sign(beta)
+    sign[beta == 0.0] = 1.0
+    return np.concatenate((1.0 - tau, -tau * h[:, 0, 1:]), axis=1) * sign
+
+
 def real_haar_rows(n_qubits: int, rng, k: int) -> np.ndarray:
     """k real amplitude rows, (k, 2**n), each uniform on the unit sphere."""
-    return haar_orthogonals(2 ** _qubit_count(n_qubits), rng, k)[:, :, 0]
+    return _first_columns(_normals(2 ** _qubit_count(n_qubits), rng, k))
 
 
 def product_rows(n_qubits: int, rng, k: int) -> np.ndarray:
     """k rows, (k, 2**n), each a tensor product of n independent
-    single-qubit real Haar vectors: reduce(np.kron, ...) over one draw of
-    k*n 2x2 matrices, taken row by row."""
+    single-qubit real Haar vectors: reduce(np.kron, ...) over the first
+    columns of one draw of k*n 2x2 matrices, taken row by row."""
     n, k = _qubit_count(n_qubits), _as_int(k, "k")
-    cols = haar_orthogonals(2, rng, k * n)[:, :, 0].reshape(k, n, 2)
+    cols = _first_columns(_normals(2, rng, k * n)).reshape(k, n, 2)
     rows = cols[:, 0]
     for q in range(1, n):
         rows = (rows[:, :, None] * cols[:, q, None, :]).reshape(k, -1)

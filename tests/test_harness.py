@@ -581,7 +581,8 @@ def test_a_study_derives_its_hamiltonian_once(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    optimize._hamiltonian_matrices.cache_clear()
+    optimize._hamiltonian_matrix.cache_clear()
+    optimize._ground_projector.cache_clear()
     monkeypatch.setattr(optimize, "ground_truth", counted("ground_truth", optimize.ground_truth))
     monkeypatch.setattr(PauliSum, "to_matrix", counted("to_matrix", PauliSum.to_matrix))
     run_experiment(default_config("vqe2q", gamma_grid=(0.0, 0.1, 0.3), n_starts_2q=8, seed=7))

@@ -8,6 +8,7 @@ from nvqa.channels import CHANNEL_KINDS, NoiseSpec, _apply_noise, make_channel
 from nvqa.circuits import build_hea, evaluate, evaluate_pure
 from nvqa.noisemodel import (
     _BLOCK,
+    _overlap_derivatives,
     ModelParams,
     alpha_scaling_check,
     apply_global_depol,
@@ -176,6 +177,22 @@ def test_overlap_derivative_matches_the_one_state_reference(kind, rng):
         for eps in (1e-5, 1e-3):
             assert linear_action_overlap_derivative(kind, rho, eps=eps) == \
                 overlap_derivative_reference(kind, rho, eps)
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("dtype", (float, complex))
+def test_overlap_derivatives_keep_their_bits_in_any_layout(kind, dtype, rng):
+    """A C-ordered stack and its copy with the sample axis innermost give the
+    same bits, on real and on complex rows."""
+    for n, k in ((1, 3), (2, 5), (4, _BLOCK)):
+        v = rng.standard_normal((k, 2 ** n)).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.standard_normal(v.shape)
+        stack = v[:, :, None] * v[:, None, :].conj()
+        inner = np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert inner.strides[0] == stack.itemsize and np.array_equal(inner, stack)
+        want = _overlap_derivatives(kind, stack, n)
+        assert want.tobytes() == _overlap_derivatives(kind, inner, n).tobytes()
 
 
 def test_alpha_scaling_check_matches_the_per_sample_product_loop():

@@ -97,6 +97,24 @@ def test_energy_value_matches_quality(rng):
     assert abs(cf.value(theta) - cf.quality(theta).energy) < 1e-12
 
 
+def test_an_energy_cost_is_costed_and_minimized_without_diagonalising_its_hamiltonian(monkeypatch):
+    """The ground projector is derived on the first quality read, once per
+    Hamiltonian value: costing, gradients and a minimize run make no
+    ground_truth call, and two quality reads make one."""
+    calls = []
+    optimize._hamiltonian_matrix.cache_clear()
+    optimize._ground_projector.cache_clear()
+    monkeypatch.setattr(optimize, "ground_truth", lambda h: calls.append(h) or ground_truth(h))
+    cf = energy_cost(build_2q_circuit("a"), H2, NoiseSpec.uniform("amplitude", 0.1, 2))
+    x0 = np.linspace(0.1, 0.8, cf.n_params)
+    cf.values(x0[None])
+    gradient(cf, x0)
+    result = minimize(cf, x0)
+    assert calls == []
+    assert result.quality == cf.quality(result.params)
+    assert calls == [H2]
+
+
 def test_infidelity_value_matches_quality(rng):
     target = ground_truth(H2).state
     cf = infidelity_cost(build_2q_circuit("c"), target)

@@ -11,6 +11,7 @@ from nvqa.qstate import MAX_QUBITS
 from nvqa.randstates import (
     RngStream,
     _child_seed,
+    _first_columns,
     haar_orthogonal,
     haar_orthogonals,
     product_rows,
@@ -110,6 +111,53 @@ def test_stacked_draws_equal_k_per_draw_oracle_draws(k, dim):
     assert same_bits(real_haar_rows(dim.bit_length() - 1, c, k), want[:, :, 0])
     tail = b.standard_normal(4)
     assert same_bits(a.standard_normal(4), tail) and same_bits(c.standard_normal(4), tail)
+
+
+def same_uint64(a, b) -> bool:
+    """Equal bits, signed zeros included, compared as uint64 views."""
+    a, b = np.ascontiguousarray(a, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class FixedNormals:
+    """A stand-in generator whose standard_normal hands out given matrices in turn."""
+
+    def __init__(self, g):
+        self.left = list(g)
+
+    def standard_normal(self, shape):
+        return self.left.pop(0).reshape(shape)
+
+
+@pytest.mark.parametrize("k", (1, 127, 128, 129))
+def test_the_first_reflector_gives_the_full_qrs_sign_fixed_first_column(k):
+    """Column 0 from a QR of column 0 alone has the bits of the full sign-fixed
+    QR's column 0 on the same normals, at every width the rows use and more."""
+    for dim in range(2, 65):
+        seed = 1000 * k + dim
+        g = np.random.default_rng(seed).standard_normal((k, dim, dim))
+        gen = FixedNormals(g)
+        want = [haar_orthogonal_reference(dim, gen)[:, 0] for _ in range(k)]
+        assert same_uint64(_first_columns(g), want), dim
+
+
+@pytest.mark.parametrize("dim", (2, 3, 16, 64))
+def test_the_first_reflector_keeps_the_bits_of_degenerate_columns(dim):
+    """A column with zeros below the diagonal has tau = 0 and an all-zero
+    column has beta = 0 (sign fixed to +1); both keep the full QR's bits,
+    signed zeros included, whatever the sign of the diagonal entry and of the
+    zeros below it."""
+    g = np.random.default_rng(dim).standard_normal((6, dim, dim))
+    g[0, 1:, 0] = 0.0
+    g[1, 1:, 0], g[1, 0, 0] = 0.0, -2.0
+    g[2, 1:, 0], g[2, 0, 0] = -0.0, 1.5
+    g[3, 1:, 0], g[3, 0, 0] = -0.0, -1.5
+    g[4, :, 0] = 0.0
+    g[5, :, 0] = -0.0
+    gen = FixedNormals(g)
+    want = [haar_orthogonal_reference(dim, gen)[:, 0] for _ in range(len(g))]
+    assert same_uint64(_first_columns(g), want)
+    assert np.signbit(np.array(want)[:, 1:]).any() and not np.signbit(np.array(want)[:, 1:]).all()
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
