@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import I2, SX, SY, SZ
-from .qstate import DensityMatrix, _contract, _qubit_count
+from .qstate import DensityMatrix, _as_index, _as_real, _contract, _qubit_count, _require_width
 
 CHANNEL_KINDS = ("phase", "amplitude", "depolarising")
 
@@ -84,9 +84,7 @@ def channel_superop(kind: str, gamma: float) -> np.ndarray:
     gamma = 0 rely on. A bool, a string or anything not real is refused.
     """
     _require_kind(kind)
-    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real):
-        raise ValueError(f"gamma must be a real number, got {gamma!r}")
-    gamma = float(gamma)
+    gamma = _as_real(gamma, "gamma")
     if not -1.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (-1, 1], got {gamma}")
     if kind == "depolarising":
@@ -145,8 +143,7 @@ def apply_channel_one_qubit(rho: DensityMatrix, ch: KrausChannel, qubit: int) ->
     """sum_k E_k rho E_k^dagger with the channel acting on one qubit, as its
     superoperator sum_k E_k (x) conj(E_k) contracted with the qubit's axes."""
     n = rho.n_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    qubit = _as_index(qubit, "qubit", n)
     sup = sum(np.kron(e, e.conj()) for e in ch.kraus)
     t = _contract(rho.data.reshape((2,) * (2 * n)), sup, (qubit, n + qubit))
     return DensityMatrix(t.reshape(rho.data.shape))
@@ -190,10 +187,7 @@ class NoiseSpec:
 
 def apply_product_channel(rho: DensityMatrix, spec: NoiseSpec) -> DensityMatrix:
     """Apply the product channel qubit by qubit with per-qubit scaled gamma."""
-    if spec.n_qubits != rho.n_qubits:
-        raise ValueError(
-            f"noise spec covers {spec.n_qubits} qubits, state has {rho.n_qubits}"
-        )
+    _require_width("noise spec covers", spec.n_qubits, "state", rho.n_qubits)
     return DensityMatrix(_apply_noise(np.array(rho.data), spec.channel.kind, spec._gammas))
 
 

@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from .channels import NoiseSpec, _apply_noise
-from .qstate import DensityMatrix, _as_int, _qubit_count, _require_ints
+from .qstate import DensityMatrix, _as_index, _as_int, _qubit_count, _require_ints, _require_width
 
 _CHUNK_FLOATS = 2 ** 13  # output-state floats per chunk of _chunks, read at each call
 # widest circuit with density rows: a spec's blocks take dim^3 floats per fixed group
@@ -103,14 +103,13 @@ class Circuit:
         slots = []
         for op in self.ops:
             if isinstance(op, Ry):
-                if not 0 <= op.qubit < self.n_qubits:
-                    raise ValueError(f"Ry qubit {op.qubit} out of range")
+                _as_index(op.qubit, "Ry qubit", self.n_qubits)
                 slots.append(op.param_index)
             elif isinstance(op, Cx):
                 if op.control == op.target:
                     raise ValueError("CX control and target must differ")
-                if not (0 <= op.control < self.n_qubits and 0 <= op.target < self.n_qubits):
-                    raise ValueError(f"CX qubits ({op.control}, {op.target}) out of range")
+                _as_index(op.control, "CX control", self.n_qubits)
+                _as_index(op.target, "CX target", self.n_qubits)
             elif not isinstance(op, NoiseMark):
                 raise TypeError(f"unsupported op {op!r}")
         if sorted(slots) != list(range(len(slots))):
@@ -216,9 +215,7 @@ def build_hea(layers: int) -> Circuit:
     followed by a noise point, then CX(1->2) followed by a second noise
     point. L layers use 4L parameters and 2L noise points.
     """
-    layers = _as_int(layers, "layers")
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
+    layers = _as_int(layers, "layers", 1)
     ops: list[CircuitOp] = []
     for l in range(layers):
         ops += [Ry(4 * l + q, q) for q in range(4)]
@@ -468,8 +465,7 @@ def _require_finite(params, name: str = "params") -> np.ndarray:
 def _check_width(circuit: Circuit, noise: "NoiseSpec | _ByRow | None") -> None:
     """Refuse a spec of the wrong width, trivial or not, one spec or per-row specs."""
     for spec in noise.stack if isinstance(noise, _ByRow) else () if noise is None else (noise,):
-        if spec.n_qubits != circuit.n_qubits:
-            raise ValueError(f"noise spec covers {spec.n_qubits} qubits, circuit has {circuit.n_qubits}")
+        _require_width("noise spec covers", spec.n_qubits, "circuit", circuit.n_qubits)
 
 
 def _row_noise(circuit: Circuit, noise: "NoiseSpec | _ByRow | None") -> "NoiseSpec | _ByRow | None":

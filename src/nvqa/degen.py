@@ -37,7 +37,7 @@ import numpy as np
 from .channels import NoiseSpec
 from .circuits import Circuit, Cx, NoiseMark, Ry, _expectations, _require_finite, _simulate
 from .measures import _require_pure
-from .qstate import DensityMatrix, _as_int
+from .qstate import DensityMatrix, _as_int, _require_width
 
 _VERIFY_TOL = 1e-10
 _VERIFY_POINTS = 3
@@ -125,9 +125,7 @@ def generate_degeneracy_maps(circuit: Circuit, cap: int = 2 ** 16) -> list[Degen
     _VERIFY_POINTS random angle vectors at zero noise. The maps are in the
     order of their shift bits, the first parameter's most significant.
     """
-    cap = _as_int(cap, "cap")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap!r}")
+    cap = _as_int(cap, "cap", 1)
     ops = [op for op in circuit.ops if not isinstance(op, NoiseMark)]
     n = circuit.n_params
     gens = [_candidate_generator(ops, k, circuit.n_qubits, n)
@@ -194,8 +192,7 @@ def degeneracy_split(circuit: Circuit, theta_star: np.ndarray,
     At zero noise all entries agree; noise that does not commute with the
     inserted Pauli words (amplitude damping) spreads them apart.
     """
-    if target.n_qubits != circuit.n_qubits:
-        raise ValueError(f"target acts on {target.n_qubits} qubits, circuit has {circuit.n_qubits}")
+    _require_width("target acts on", target.n_qubits, "circuit", circuit.n_qubits)
     _require_pure(target)
     images = _images(*_map_arrays(maps, circuit.n_params), theta_star)
     return _expectations(circuit, images, noise, target.data)

@@ -28,7 +28,8 @@ from .channels import CHANNEL_KINDS, NoiseSpec, _as_strength, _require_kind, mak
 from .circuits import Circuit, build_2q_circuit, build_4q_vqe, build_hea, build_valley_demo, _expectations
 from .degen import generate_degeneracy_maps, degeneracy_split
 from .noisemodel import estimate_alpha_beta
-from .optimize import MinimizeOptions, OptResult, energy_cost, infidelity_cost, _minimize_rows, _reoptimized, _sweeps
+from .optimize import (MinimizeOptions, OptResult, energy_cost, infidelity_cost, _minimize_rows, _reoptimized,
+                       _require_mode, _sweeps)
 from .pauli import PauliSum, vqe_hamiltonian_2q, vqe_hamiltonian_4q
 from .qstate import _as_int, _require_ints
 from .randstates import RngStream, _as_seed, _child_seed, sample_real_haar_state
@@ -50,13 +51,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _as_seed(self.seed))
-        _require_ints(self, "n_starts_2q", "n_starts_4q", "n_targets", "n_samples")
+        _require_ints(self, "n_starts_2q", "n_starts_4q", "n_targets", least=1)
+        _require_ints(self, "n_samples", least=2)
         for name in ("kinds", "variants", "layers", "gamma_grid"):
             grid = getattr(self, name)
             if isinstance(grid, str):  # would be split into its characters
                 raise ValueError(f"{name} must be a list, got the string {grid!r}")
             object.__setattr__(self, name, tuple(grid))  # so the checks below drain no iterator
-        object.__setattr__(self, "layers", tuple(_as_int(l, "layers") for l in self.layers))
+        object.__setattr__(self, "layers", tuple(_as_int(l, "layers", 1) for l in self.layers))
         object.__setattr__(self, "gamma_grid", tuple(_as_strength(g, "gamma_grid") for g in self.gamma_grid))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
@@ -64,16 +66,9 @@ class ExperimentConfig:
             )
         for k in self.kinds:
             _require_kind(k)
-        if self.mode not in ("track", "restart"):
-            raise ValueError(f"mode must be 'track' or 'restart', got {self.mode!r}")
-        if self.n_targets < 1 or self.n_samples < 2:
-            raise ValueError("n_targets must be >= 1 and n_samples >= 2")
-        if self.n_starts_2q < 1 or self.n_starts_4q < 1:
-            raise ValueError("n_starts_2q and n_starts_4q must be >= 1")
+        _require_mode(self.mode)
         if not (self.kinds and self.layers and self.variants):
             raise ValueError("kinds, layers and variants must not be empty")
-        if min(self.layers) < 1:
-            raise ValueError("layer counts must be >= 1")
         for v in self.variants:
             build_2q_circuit(v)  # raises on an unknown variant
         if not self.gamma_grid and self.experiment != "alpha_beta_table":

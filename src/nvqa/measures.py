@@ -7,9 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import SY, PauliSum
-from .qstate import DensityMatrix, eigen_desc, expectation, partial_trace
+from .qstate import DensityMatrix, _as_int, _require_width, eigen_desc, expectation, partial_trace
 
 _IMAG_TOL = 1e-8
+_DEGENERACY_TOL = 1e-10
 _SYY = np.kron(SY, SY)
 
 
@@ -43,8 +44,7 @@ def fidelity(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     Raises if sigma is not pure (purity below 1 - 1e-8) or if the trace
     carries an imaginary residue above 1e-8.
     """
-    if sigma.n_qubits != rho.n_qubits:
-        raise ValueError("states act on different qubit counts")
+    _require_width("sigma acts on", sigma.n_qubits, "rho", rho.n_qubits)
     _require_pure(sigma)
     val = np.einsum("ij,ji->", sigma.data, rho.data)
     if abs(val.imag) > _IMAG_TOL:
@@ -64,8 +64,7 @@ def concurrence(rho: DensityMatrix) -> float:
     rho (Y x Y) conj(rho) (Y x Y); small negative eigenvalues from roundoff
     are clipped through the absolute value before the square root.
     """
-    if rho.n_qubits != 2:
-        raise ValueError(f"concurrence is defined for 2 qubits, got {rho.n_qubits}")
+    _require_width("concurrence acts on", 2, "rho", rho.n_qubits)
     rho_tilde = _SYY @ rho.data.conj() @ _SYY
     evals = np.linalg.eigvals(rho.data @ rho_tilde)
     lam = np.sort(np.sqrt(np.abs(evals.real)))[::-1]
@@ -74,9 +73,7 @@ def concurrence(rho: DensityMatrix) -> float:
 
 def max_pairwise_concurrence(rho: DensityMatrix) -> float:
     """Maximum concurrence over all two-qubit reduced states."""
-    n = rho.n_qubits
-    if n < 2:
-        raise ValueError("need at least 2 qubits")
+    n = _as_int(rho.n_qubits, "n_qubits", 2)
     if n == 2:
         return concurrence(rho)
     best = 0.0
@@ -93,17 +90,17 @@ class GroundTruth:
     degenerate: bool
 
 
-def ground_truth(hamiltonian: PauliSum, degeneracy_tol: float = 1e-10) -> GroundTruth:
+def ground_truth(hamiltonian: PauliSum) -> GroundTruth:
     """Exact ground energy and ground state by dense diagonalization.
 
     The degenerate flag is set when the spectral gap above the ground energy
-    is below degeneracy_tol; the returned state is then one representative of
-    the degenerate subspace.
+    is at most _DEGENERACY_TOL (1e-10); the returned state is then one
+    representative of the degenerate subspace.
     """
     h = hamiltonian.to_matrix()
     evals, evecs = np.linalg.eigh(h)
     e0 = float(evals[0])
-    degenerate = bool(evals.size > 1 and evals[1] - evals[0] <= degeneracy_tol)
+    degenerate = bool(evals.size > 1 and evals[1] - evals[0] <= _DEGENERACY_TOL)
     v = evecs[:, 0]
     state = DensityMatrix(np.outer(v, v.conj()))
     return GroundTruth(e0, state, degenerate)

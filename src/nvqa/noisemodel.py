@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _apply_noise, _as_strength, _require_kind
-from .qstate import DensityMatrix, _as_int, _qubit_count, _require_unit_norms
+from .qstate import DensityMatrix, _as_int, _as_real, _qubit_count, _require_unit_norms
 from .randstates import RngStream, _as_generator, product_rows, real_haar_rows
 
 _BLOCK = 128
@@ -56,8 +56,7 @@ def global_depol_infidelity(gamma: float, d: int, n_qubits: int,
     linearization (1 - 2^-n) d gamma is returned instead.
     """
     gamma = _as_strength(gamma, "gamma")
-    if _as_int(d, "d") < 0:
-        raise ValueError("d must be >= 0")
+    _as_int(d, "d", 0)
     n_qubits = _qubit_count(n_qubits)
     scale = 1.0 - 2.0 ** (-n_qubits)
     if first_order:
@@ -88,7 +87,11 @@ def _overlap_derivatives(kind: str, data: np.ndarray, n_qubits: int, eps: float 
 
 def linear_action_overlap_derivative(kind: str, rho_t: DensityMatrix,
                                      eps: float = 1e-5) -> float:
-    """Central-difference d/dgamma Tr[rho_T Lambda_gamma(rho_T)] at gamma = 0."""
+    """Central-difference d/dgamma Tr[rho_T Lambda_gamma(rho_T)] at gamma = 0,
+    with the step eps a real number in (0, 1)."""
+    eps = _as_real(eps, "eps")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
     return float(_overlap_derivatives(kind, rho_t.data[None], rho_t.n_qubits, eps)[0])
 
 
@@ -110,9 +113,7 @@ def estimate_alpha_beta(kind: str, n_qubits: int, n_samples: int, rng,
     """
     _require_kind(kind)  # before any draw moves the caller's generator
     n_qubits = _qubit_count(n_qubits)
-    n_samples = _as_int(n_samples, "n_samples")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    n_samples = _as_int(n_samples, "n_samples", 2)
     gen = _as_generator(rng)
     derivs = np.empty(n_samples)
     for start in range(0, n_samples, _BLOCK):
@@ -141,8 +142,7 @@ def predict(params: ModelParams, gamma: float, d: int) -> tuple[float, float]:
     mean leaves it.
     """
     gamma = _as_strength(gamma, "gamma")
-    if _as_int(d, "d") < 0:
-        raise ValueError("d must be >= 0")
+    _as_int(d, "d", 0)
     mean = params.alpha * gamma * d
     spread = float(np.sqrt(max(params.beta, 0.0)) * gamma * d)
     if mean > 0.5:

@@ -34,7 +34,6 @@ reoptimize_from's cells (_reoptimized) take one frozen call and one live.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import Callable
@@ -46,7 +45,7 @@ from .circuits import (Circuit, _ByRow, _as_density_matrix, _check_width, _expec
                        _reduce, _require_finite, _row_noise, _simulate, evaluate)
 from .measures import QualityRecord, _require_pure, ground_truth, max_pairwise_concurrence
 from .pauli import PauliSum
-from .qstate import DensityMatrix, _as_int, _require_ints
+from .qstate import DensityMatrix, _as_int, _as_real, _require_ints, _require_width
 from .randstates import _as_seed, _child_seed
 
 TWO_PI = 2.0 * np.pi
@@ -93,10 +92,8 @@ class CostFn:
     def __post_init__(self):
         if (self.hamiltonian is None) == (self.target is None):
             raise ValueError("set exactly one of hamiltonian or target")
-        if self.target is not None and self.target.n_qubits != self.circuit.n_qubits:
-            raise ValueError("target qubit count does not match circuit")
-        if self.hamiltonian is not None and self.hamiltonian.n_qubits != self.circuit.n_qubits:
-            raise ValueError("hamiltonian qubit count does not match circuit")
+        what, obs = ("target", self.target) if self.hamiltonian is None else ("hamiltonian", self.hamiltonian)
+        _require_width(f"{what} acts on", obs.n_qubits, "circuit", self.circuit.n_qubits)
         _check_width(self.circuit, self.noise)
         if self.target is not None:
             _require_pure(self.target)
@@ -201,14 +198,10 @@ class MinimizeOptions:
     cost_goal: float | None = None
 
     def __post_init__(self):
-        _require_ints(self, "max_iters")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters!r}")
+        _require_ints(self, "max_iters", least=0)
         # a bool is no goal, though Python compares True as 1.0; nor is a complex or a string
-        goal = self.cost_goal
-        if goal is not None and (isinstance(goal, bool) or not isinstance(goal, numbers.Real)
-                                 or not math.isfinite(goal)):
-            raise ValueError(f"cost_goal must be None or a finite real number, got {goal!r}")
+        if self.cost_goal is not None and not math.isfinite(_as_real(self.cost_goal, "cost_goal")):
+            raise ValueError(f"cost_goal must be None or a finite real number, got {self.cost_goal!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,8 +461,7 @@ def _dedup(cf: CostFn, results: list[OptResult]) -> list[OptResult]:
 
 def _uniform_starts(cf: CostFn, n_starts: int, seed: int) -> np.ndarray:
     """n_starts uniform random starts in [0, 2*pi)^P, drawn from seed."""
-    if _as_int(n_starts, "n_starts") < 1:
-        raise ValueError("n_starts must be >= 1")
+    n_starts = _as_int(n_starts, "n_starts", 1)
     return np.random.default_rng(_as_seed(seed)).uniform(0.0, TWO_PI, size=(n_starts, cf.n_params))
 
 
@@ -514,6 +506,12 @@ def sweep_gamma(make_cost: Callable[[float], CostFn], gammas, mode: str = "track
     return _sweeps([[make_cost(g) for g in gammas]], mode, n_starts, [seed])[0]
 
 
+def _require_mode(mode) -> None:
+    """Refuse a sweep mode other than "track" and "restart": the one mode rule."""
+    if mode not in ("track", "restart"):
+        raise ValueError(f"mode must be 'track' or 'restart', got {mode!r}")
+
+
 def _sweeps(costs: list[list[CostFn]], mode: str, n_starts: int, seeds: list[int]) -> list[list[list[OptResult]]]:
     """sweep_gamma for several cost families on one circuit: costs[f][i] is
     family f's cost at gamma index i, and family f sweeps from seeds[f]. The
@@ -522,8 +520,7 @@ def _sweeps(costs: list[list[CostFn]], mode: str, n_starts: int, seeds: list[int
     cell as one, one call per distinct circuit among the cells
     (_cell_minima). Each cell is deduplicated on its own, and the results
     come back in the grid's shape."""
-    if mode not in ("track", "restart"):
-        raise ValueError(f"unknown sweep mode {mode!r}")
+    _require_mode(mode)
     if mode == "restart":
         cells = iter(_cell_minima([cf for family in costs for cf in family],
                                   [_uniform_starts(cf, n_starts, _child_seed(seed, i))

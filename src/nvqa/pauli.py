@@ -7,7 +7,7 @@ from functools import reduce
 
 import numpy as np
 
-from .qstate import _qubit_count
+from .qstate import _as_real, _qubit_count, _require_width
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -37,7 +37,8 @@ class PauliSum:
     n_qubits : int
         Number of qubits each word acts on, in [1, MAX_QUBITS].
     terms : tuple of (coefficient, word) pairs
-        Coefficients must be real so the matrix form is Hermitian.
+        Coefficients must be finite real numbers (a bool or a string is
+        refused) so the matrix form is Hermitian.
     """
 
     n_qubits: int
@@ -45,12 +46,12 @@ class PauliSum:
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
-        object.__setattr__(self, "terms", tuple((float(c), str(w)) for c, w in self.terms))
+        object.__setattr__(self, "terms", tuple((_as_real(c, f"coefficient of {str(w)!r}"), str(w))
+                                                for c, w in self.terms))
         for coeff, word in self.terms:
             if not np.isfinite(coeff):
                 raise ValueError(f"coefficient of {word!r} must be finite, got {coeff}")
-            if len(word) != self.n_qubits:
-                raise ValueError(f"word {word!r} does not act on {self.n_qubits} qubits")
+            _require_width(f"word {word!r} acts on", len(word), "the sum", self.n_qubits)
             if any(c not in PAULI for c in word):
                 raise ValueError(f"invalid Pauli word: {word!r}")
 

@@ -7,6 +7,7 @@ the basis index, so for two qubits the basis ordering is |00>, |01>, |10>, |11|.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -23,18 +24,42 @@ EIGVAL_TOL = 1e-10
 PURITY_TOL = 1e-10
 
 
-def _as_int(value, name: str) -> int:
-    """value as an int; bools, which Python makes ints, and non-integers are
-    refused."""
+def _as_int(value, name: str, least: int | None = None) -> int:
+    """value as an int, refused below least where least is given: the one count
+    rule. Bools, which Python makes ints, and non-integers are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 
-def _require_ints(obj, *names: str) -> None:
+def _require_ints(obj, *names: str, least: int | None = None) -> None:
     """Store the named fields as ints, by _as_int's rule."""
     for name in names:
-        object.__setattr__(obj, name, _as_int(getattr(obj, name), name))
+        object.__setattr__(obj, name, _as_int(getattr(obj, name), name, least))
+
+
+def _as_index(value, name: str, n: int) -> int:
+    """value as a qubit index of an n-qubit register, by _as_int's rule: the one index rule."""
+    q = _as_int(value, name)
+    if not 0 <= q < n:
+        raise ValueError(f"{name} {q} out of range for {n} qubits")
+    return q
+
+
+def _require_width(what: str, n: int, of: str, m: int) -> None:
+    """Refuse what, on n qubits, against of, on m, unless n == m: the one width
+    rule. what carries its verb, such as "noise spec covers" or "target acts on"."""
+    if n != m:
+        raise ValueError(f"{what} {n} qubits, {of} has {m}")
+
+
+def _as_real(value, name: str) -> float:
+    """value as a float; a bool, a string or anything not real is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _qubit_count(n_qubits) -> int:
@@ -147,11 +172,9 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets: list[int] | tuple[
         Distinct integer qubit indices (a float or a bool is refused, not
         truncated); targets[0] is the first tensor factor of u.
     """
-    targets = tuple(_as_int(q, "target qubit") for q in targets)
+    targets = tuple(_as_index(q, "target qubit", rho.n_qubits) for q in targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubits: {targets}")
-    if any(q < 0 or q >= rho.n_qubits for q in targets):
-        raise ValueError(f"target out of range for {rho.n_qubits} qubits: {targets}")
     u = np.asarray(u, dtype=complex)
     k = len(targets)
     if u.shape != (2 ** k, 2 ** k):
@@ -164,11 +187,11 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets: list[int] | tuple[
 def partial_trace(rho: DensityMatrix, keep: list[int] | tuple[int, ...]) -> DensityMatrix:
     """Reduced state on the kept qubits, in the order they are listed; each
     must be an integer index (a float or a bool is refused, not truncated)."""
-    keep = tuple(_as_int(q, "kept qubit") for q in keep)
     n = rho.n_qubits
+    keep = tuple(_as_index(q, "kept qubit", n) for q in keep)
     if len(keep) == 0:
         raise ValueError("must keep at least one qubit")
-    if len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
+    if len(set(keep)) != len(keep):
         raise ValueError(f"invalid keep list for {n} qubits: {keep}")
     traced = tuple(q for q in range(n) if q not in keep)
     t = rho.data.reshape((2,) * (2 * n))
@@ -182,10 +205,7 @@ def partial_trace(rho: DensityMatrix, keep: list[int] | tuple[int, ...]) -> Dens
 
 def expectation(rho: DensityMatrix, observable: PauliSum) -> float:
     """Tr[O rho] for a Hermitian Pauli-sum observable, returned as a real float."""
-    if observable.n_qubits != rho.n_qubits:
-        raise ValueError(
-            f"observable acts on {observable.n_qubits} qubits, state has {rho.n_qubits}"
-        )
+    _require_width("observable acts on", observable.n_qubits, "state", rho.n_qubits)
     val = np.einsum("ij,ji->", observable.to_matrix(), rho.data)
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {val.imag}")

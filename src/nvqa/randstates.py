@@ -44,10 +44,7 @@ class RngStream:
 
 def _as_seed(value, name: str = "seed") -> int:
     """value as a non-negative int, by _as_int's rule: the one seed rule."""
-    value = _as_int(value, name)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
+    return _as_int(value, name, 0)
 
 
 def _child_seed(seed: int, *path: int) -> int:
@@ -65,9 +62,7 @@ def _as_generator(rng) -> np.random.Generator:
 
 def _normals(dim: int, rng, k: int) -> np.ndarray:
     """The (k, dim, dim) standard normals of k draws, counts checked before any draw."""
-    dim, k = _as_int(dim, "dim"), _as_int(k, "k")
-    if dim < 1 or k < 1:
-        raise ValueError(f"need dim >= 1 and k >= 1, got dim={dim}, k={k}")
+    dim, k = _as_int(dim, "dim", 1), _as_int(k, "k", 1)
     return _as_generator(rng).standard_normal((k, dim, dim))
 
 
@@ -104,7 +99,7 @@ def product_rows(n_qubits: int, rng, k: int) -> np.ndarray:
     """k rows, (k, 2**n), each a tensor product of n independent
     single-qubit real Haar vectors: reduce(np.kron, ...) over the first
     columns of one draw of k*n 2x2 matrices, taken row by row."""
-    n, k = _qubit_count(n_qubits), _as_int(k, "k")
+    n, k = _qubit_count(n_qubits), _as_int(k, "k", 1)
     cols = _first_columns(_normals(2, rng, k * n)).reshape(k, n, 2)
     rows = cols[:, 0]
     for q in range(1, n):
