@@ -334,11 +334,12 @@ def run_transition_scan(config: ExperimentConfig) -> _Table:
     rows = []
     for t, target in enumerate(targets):
         chain = [step[t] for step in steps[1:]]
+        noiseless = infidelity_cost(circuit, target)
         jumps = [0.0] + [_wrapped_jump(res.params, last.params) for last, res in zip(chain, chain[1:])]
         positive = [jump for jump in jumps[1:] if jump > 1e-12]
         cut = 10.0 * float(np.median(positive)) if positive else np.inf
         for g, res, jump in zip(config.gamma_grid, chain, jumps):
-            q, clean = res.quality, infidelity_cost(circuit, target).quality(res.params)
+            q, clean = res.quality, noiseless.quality(res.params)
             flagged = int(jump > cut and jump > 1e-6)
             rows.append((t, kind, layers, g, q.fidelity, q.concurrence,
                          clean.fidelity, clean.concurrence,

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _apply_noise, _as_strength, _require_kind
+from .circuits import _require_finite
 from .qstate import DensityMatrix, _as_int, _as_real, _qubit_count, _require_unit_norms
 from .randstates import RngStream, _as_generator, product_rows, real_haar_rows
 
@@ -58,6 +59,8 @@ def global_depol_infidelity(gamma: float, d: int, n_qubits: int,
     gamma = _as_strength(gamma, "gamma")
     _as_int(d, "d", 0)
     n_qubits = _qubit_count(n_qubits)
+    if not isinstance(first_order, (bool, np.bool_)):
+        raise ValueError(f"first_order must be True or False, got {first_order!r}")
     scale = 1.0 - 2.0 ** (-n_qubits)
     if first_order:
         return scale * d * gamma
@@ -155,8 +158,7 @@ def predict(params: ModelParams, gamma: float, d: int) -> tuple[float, float]:
 
 def slope_through_origin(x, y) -> float:
     """Least-squares slope of y = s*x (no intercept)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _require_finite(x, "x"), _require_finite(y, "y")
     denom = float(x @ x)
     if denom == 0.0:
         raise ValueError("need a nonzero abscissa")

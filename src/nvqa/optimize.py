@@ -240,20 +240,20 @@ def _distinct(items) -> tuple[list, np.ndarray]:
     return list(first), np.array(index, dtype=int)
 
 
-def _per_row(stack, of: np.ndarray, cells: np.ndarray, repeats: int = 1):
+def _per_row(stack, of: np.ndarray, which: np.ndarray, repeats: int = 1):
     """The noise or observable argument of one kernel call over the rows of
-    cells, repeats rows per cell, cell c's rows under entry of[c] of stack:
-    the one entry where stack holds one, else a circuits._ByRow."""
-    return stack[0] if len(stack) == 1 else _ByRow(stack, np.repeat(of[cells], repeats))
+    the runs which, repeats rows per run, run r's rows under entry of[r] of
+    stack: the one entry where stack holds one, else a circuits._ByRow."""
+    return stack[0] if len(stack) == 1 else _ByRow(stack, np.repeat(of[which], repeats))
 
 
 class _Stack:
-    """The distinct cost functions of one lockstep call, all on one circuit.
+    """The cost functions of one lockstep call, one per run, on one circuit.
     A call costs rows of any of them, row r under cfs[which[r]], with at most
     one kernel call per row kind: pure rows (no spec, or a zero-strength one),
-    density shift rows, density adjoint rows (CostFn._takes_adjoint). It
-    passes the spec and the observable by one rule (_per_row), so a one-cell
-    call runs as its cost function alone, and runs each spec's rows together.
+    density shift rows, density adjoint rows (CostFn._takes_adjoint). It passes
+    each distinct spec and observable, in first-seen order, by one rule
+    (_per_row), so runs sharing both are costed as their cost function alone.
     A row keeps the bits of its cf.values and of the shift rule or adjoint."""
 
     def __init__(self, cfs: list[CostFn]):
@@ -284,19 +284,19 @@ class _Stack:
                 costs[rows], grads[rows] = self._costed(kind, which[rows], params[rows])
         return costs, grads
 
-    def _costed(self, kind: int, cells: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Costs and gradients of rows of one kind, row r under cfs[cells[r]]."""
-        flip = self.infidelity[cells]
+    def _costed(self, kind: int, which: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Costs and gradients of rows of one kind, row r under cfs[which[r]]."""
+        flip = self.infidelity[which]
         if kind == 2:
-            v, g = _expectation_gradients(self.circuit, params, _per_row(self.specs, self.spec_of, cells),
-                                          _per_row(self.obs, self.obs_of, cells))
+            v, g = _expectation_gradients(self.circuit, params, _per_row(self.specs, self.spec_of, which),
+                                          _per_row(self.obs, self.obs_of, which))
             np.subtract(1.0, v, out=v, where=flip)
             np.negative(g, out=g, where=flip[:, None])
             return v, g
         k = 2 * self.circuit.n_params + 1  # each row and its shift rows
-        noise = _per_row(self.specs, self.spec_of, cells, k) if kind else None
+        noise = _per_row(self.specs, self.spec_of, which, k) if kind else None
         v = _expectations(self.circuit, _shift_rows(params), noise,
-                          _per_row(self.obs, self.obs_of, cells, k)).reshape(len(cells), k)
+                          _per_row(self.obs, self.obs_of, which, k)).reshape(len(which), k)
         np.subtract(1.0, v, out=v, where=flip[:, None])
         return v[:, 0], _shift_gradient(v[:, 1:])
 
@@ -305,35 +305,35 @@ def _minimize_rows(cf, starts: np.ndarray, opts: MinimizeOptions | None = None) 
     """One independent BFGS run from each row of an (S, n_params) array, in lockstep.
 
     cf is one CostFn for every run, or a list of one per run, all on one
-    circuit. The runs still going are the rows of stacked arrays: iterates,
-    gradients, directions, inverse Hessians and their cells (which). Their
-    cost, slope, step length and counts are Python scalars, one list entry
-    per row. Each round costs every run's trial point at once, with one call
-    of the runs' _Stack, at most one kernel call per row kind. It takes each
-    run's line-search decision on its scalars, and updates the runs that
-    accepted a step as one stack. Every stacked product has the bits of its
-    1-D form, and rows do not depend on their batch or on the other rows'
-    cost functions, so each result is a serial run's. A start holding a NaN
-    or an infinity is refused before any kernel call.
+    circuit; the runs go to one _Stack as they come. The runs still going are
+    the rows of stacked arrays: iterates, gradients, directions, inverse
+    Hessians and run indices (ids, which index the stack); their cost, slope,
+    step length and counts are lists, one entry per row. Each round costs all
+    trial points with one stack call, takes each run's line-search decision on
+    its scalars, and updates the runs that accepted a step as one stack. Each
+    stacked product has the bits of its 1-D form, and a row depends neither on
+    its batch nor on the other rows' cost functions, so each result is a serial
+    run's. A NaN or infinite start is refused before any kernel call.
     """
     opts = opts or MinimizeOptions()
     starts = _require_finite(starts, "starts")
     per_run = isinstance(cf, (list, tuple))
-    cells, which = _distinct(cf) if per_run else ([cf], None)
-    if not cells:
+    if per_run and not cf:
         raise ValueError("expected one cost function per start, got none")
-    n_params = cells[0].n_params
+    n_params = (cf[0] if per_run else cf).n_params
     if starts.ndim != 2 or starts.shape[1] != n_params:
         raise ValueError(f"expected shape (S, {n_params}), got {starts.shape}")
     n, dim = starts.shape
-    if per_run and len(cf) != n:
-        raise ValueError(f"expected one cost function per start, got {len(cf)} for {n} starts")
-    runs, which = (list(cf), which) if per_run else ([cf] * n, np.zeros(n, dtype=int))
-    stack = _Stack(cells)
+    runs = list(cf) if per_run else [cf] * n
+    if len(runs) != n:
+        raise ValueError(f"expected one cost function per start, got {len(runs)} for {n} starts")
+    if not n:
+        return []
+    stack = _Stack(runs)
     eye = np.eye(dim)
     x, h, p = starts.copy(), np.repeat(eye[None], n, axis=0), np.empty_like(starts)
-    ids, results = list(range(n)), [None] * n
-    costs, g = stack(which, x)
+    ids, results = np.arange(n), [None] * n
+    costs, g = stack(ids, x)
     f, it, first = costs.tolist(), [0] * n, [True] * n
     slope, alpha, tries = [0.0] * n, [1.0] * n, [0] * n
     acc, sel = list(range(n)), slice(None)  # the rows at a new iterate
@@ -358,14 +358,13 @@ def _minimize_rows(cf, starts: np.ndarray, opts: MinimizeOptions | None = None) 
                 slope[r], alpha[r], tries[r] = slope_k, 1.0, 0
             p[sel] = pa
         if results.count(None) < len(ids):
-            live = [r for r, i in enumerate(ids) if results[i] is None]
-            x, g, h, p, which = x[live], g[live], h[live], p[live], which[live]
-            ids, f, it, first, slope, alpha, tries = (
-                [v[r] for r in live] for v in (ids, f, it, first, slope, alpha, tries))
-        if not ids:
+            live = [r for r, i in enumerate(ids.tolist()) if results[i] is None]
+            x, g, h, p, ids = x[live], g[live], h[live], p[live], ids[live]
+            f, it, first, slope, alpha, tries = ([v[r] for r in live] for v in (f, it, first, slope, alpha, tries))
+        if not len(ids):
             return results
         trial = x + np.array(alpha)[:, None] * p
-        costs, grads = stack(which, trial)
+        costs, grads = stack(ids, trial)
         acc = []
         for r, f_new in enumerate(costs.tolist()):
             if not f_new <= f[r] + _ARMIJO_C * alpha[r] * slope[r]:
@@ -427,7 +426,7 @@ def minimize(cf: CostFn, theta0: np.ndarray, opts: MinimizeOptions | None = None
     failed line search, or max_iters short of the gradient tolerance and goal.
 
     Every point the run tries, the start and each trial point, takes its cost
-    and gradient from one call of a one-cell _Stack: one kernel call under
+    and gradient from one call of a one-run _Stack: one kernel call under
     cf's own spec and observable, the shift rule's or on density rows of at
     least four qubits the adjoint method's. The result's cost, grad_norm
     and converged flag are the values the loop read where the run stopped,

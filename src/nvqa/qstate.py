@@ -152,14 +152,6 @@ def _contract(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.n
     return np.moveaxis(out, tuple(range(k)), axes)
 
 
-def _conjugate_raw(data: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """U rho U^dagger on raw (dim, dim) data, U acting on the given qubits."""
-    t = data.reshape((2,) * (2 * n))
-    t = _contract(t, op, targets)
-    t = _contract(t, op.conj(), tuple(n + q for q in targets))
-    return t.reshape(data.shape[0], data.shape[0])
-
-
 def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets: list[int] | tuple[int, ...]) -> DensityMatrix:
     """Conjugate the state by a unitary acting on the listed qubits.
 
@@ -181,7 +173,10 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets: list[int] | tuple[
         raise ValueError(f"operator shape {u.shape} does not match {k} target qubits")
     if np.abs(u @ u.conj().T - np.eye(2 ** k)).max() > 1e-12:
         raise ValueError("operator is not unitary within 1e-12")
-    return DensityMatrix(_conjugate_raw(rho.data, u, targets, rho.n_qubits))
+    n = rho.n_qubits
+    t = _contract(rho.data.reshape((2,) * (2 * n)), u, targets)
+    t = _contract(t, u.conj(), tuple(n + q for q in targets))
+    return DensityMatrix(t.reshape(rho.dim, rho.dim))
 
 
 def partial_trace(rho: DensityMatrix, keep: list[int] | tuple[int, ...]) -> DensityMatrix:

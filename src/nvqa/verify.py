@@ -62,10 +62,10 @@ def check_fixed_points() -> float:
     return worst
 
 
-def check_product_vs_tensor_kraus(n_states: int = 50) -> float:
+def check_product_vs_tensor_kraus() -> float:
     gen = np.random.default_rng(12)
     worst = 0.0
-    for _ in range(n_states):
+    for _ in range(50):
         rho = _random_mixed(2, gen)
         kind = CHANNEL_KINDS[int(gen.integers(3))]
         gamma = float(gen.uniform(0.0, 1.0))
@@ -98,11 +98,11 @@ def check_ptm_closed_forms() -> float:
     return worst
 
 
-def check_gradient(n_cases: int = 6) -> float:
+def check_gradient() -> float:
     gen = np.random.default_rng(13)
     h = vqe_hamiltonian_2q()
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(6):
         circuit = build_2q_circuit("c")
         kind = CHANNEL_KINDS[int(gen.integers(3))]
         gamma = float(gen.choice([0.0, 0.1, 0.5]))
@@ -144,7 +144,7 @@ def check_loop_costs_and_gradients() -> float:
     return worst
 
 
-def check_per_row_specs(n_rows: int = 40) -> float:
+def check_per_row_specs() -> float:
     """Rows under different specs in one call against each row's single-spec
     call, at 2 and 4 qubits: _expectations and _expectation_gradients under
     all three kinds at two strengths, and the loop's stacked costs and
@@ -158,8 +158,8 @@ def check_per_row_specs(n_rows: int = 40) -> float:
         n = circuit.n_qubits
         specs = [NoiseSpec.uniform(kind, g, n) for kind in CHANNEL_KINDS for g in (0.05, 0.2)]
         obs = h.to_matrix().real
-        theta = gen.uniform(0.0, 2.0 * np.pi, (n_rows, circuit.n_params))
-        which = gen.integers(0, len(specs), n_rows)
+        theta = gen.uniform(0.0, 2.0 * np.pi, (40, circuit.n_params))
+        which = gen.integers(0, len(specs), 40)
         rows = _ByRow(tuple(specs), which)
         got = (_expectations(circuit, theta, rows, obs), *_expectation_gradients(circuit, theta, rows, obs))
         want = [np.concatenate(w) for w in zip(*(
@@ -167,7 +167,7 @@ def check_per_row_specs(n_rows: int = 40) -> float:
             for t, k in zip(theta, which)))]
         cfs = [energy_cost(circuit, h, spec) for spec in specs + [NoiseSpec.uniform("phase", 0.0, n), None]]
         cfs.append(infidelity_cost(circuit, sample_real_haar_state(n, gen), specs[0]))
-        which = gen.integers(0, len(cfs), n_rows)
+        which = gen.integers(0, len(cfs), 40)
         got += _Stack(cfs)(which, theta)
         cells = [(cfs[k], t) for t, k in zip(theta, which)]
         want += [np.concatenate([cf.values(t[None]) for cf, t in cells]),
@@ -198,25 +198,25 @@ def _dense_statevector(circuit, theta: np.ndarray) -> np.ndarray:
     return psi
 
 
-def check_statevector_rows(n_rows: int = 600, n_dense: int = 20) -> float:
+def check_statevector_rows() -> float:
     """Statevector rows of _simulate against the dense product for the first
-    rows of a 600-row batch; every row of the batch must equal that row alone."""
+    20 rows of a 600-row batch; every row of the batch must equal that row alone."""
     gen = np.random.default_rng(17)
     worst = 0.0
     for circuit in (build_hea(2), build_4q_vqe(), build_2q_circuit("c")):
-        theta = gen.uniform(0.0, 2.0 * np.pi, (n_rows, circuit.n_params))
+        theta = gen.uniform(0.0, 2.0 * np.pi, (600, circuit.n_params))
         rows = _simulate(circuit, theta)
         if not all(np.array_equal(row, _simulate(circuit, t[None])[0]) for row, t in zip(rows, theta)):
             raise AssertionError("a statevector row differs from the same row run alone")
-        for row, t in zip(rows[:n_dense], theta):
+        for row, t in zip(rows[:20], theta):
             worst = max(worst, float(np.abs(row - _dense_statevector(circuit, t)).max()))
     return worst
 
 
-def check_global_depol(n_cases: int = 20) -> float:
+def check_global_depol() -> float:
     gen = np.random.default_rng(14)
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(20):
         n = int(gen.integers(1, 5))
         d = int(gen.integers(1, 7))
         gamma = float(gen.uniform(0.0, 0.5))

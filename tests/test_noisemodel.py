@@ -241,6 +241,34 @@ def test_values_outside_the_model_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize("x, y, name", [
+    ([np.nan, 1.0], [1.0, 2.0], "x"),
+    ([1.0, np.inf], [1.0, 2.0], "x"),
+    ([1.0, 2.0], [np.nan, 1.0], "y"),
+    ([1.0, 2.0], [np.inf, 1.0], "y"),
+    ([1.0, 2.0], [1.0, -np.inf], "y"),
+])
+def test_a_slope_through_non_finite_data_is_refused(x, y, name):
+    """A NaN or an infinity in either array is refused by name, as an all-zero
+    abscissa is; it used to come back as a NaN or infinite slope."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        slope_through_origin(x, y)
+
+
+@pytest.mark.parametrize("first_order", ["no", 1, None, 0.0])
+def test_a_first_order_flag_that_is_not_a_bool_is_refused(first_order):
+    """first_order is True or False; "no" was read as True and returned the
+    linearization (0.15 here, against the exact 0.1425)."""
+    with pytest.raises(ValueError, match="^first_order must be True or False, got "):
+        global_depol_infidelity(0.1, 2, 2, first_order=first_order)
+
+
+def test_a_numpy_bool_first_order_is_a_bool():
+    assert global_depol_infidelity(0.1, 2, 2, first_order=np.True_) == global_depol_infidelity(0.1, 2, 2, True)
+    assert global_depol_infidelity(0.1, 2, 2, first_order=np.False_) == global_depol_infidelity(0.1, 2, 2)
+    assert global_depol_infidelity(0.1, 2, 2) == pytest.approx(0.1425, abs=1e-15)
+
+
 def test_an_unknown_kind_is_refused_before_any_draw():
     """The kind is checked first, so a refused call leaves the caller's
     generator where it was."""

@@ -466,7 +466,7 @@ class SkewStack:
     """optimize._Stack for the runs of one SkewCost."""
 
     def __init__(self, cfs):
-        [self.cf] = cfs
+        self.cf = cfs[0]
 
     def __call__(self, which, params):
         return self.cf.costed(params)
@@ -1447,6 +1447,45 @@ def test_minimize_rows_refuse_cost_functions_that_do_not_fit():
         _minimize_rows([a, a, a], starts)
     with pytest.raises(ValueError, match="one cost function per start"):
         _minimize_rows([], np.zeros((0, 3)))
+
+
+def test_a_lockstep_call_never_hashes_a_cost_function(monkeypatch, rng):
+    """_Stack alone resolves a lockstep call's cost functions, by their specs
+    and observables. With CostFn.__hash__ raising, one _minimize_rows call
+    over repeated and distinct cost functions, a multistart and a two-family
+    restart sweep still give every run its serial result."""
+    from nvqa.randstates import _child_seed
+
+    cells = mixed_cells(2, rng)
+    runs = [cells[0]] + [cf for cf in cells for _ in range(2)]
+    starts = rng.uniform(0.0, 2.0 * np.pi, (len(runs), cells[0].n_params))
+    valley = energy_cost(build_2q_circuit("a"), H2, NoiseSpec.uniform("amplitude", 0.3, 2))
+    families = [[energy_cost(build_2q_circuit("c"), H2, NoiseSpec.uniform(kind, g, 2)) for g in (0.0, 0.1)]
+                for kind in ("phase", "depolarising")]
+
+    def refuse(cf):
+        raise AssertionError("a lockstep call hashed a cost function")
+
+    seen = record_dedup_inputs(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(CostFn, "__hash__", refuse)
+        with pytest.raises(AssertionError, match="hashed a cost function"):
+            hash(valley)
+        got = _minimize_rows(runs, starts)
+        multistart(valley, n_starts=6, seed=5)
+        optimize._sweeps(families, "restart", 3, [11, 12])
+    for res, cf, theta0 in zip(got, runs, starts):
+        assert res.cost_fn is cf
+        assert_same_run(res, serial_reference(cf, theta0))
+    cell_starts = [optimize._uniform_starts(valley, 6, 5)]
+    cell_starts += [optimize._uniform_starts(cf, 3, _child_seed(seed, i))
+                    for family, seed in zip(families, (11, 12)) for i, cf in enumerate(family)]
+    cell_costs = [valley] + [cf for family in families for cf in family]
+    assert [len(results) for results in seen] == [len(theta) for theta in cell_starts]
+    for results, cf, theta in zip(seen, cell_costs, cell_starts):
+        for res, theta0 in zip(results, theta):
+            assert res.cost_fn is cf
+            assert_same_run(res, serial_reference(cf, theta0))
 
 
 @pytest.mark.parametrize("mode", ["restart", "track"])
