@@ -192,14 +192,12 @@ def apply_product_channel(rho: DensityMatrix, spec: NoiseSpec) -> DensityMatrix:
 
 
 def ptm_from_channel(ch: KrausChannel) -> np.ndarray:
-    """Pauli transfer matrix R_ij = Tr[sigma_i Lambda(sigma_j)] / 2 (4x4 real)."""
-    paulis = (I2, SX, SY, SZ)
-    r = np.empty((4, 4), dtype=float)
-    for j, pj in enumerate(paulis):
-        image = sum(e @ pj @ e.conj().T for e in ch.kraus)
-        for i, pi in enumerate(paulis):
-            val = 0.5 * np.trace(pi @ image)
-            if abs(val.imag) > 1e-12:
-                raise ValueError("PTM entry has imaginary residue")
-            r[i, j] = val.real
-    return r
+    """Pauli transfer matrix R_ij = Tr[sigma_i Lambda(sigma_j)] / 2 (4x4 real), as one
+    product R = v* S v^T / 2: v's rows are the Paulis' row-major vectors and S the Kraus
+    superoperator sum_k E_k (x) conj(E_k)."""
+    v = np.reshape((I2, SX, SY, SZ), (4, 4))
+    k = np.array(ch.kraus)
+    r = 0.5 * v.conj() @ np.einsum("kij,kab->iajb", k, k.conj()).reshape(4, 4) @ v.T
+    if np.abs(r.imag).max() > 1e-12:
+        raise ValueError("PTM entry has imaginary residue")
+    return r.real

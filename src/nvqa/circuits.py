@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from .channels import NoiseSpec, _apply_noise
-from .qstate import DensityMatrix, _as_index, _as_int, _qubit_count, _require_ints, _require_width
+from .qstate import DensityMatrix, _as_index, _as_int, _qubit_count, _require_finite, _require_ints, _require_width
 
 _CHUNK_FLOATS = 2 ** 13  # output-state floats per chunk of _chunks, read at each call
 # widest circuit with density rows: a spec's blocks take dim^3 floats per fixed group
@@ -164,16 +164,13 @@ class Circuit:
         src_inv): src lists the flat entries (k, k ^ perm[y]) in (y, k) order
         for its blocks (_spec_blocks), back gathers their product into
         row-major order, and the transpose takes the inverse gathers back_inv
-        and src_inv; identical groups share one entry.
+        and src_inv.
         """
         n, dim = self.n_qubits, 2 ** self.n_qubits
         idx = np.arange(dim)
         bits = idx >> np.arange(n - 1, -1, -1)[:, None] & 1  # bits[q, i]: qubit q of i
         back = (idx[:, None] ^ idx) * dim + idx[:, None]
         back_inv = np.argsort(back.ravel()).reshape(back.shape)
-        srcs = {ops: idx * dim + (idx ^ perm[:, None]) for ops, perm in self._groups if perm is not None}
-        fixed = {ops: (src, back, back_inv, np.argsort(src.ravel()).reshape(src.shape))
-                 for ops, src in srcs.items()}
         plan = []
         for ops, perm in self._groups:
             if perm is None:
@@ -183,7 +180,8 @@ class Circuit:
                 plan.append((4 * slots[:, None, None] + 2 * bits[:, :, None] + bits[:, None, :], np.array(ps),
                              np.array(partners) * dim + idx, np.array(signs)))
             else:
-                plan.append(fixed[ops])
+                src = idx * dim + (idx ^ perm[:, None])
+                plan.append((src, back, back_inv, np.argsort(src.ravel()).reshape(src.shape)))
         return tuple(plan)
 
     @cached_property
@@ -454,17 +452,11 @@ def _pattern_blocks(n_qubits: int, ops: tuple, kind: str, gammas) -> np.ndarray:
     return np.ascontiguousarray(t[:, idx, idx ^ idx[:, None]].transpose(1, 2, 0))
 
 
-def _require_finite(params, name: str = "params") -> np.ndarray:
-    """params as a float array, refusing a NaN or an infinity."""
-    params = np.asarray(params, dtype=float)
-    if not np.isfinite(params).all():
-        raise ValueError(f"{name} must be finite")
-    return params
-
-
 def _check_width(circuit: Circuit, noise: "NoiseSpec | _ByRow | None") -> None:
-    """Refuse a spec of the wrong width, trivial or not, one spec or per-row specs."""
+    """Refuse noise other than None or NoiseSpecs, one or per row, and a spec of the wrong width, trivial or not."""
     for spec in noise.stack if isinstance(noise, _ByRow) else () if noise is None else (noise,):
+        if not isinstance(spec, NoiseSpec):
+            raise ValueError(f"noise must be None or a NoiseSpec, got {spec!r}")
         _require_width("noise spec covers", spec.n_qubits, "circuit", circuit.n_qubits)
 
 

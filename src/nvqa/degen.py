@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoiseSpec
-from .circuits import Circuit, Cx, NoiseMark, Ry, _expectations, _require_finite, _simulate
+from .circuits import Circuit, Cx, NoiseMark, Ry, _expectations, _simulate
 from .measures import _require_pure
-from .qstate import DensityMatrix, _as_int, _require_width
+from .qstate import DensityMatrix, _as_int, _require_finite, _require_width
 
 _VERIFY_TOL = 1e-10
 _VERIFY_POINTS = 3

@@ -50,6 +50,8 @@ class ExperimentConfig:
     mode: str = "restart"
 
     def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}")
         object.__setattr__(self, "seed", _as_seed(self.seed))
         _require_ints(self, "n_starts_2q", "n_starts_4q", "n_targets", least=1)
         _require_ints(self, "n_samples", least=2)
@@ -60,10 +62,6 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(grid))  # so the checks below drain no iterator
         object.__setattr__(self, "layers", tuple(_as_int(l, "layers", 1) for l in self.layers))
         object.__setattr__(self, "gamma_grid", tuple(_as_strength(g, "gamma_grid") for g in self.gamma_grid))
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
-            )
         for k in self.kinds:
             _require_kind(k)
         _require_mode(self.mode)
@@ -89,10 +87,7 @@ class ExperimentConfig:
 
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
     """The registry defaults for an experiment, with keyword overrides."""
-    if experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}; known: {sorted(EXPERIMENTS)}")
-    base = dict(EXPERIMENTS[experiment]["defaults"])
-    base.update(overrides)
+    base = {**EXPERIMENTS.get(experiment, {}).get("defaults", {}), **overrides}
     return ExperimentConfig(experiment=experiment, **base)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import SY, PauliSum
-from .qstate import DensityMatrix, _as_int, _require_width, eigen_desc, expectation, partial_trace
+from .qstate import DensityMatrix, _as_int, _require_width, expectation, partial_trace
 
 _IMAG_TOL = 1e-8
 _DEGENERACY_TOL = 1e-10
@@ -105,15 +105,3 @@ def ground_truth(hamiltonian: PauliSum) -> GroundTruth:
     state = DensityMatrix(np.outer(v, v.conj()))
     return GroundTruth(e0, state, degenerate)
 
-
-__all__ = [
-    "QualityRecord",
-    "energy",
-    "fidelity",
-    "infidelity",
-    "concurrence",
-    "max_pairwise_concurrence",
-    "GroundTruth",
-    "ground_truth",
-    "eigen_desc",
-]

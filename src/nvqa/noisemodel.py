@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _apply_noise, _as_strength, _require_kind
-from .circuits import _require_finite
-from .qstate import DensityMatrix, _as_int, _as_real, _qubit_count, _require_unit_norms
+from .qstate import DensityMatrix, _as_int, _as_real, _qubit_count, _require_finite, _require_unit_norms
 from .randstates import RngStream, _as_generator, product_rows, real_haar_rows
 
 _BLOCK = 128

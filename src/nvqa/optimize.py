@@ -42,10 +42,10 @@ import numpy as np
 
 from .channels import NoiseSpec
 from .circuits import (Circuit, _ByRow, _as_density_matrix, _check_width, _expectation_gradients, _expectations,
-                       _reduce, _require_finite, _row_noise, _simulate, evaluate)
+                       _reduce, _row_noise, _simulate, evaluate)
 from .measures import QualityRecord, _require_pure, ground_truth, max_pairwise_concurrence
 from .pauli import PauliSum
-from .qstate import DensityMatrix, _as_int, _as_real, _require_ints, _require_width
+from .qstate import DensityMatrix, _as_int, _as_real, _require_finite, _require_ints, _require_width
 from .randstates import _as_seed, _child_seed
 
 TWO_PI = 2.0 * np.pi

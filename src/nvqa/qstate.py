@@ -62,6 +62,14 @@ def _as_real(value, name: str) -> float:
     return float(value)
 
 
+def _require_finite(params, name: str = "params") -> np.ndarray:
+    """params as a float array, refusing a NaN or an infinity."""
+    params = np.asarray(params, dtype=float)
+    if not np.isfinite(params).all():
+        raise ValueError(f"{name} must be finite")
+    return params
+
+
 def _qubit_count(n_qubits) -> int:
     """n_qubits as an int in [1, MAX_QUBITS]; anything else is refused."""
     n = _as_int(n_qubits, "n_qubits")

@@ -327,6 +327,30 @@ def test_ptm_closed_forms(g):
     assert np.allclose(ptm_from_channel(make_channel("amplitude", g)), want, atol=1e-12)
 
 
+def ptm_reference(ch: KrausChannel) -> np.ndarray:
+    """The PTM as 16 traces of Kraus sandwiches, R_ij = Tr[sigma_i Lambda(sigma_j)] / 2,
+    each entry checked for an imaginary part."""
+    paulis = (I2, SX, SY, SZ)
+    r = np.empty((4, 4))
+    for j, pj in enumerate(paulis):
+        image = sum(e @ pj @ e.conj().T for e in ch.kraus)
+        for i, pi in enumerate(paulis):
+            val = 0.5 * np.trace(pi @ image)
+            assert abs(val.imag) <= 1e-12
+            r[i, j] = val.real
+    return r
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_ptm_is_the_trace_loop_to_roundoff(kind):
+    """The one product v* S v^T / 2 lies within 1e-15 of the 16 traces over gamma in [0, 1]."""
+    for g in GAMMAS:
+        ch = make_channel(kind, float(g))
+        got = ptm_from_channel(ch)
+        assert got.dtype == float and got.shape == (4, 4)
+        assert np.abs(got - ptm_reference(ch)).max() <= 1e-15, g
+
+
 def test_ptm_contraction_matches_bloch_action(rng):
     """The PTM acts on Bloch vectors exactly as the channel acts on states."""
     ch = make_channel("amplitude", 0.37)

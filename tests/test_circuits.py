@@ -636,6 +636,27 @@ def test_evaluate_refuses_a_noise_spec_of_the_wrong_width(spec):
         evaluate(build_hea(2), np.zeros(8), spec)
 
 
+@pytest.mark.parametrize("noise", ["phase", make_channel("phase", 0.1), 0.1], ids=["kind", "channel", "gamma"])
+@pytest.mark.parametrize("entry", ["energy_cost", "evaluate", "degeneracy_split"])
+def test_a_noise_argument_that_is_not_a_spec_is_refused(entry, noise):
+    """Every noise argument passes _check_width, which refuses anything but None or
+    a NoiseSpec with a ValueError that names it, not an AttributeError deep inside."""
+    from nvqa.degen import degeneracy_split, generate_degeneracy_maps
+    from nvqa.optimize import energy_cost
+    from nvqa.pauli import vqe_hamiltonian_2q
+    from nvqa.qstate import zero_state
+
+    c = build_hea(2)
+    calls = {
+        "energy_cost": lambda: energy_cost(build_2q_circuit("a"), vqe_hamiltonian_2q(), noise),
+        "evaluate": lambda: evaluate(c, np.zeros(c.n_params), noise),
+        "degeneracy_split": lambda: degeneracy_split(c, np.zeros(c.n_params), generate_degeneracy_maps(c)[:3],
+                                                     noise, zero_state(4)),
+    }
+    with pytest.raises(ValueError, match="^noise must be None or a NoiseSpec, got "):
+        calls[entry]()
+
+
 def test_evaluate_noisy_matches_manual_channel_insertion(rng):
     from nvqa.channels import apply_product_channel
 

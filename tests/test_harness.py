@@ -87,6 +87,15 @@ def test_config_validation():
     assert default_config("alpha_beta_table").gamma_grid == ()
 
 
+def test_an_unknown_experiment_is_reported_before_any_other_field():
+    """The experiment name is checked once, first, in ExperimentConfig: default_config
+    passes every name on, and a bad seed or count does not hide an unknown name."""
+    with pytest.raises(ValueError, match="^unknown experiment 'nope'"):
+        ExperimentConfig(experiment="nope", seed=-1)
+    with pytest.raises(ValueError, match="^unknown experiment 'nope'"):
+        default_config("nope", n_targets=0)
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", 1.5), ("seed", 2.0), ("seed", True), ("n_starts_2q", 1.5), ("n_starts_4q", 3.0),
     ("n_targets", 2.5), ("n_samples", 100.5), ("n_samples", False), ("layers", (2.7,)),

@@ -222,8 +222,8 @@ def test_minimize_reaches_known_ground_state():
 
 def loop_costs(cf: CostFn, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The loop's costs and gradients at every row of an (m, n_params) array:
-    one call of a one-cell _Stack, as _minimize_rows makes for the runs of one
-    cost function."""
+    one call of a _Stack that holds cf once, every row under it; _minimize_rows
+    gives its _Stack one entry per run instead."""
     return optimize._Stack([cf])(np.zeros(len(params), dtype=int), params)
 
 
